@@ -294,11 +294,12 @@ def cmd_eval(args) -> int:
     dataset = splits[args.split]
     if len(dataset) == 0:
         raise ConfigError(f"split {args.split!r} is empty")
+    # evaluate() already scores the argmax counts: its card_mse is card_mse_h
     metrics = tr.evaluate(model, dataset, cfg.inference, cfg.loss)
-    _, counts = tr.predict(model, dataset, replace(cfg.inference, z_mode="argmax"))
+    mse_h = metrics["card_mse"]
     reference = splits["train"].cardinalities() if len(splits["train"]) else None
-    mse_h, mse_const, mse_rand = dt.eval_cardinality_mse(
-        counts, dataset.cardinalities(), train_targets=reference, seed=cfg.seed
+    mse_const, mse_rand = dt.reference_cardinality_mse(
+        dataset.cardinalities(), train_targets=reference, seed=cfg.seed
     )
     print(f"split={args.split} examples={len(dataset)} variant={cfg.inference.variant}")
     print(

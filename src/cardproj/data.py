@@ -28,6 +28,7 @@ __all__ = [
     "load_split_indices",
     "eval_f1",
     "eval_cardinality_mse",
+    "reference_cardinality_mse",
 ]
 
 
@@ -354,21 +355,32 @@ def eval_f1(predictions, targets) -> tuple[float, float]:
 def eval_cardinality_mse(predicted, targets, train_targets=None, seed: int = 0):
     """MSE of a cardinality predictor against two reference baselines.
 
-    Returns (predictor, constant, random): the constant baseline predicts
-    the mean cardinality of the training split, the random baseline draws
-    uniform integers over the training split's observed cardinality range.
-    ``train_targets`` defaults to ``targets``.
+    Returns (predictor, constant, random); the baselines are those of
+    :func:`reference_cardinality_mse`.  ``train_targets`` defaults to
+    ``targets``.
     """
     predicted = np.asarray(predicted, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if predicted.shape != targets.shape or predicted.ndim != 1:
         raise ValueError("predicted and targets must be equal-length vectors")
+    mse_h = float(np.mean((predicted - targets) ** 2))
+    return (mse_h, *reference_cardinality_mse(targets, train_targets, seed))
+
+
+def reference_cardinality_mse(targets, train_targets=None, seed: int = 0):
+    """MSE of the two reference cardinality predictors: (constant, random).
+
+    The constant baseline predicts the mean cardinality of the training
+    split, the random baseline draws uniform integers over the training
+    split's observed cardinality range.  ``train_targets`` defaults to
+    ``targets``.
+    """
+    targets = np.asarray(targets, dtype=np.float64)
     reference = targets if train_targets is None else np.asarray(train_targets, np.float64)
     if reference.size == 0:
         raise ValueError("empty reference cardinalities")
-    mse_h = float(np.mean((predicted - targets) ** 2))
     mse_const = float(np.mean((reference.mean() - targets) ** 2))
     lo, hi = int(reference.min()), int(reference.max())
     draws = np.random.default_rng(seed).integers(lo, hi + 1, size=targets.size)
     mse_rand = float(np.mean((draws - targets) ** 2))
-    return mse_h, mse_const, mse_rand
+    return mse_const, mse_rand

@@ -74,7 +74,6 @@ class InferenceConfig:
     z_source: object = "predictor"
     z_mode: str = "expected"
     projection: str = "soft"
-    detach_corrections: bool = False
     decode: str = "threshold"
 
     def __post_init__(self):
@@ -190,7 +189,6 @@ def _project_state(trial: Var, spec: pj.CappedSimplexSpec, cfg: InferenceConfig)
             rounds=cfg.proj_rounds,
             sharpness=cfg.sharpness,
             mode="soft",
-            detach_corrections=cfg.detach_corrections,
         ).y
     # exact replay: closed-form projection of the same trial point, bridged
     # back onto the tape as a constant (feasible to machine precision,

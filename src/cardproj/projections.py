@@ -13,9 +13,17 @@ routes onto it are implemented:
 * ``project_capped_bisection`` solves the same root-finding problem by a
   long scalar bisection.  It exists purely as an independent oracle.
 * ``project_capped_dykstra`` alternates between the unit upper box and the
-  scaled simplex with Dykstra correction terms.  In ``soft`` mode every
-  step is a differentiable surrogate recorded on a tape, which is what the
-  unrolled inference layers use.
+  scaled simplex with Dykstra correction terms.  In ``soft`` mode the
+  simplex step is a differentiable surrogate, which is what the unrolled
+  inference layers use.
+
+The soft simplex surrogate and the soft alternation each run in plain numpy
+and record one tape node, whose hand-written backward pass (a VJP) returns
+the adjoints of the input and of a mass node.  The forward pass uses the
+same expressions as the surrogate composed from ``diffgraph`` ops, and the
+VJP adds up every floating-point term in the order that a reverse sweep
+over the composed graph would, so values and gradients agree with it bit
+for bit; the tests keep that composed version as their reference.
 
 ``project_capped_fast_soft`` is a differentiable variant of the scan: a
 fixed number of bisection steps where the active-set boundaries are located
@@ -215,8 +223,71 @@ def project_capped_bisection(
 # soft operators
 
 
+def _simplex_soft_forward(v: np.ndarray, mass, sharpness: float):
+    """Values of the soft simplex surrogate at ``v``, plus what its VJP reads.
+
+    ``mass`` is a float or the 0-d value of a mass node.  The expressions are
+    those of the surrogate composed from ``diffgraph`` ops (sort, cumsum,
+    softsign, softmax, dot, relu), in the same order, so the values agree
+    bit for bit.
+    """
+    L = v.size
+    perm = np.argsort(-v, kind="stable")
+    mu = v[perm]
+    cssv = np.cumsum(mu)
+    idx = np.arange(1, L + 1, dtype=np.float64)
+    margin = mu * idx - (cssv - mass)
+    scaled = sharpness * margin
+    denom = 1.0 + np.abs(scaled)
+    logits = sharpness * (scaled / denom * idx)
+    e = np.exp(logits - logits.max())
+    weights = e / e.sum()
+    num = np.asarray(np.dot(cssv, weights)) - mass
+    count = np.asarray(np.dot(idx, weights))
+    diff = v - num / count
+    mask = (diff > 0.0).astype(np.float64)
+    return np.maximum(diff, 0.0), (perm, idx, cssv, denom, weights, num, count, mask)
+
+
+def _simplex_soft_vjp(saved, sharpness: float, g, g_in, g_mass) -> None:
+    """Pull the output adjoint ``g`` back through one soft simplex surrogate.
+
+    Adds the input's adjoint into ``g_in`` and subtracts the mass's from
+    ``g_mass`` (when not None), both in place.  Every floating-point sum
+    runs in the order in which a reverse sweep over the composed surrogate
+    would accumulate it, so the adjoints agree with that sweep bit for bit:
+    ``g_in`` gets the relu term and then the scattered sort term, and
+    ``g_mass`` the numerator term and then the margin term.
+    """
+    perm, idx, cssv, denom, weights, num, count, mask = saved
+    g_diff = g * mask
+    g_in += g_diff
+    g_theta = -g_diff.sum()
+    g_num = g_theta / count
+    g_count = -(g_theta * num / count**2)
+    g_weights = g_count * idx + g_num * cssv
+    g_logits = weights * (g_weights - np.dot(g_weights, weights))
+    g_margin = sharpness * ((sharpness * g_logits) * idx / denom**2)
+    if g_mass is not None:
+        g_mass -= g_num
+        g_mass -= (-g_margin).sum()
+    g_mu = g_margin * idx + np.cumsum((g_num * weights - g_margin)[::-1])[::-1]
+    back = np.empty_like(g_mu)
+    back[perm] = g_mu
+    g_in += back
+
+
+def _mass_operand(tape, mass):
+    """The mass as the forward pass reads it, and its node (None for a float)."""
+    if isinstance(mass, Var):
+        if mass.tape is not tape:
+            raise ValueError("operands live on different tapes")
+        return mass.value, mass
+    return float(mass), None
+
+
 def project_simplex_soft(v: Var, mass, sharpness: float = DEFAULT_SHARPNESS) -> Var:
-    """Differentiable surrogate of the simplex projection.
+    """Differentiable surrogate of the simplex projection, as one tape node.
 
     Follows the sorted-pivot method but replaces its two discrete choices
     with smooth stand-ins: the positivity test of each pivot candidate goes
@@ -227,22 +298,17 @@ def project_simplex_soft(v: Var, mass, sharpness: float = DEFAULT_SHARPNESS) -> 
     ``mass`` may be a float or a scalar node; in the latter case gradients
     flow into whatever produced the mass budget.
     """
-    tape = v.tape
-    L = len(v)
-    if not isinstance(mass, Var):
-        if mass <= 0:
-            raise InfeasibleSpecError(f"simplex mass must be positive, got {mass}")
-        mass = tape.constant(float(mass))
-    mu, _ = dg.sort_desc(v)
-    cssv = dg.cumsum(mu)
-    idx = tape.constant(np.arange(1, L + 1, dtype=np.float64))
-    margin = dg.sub(dg.mul(mu, idx), dg.sub(cssv, mass))
-    sign = dg.softsign(dg.scale(margin, sharpness))
-    weights = dg.softmax(dg.scale(dg.mul(sign, idx), sharpness))
-    theta = dg.div(
-        dg.sub(dg.dot(cssv, weights), mass), dg.dot(idx, weights)
-    )
-    return dg.relu(dg.sub(v, theta))
+    if not isinstance(mass, Var) and mass <= 0:
+        raise InfeasibleSpecError(f"simplex mass must be positive, got {mass}")
+    m, mass_node = _mass_operand(v.tape, mass)
+    sharpness = float(sharpness)
+    out, saved = _simplex_soft_forward(v.value, m, sharpness)
+
+    def bwd(g):
+        _simplex_soft_vjp(saved, sharpness, g, v.adjoint,
+                          None if mass_node is None else mass_node.adjoint)
+
+    return Var(v.tape, out, bwd)
 
 
 def project_capped_dykstra(
@@ -251,7 +317,6 @@ def project_capped_dykstra(
     rounds: int = DEFAULT_ROUNDS,
     sharpness: float = DEFAULT_SHARPNESS,
     mode: str = "soft",
-    detach_corrections: bool = False,
 ) -> ProjectionResult:
     """Project onto the capped simplex by alternating two easy projections.
 
@@ -261,9 +326,9 @@ def project_capped_dykstra(
     arbitrary feasible point.
 
     ``mode='exact'`` runs on plain arrays with exact sub-projections.
-    ``mode='soft'`` records every step on the tape of ``v`` using the soft
-    simplex surrogate; the correction terms stay on the tape as well unless
-    ``detach_corrections`` severs them from the graph.
+    ``mode='soft'`` uses the soft simplex surrogate and records all rounds
+    on the tape of ``v`` as one node, whose backward pass returns the
+    gradients of the whole alternation, correction terms included.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
@@ -272,7 +337,7 @@ def project_capped_dykstra(
     if mode == "soft":
         if not isinstance(v, Var):
             raise TypeError("soft mode projects a tape node")
-        return _dykstra_soft(v, spec, rounds, sharpness, detach_corrections)
+        return _dykstra_soft(v, spec, rounds, float(sharpness))
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -295,29 +360,42 @@ def _dykstra_exact(v: np.ndarray, spec: CappedSimplexSpec, rounds: int):
     return ProjectionResult(y, rs, rb, rounds)
 
 
-def _dykstra_soft(v: Var, spec, rounds, sharpness, detach_corrections):
-    tape = v.tape
-    mass = spec.mass
-    mass_value = mass.value if isinstance(mass, Var) else mass
-    if mass_value <= 0.0:
+def _dykstra_soft(v: Var, spec, rounds, sharpness):
+    if spec.mass_value <= 0.0:
         # degenerate budget: the only feasible point is the origin
         y = dg.scale(v, 0.0)
         return ProjectionResult(y, 0.0, 0.0, 0)
-    y = v
-    p = tape.constant(np.zeros(len(v)))
-    q = tape.constant(np.zeros(len(v)))
+    m, mass_node = _mass_operand(v.tape, spec.mass)
+    y = v.value
+    p = q = np.zeros(len(v))
+    saved = []
     for _ in range(rounds):
-        yp = dg.add(y, p)
+        yp = y + p
         t = project_box_upper(yp)
-        p = dg.sub(yp, t)
-        tq = dg.add(t, q)
-        y = project_simplex_soft(tq, mass, sharpness)
-        q = dg.sub(tq, y)
-        if detach_corrections:
-            p = tape.constant(p.value)
-            q = tape.constant(q.value)
-    rs, rb = _residuals(y.value, float(mass_value))
-    return ProjectionResult(y, rs, rb, rounds)
+        inside = (yp < 1.0).astype(np.float64)
+        p = yp - t
+        tq = t + q
+        y, inner = _simplex_soft_forward(tq, m, sharpness)
+        q = tq - y
+        saved.append((inner, inside))
+
+    def bwd(g):
+        # adjoints of the last round's corrections p and q are zero; each
+        # round's tq adjoint starts from the adjoint of the q it produced
+        g_mass = None if mass_node is None else mass_node.adjoint
+        g_p = np.zeros(len(v))
+        g_tq = np.zeros(len(v))
+        g_y = g
+        for inner, inside in reversed(saved):
+            _simplex_soft_vjp(inner, sharpness, g_y, g_tq, g_mass)
+            g_yp = g_p + (g_tq - g_p) * inside
+            g_y = g_yp - g_tq
+            g_p = g_yp
+        v.adjoint += g_p
+
+    out = Var(v.tape, y, bwd)
+    rs, rb = _residuals(y, spec.mass_value)
+    return ProjectionResult(out, rs, rb, rounds)
 
 
 def project_capped_fast_soft(

@@ -48,7 +48,7 @@ __all__ = [
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when a training loss stops being finite."""
+    """Raised when a training loss, gradient or parameter stops being finite."""
 
 
 @dataclass(frozen=True)
@@ -305,6 +305,18 @@ class TrainResult:
     best_epoch: int
 
 
+def _check_finite(kind: str, buffers: dict, where: str) -> None:
+    # the squared norm overflows once any entry passes ~1e154, where every
+    # product with another such entry is infinite: the step has diverged
+    # even if the entries themselves are still finite
+    for name, buf in buffers.items():
+        norm_sq = float(np.vdot(buf, buf))
+        if not np.isfinite(norm_sq):
+            raise TrainingDivergedError(
+                f"{kind} buffer {name} has squared norm {norm_sq} {where}"
+            )
+
+
 def train(model: md.ScoreModel, train_set: dt.Dataset,
           inference_config: inf.InferenceConfig,
           loss_config: LossConfig = LossConfig(),
@@ -319,6 +331,10 @@ def train(model: md.ScoreModel, train_set: dt.Dataset,
     dev set, training stops once dev F1 has not improved for
     ``patience`` consecutive epochs and the best-scoring parameters are
     returned; without one, the final parameters are.
+
+    A non-finite loss, averaged batch gradient or updated parameter buffer
+    raises :class:`TrainingDivergedError` naming where it happened; a buffer
+    counts as non-finite once its squared norm overflows.
     """
     if inference_config.variant == "topz":
         raise ValueError("topz inference has no relaxed trajectory to train through")
@@ -353,7 +369,7 @@ def train(model: md.ScoreModel, train_set: dt.Dataset,
     count = len(train_set)
     for epoch in range(1, train_config.epochs + 1):
         order = rng.permutation(count)
-        for start in range(0, count, train_config.batch_size):
+        for number, start in enumerate(range(0, count, train_config.batch_size), 1):
             batch = order[start : start + train_config.batch_size]
             sums = {name: np.zeros_like(buf) for name, buf in model.params.items()}
             for i in batch:
@@ -370,7 +386,11 @@ def train(model: md.ScoreModel, train_set: dt.Dataset,
                 for name, grad in tm.grads().items():
                     sums[name] += grad
             inv = 1.0 / batch.size
-            optimizer.step(model.params, {k: v * inv for k, v in sums.items()})
+            grads = {k: v * inv for k, v in sums.items()}
+            where = f"in epoch {epoch}, batch {number}"
+            _check_finite("gradient", grads, where)
+            optimizer.step(model.params, grads)
+            _check_finite("parameter", model.params, where)
         dev_f1 = emit(epoch)
         if dev_set is None:
             best_epoch = epoch

@@ -7,6 +7,7 @@ import pytest
 
 from cardproj import cli
 from cardproj import diffgraph as dg
+from cardproj import inference as inf
 from cardproj import model as md
 from cardproj import training as tr
 
@@ -290,6 +291,20 @@ class TestTrainCommand:
         assert code == 2
         assert "example 3" in capsys.readouterr().err
 
+    def test_huge_learning_rate_diverges_with_exit_two(self, tmp_path, capsys):
+        # the first step leaves weights near 1e300: still finite, but their
+        # squared norms overflow, and the next forward pass would be nan
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(TINY_CONFIG))
+        code = cli.main(["train", "--config", str(config),
+                         "--checkpoint", str(tmp_path / "ck.npz"),
+                         "--metrics", str(tmp_path / "m.log"),
+                         "--set", "optimizer.learning_rate=1e300"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "parameter buffer feature.w1 has squared norm inf in epoch 1, batch 1" in err
+        assert not (tmp_path / "ck.npz").exists()
+
 
 class TestEvalCommand:
     def eval_f1(self, trained, capsys, *extra):
@@ -312,6 +327,19 @@ class TestEvalCommand:
         assert logged is not None
         got, _ = self.eval_f1(trained, capsys, "--split", "train")
         assert abs(got - logged) <= 1e-6
+
+    def test_runs_inference_once_per_example(self, trained, capsys, monkeypatch):
+        calls = []
+        original = inf.run_inference
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(inf, "run_inference", counted)
+        _, out = self.eval_f1(trained, capsys, "--split", "train")
+        examples = int(re.search(r"examples=(\d+)", out).group(1))
+        assert len(calls) == examples
 
     def test_variant_topz_flag(self, trained, capsys):
         _, out = self.eval_f1(trained, capsys, "--split", "train",

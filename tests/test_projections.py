@@ -314,17 +314,128 @@ class TestDykstra:
         )
         np.testing.assert_allclose(x.adjoint, want, rtol=1e-3, atol=1e-5)
 
-    def test_detached_corrections_still_project(self):
-        rng = np.random.default_rng(8)
-        v = rng.standard_normal(6)
-        spec = CappedSimplexSpec(6, 2.0)
+
+def composed_simplex_soft(v, mass, sharpness):
+    """The soft simplex surrogate built from diffgraph primitives, node by node."""
+    tape = v.tape
+    if not isinstance(mass, dg.Var):
+        mass = tape.constant(float(mass))
+    idx = tape.constant(np.arange(1, len(v) + 1, dtype=np.float64))
+    mu, _ = dg.sort_desc(v)
+    cssv = dg.cumsum(mu)
+    margin = dg.sub(dg.mul(mu, idx), dg.sub(cssv, mass))
+    sign = dg.softsign(dg.scale(margin, sharpness))
+    weights = dg.softmax(dg.scale(dg.mul(sign, idx), sharpness))
+    theta = dg.div(dg.sub(dg.dot(cssv, weights), mass), dg.dot(idx, weights))
+    return dg.relu(dg.sub(v, theta))
+
+
+def composed_dykstra_soft(v, mass, rounds, sharpness):
+    """Soft Dykstra alternation with every step and correction on the tape."""
+    tape = v.tape
+    y = v
+    p = tape.constant(np.zeros(len(v)))
+    q = tape.constant(np.zeros(len(v)))
+    for _ in range(rounds):
+        yp = dg.add(y, p)
+        t = dg.clip(yp, hi=1.0)
+        p = dg.sub(yp, t)
+        tq = dg.add(t, q)
+        y = composed_simplex_soft(tq, mass, sharpness)
+        q = dg.sub(tq, y)
+    return y
+
+
+class TestFusedSoftNode:
+    """The fused soft projections against the composed surrogate they replace."""
+
+    @staticmethod
+    def _run(project, v, z, node_mass, readout):
+        # x and the mass feed other nodes before and after the projection,
+        # so the test also pins where the fused node's adjoints are summed in
         tape = dg.Tape()
-        res = pj.project_capped_dykstra(
-            tape.leaf(v), spec, 2, 10.0, "soft", detach_corrections=True
+        x = tape.leaf(v)
+        mass = tape.leaf(z) if node_mass else z
+        root = dg.dot(dg.scale(x, 0.7), tape.constant(readout[::-1].copy()))
+        y = project(x, mass)
+        root = dg.add(root, dg.dot(y, tape.constant(readout)))
+        root = dg.add(root, dg.vsum(dg.scale(x, -0.3)))
+        if node_mass:
+            root = dg.add(root, dg.scale(mass, 1.5))
+        tape.backward(root)
+        return y.value, x.adjoint, mass.adjoint if node_mass else None
+
+    def _assert_same(self, fused, composed, v, z, node_mass, readout):
+        got = self._run(fused, v, z, node_mass, readout)
+        want = self._run(composed, v, z, node_mass, readout)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        if node_mass:
+            np.testing.assert_array_equal(got[2], want[2])
+
+    @pytest.mark.parametrize("L", [3, 30, 159, 983])
+    def test_bit_identical_to_composed_surrogate(self, L):
+        rng = np.random.default_rng(L)
+        for rounds in (1, 2, 3):
+            for node_mass in (False, True):
+                z = float(rng.uniform(0.5, L - 0.5))
+                v = rng.standard_normal(L) + z / L
+                readout = rng.standard_normal(L)
+                self._assert_same(
+                    lambda x, m: pj.project_capped_dykstra(
+                        x, CappedSimplexSpec(L, m), rounds, 20.0, "soft").y,
+                    lambda x, m: composed_dykstra_soft(x, m, rounds, 20.0),
+                    v, z, node_mass, readout,
+                )
+                self._assert_same(
+                    lambda x, m: pj.project_simplex_soft(x, m, 50.0),
+                    lambda x, m: composed_simplex_soft(x, m, 50.0),
+                    v, z, node_mass, readout,
+                )
+
+    def test_one_node_per_projection(self):
+        tape = dg.Tape()
+        x = tape.leaf(np.linspace(-1.0, 2.0, 30))
+        mass = tape.leaf(4.0)
+        before = len(tape)
+        pj.project_capped_dykstra(x, CappedSimplexSpec(30, mass), 3, 20.0, "soft")
+        pj.project_simplex_soft(x, mass)
+        assert len(tape) == before + 2
+
+    def test_mass_on_another_tape_rejected(self):
+        x = dg.Tape().leaf([0.5, 0.2, 0.1])
+        mass = dg.Tape().leaf(1.0)
+        with pytest.raises(ValueError, match="different tapes"):
+            pj.project_simplex_soft(x, mass)
+
+    @pytest.mark.parametrize("L, z", [(159, 10.0), (983, 20.0)])
+    def test_gradient_matches_fd_at_paper_label_counts(self, L, z):
+        # a shuffled grid keeps coordinates 3 / (L - 1) apart, far more than
+        # the step, so no difference straddles a tie of the sort; measured
+        # worst absolute errors 7e-9 (L=159) and 2e-6 (L=983), mass 3e-9
+        rng = np.random.default_rng(L)
+        v = rng.permutation(np.linspace(-1.0, 2.0, L))
+        readout = rng.standard_normal(L)
+
+        def f(u, mass):
+            tape = dg.Tape()
+            res = pj.project_capped_dykstra(
+                tape.leaf(u), CappedSimplexSpec(L, mass), 2, 20.0, "soft")
+            return float(np.dot(readout, res.y.value))
+
+        tape = dg.Tape()
+        x = tape.leaf(v)
+        mass = tape.leaf(z)
+        res = pj.project_capped_dykstra(x, CappedSimplexSpec(L, mass), 2, 20.0, "soft")
+        tape.backward(dg.dot(res.y, tape.constant(readout)))
+        step = 1e-6
+        want = np.array(
+            [(f(v + step * e, z) - f(v - step * e, z)) / (2 * step) for e in np.eye(L)]
         )
-        tape2 = dg.Tape()
-        res2 = pj.project_capped_dykstra(tape2.leaf(v), spec, 2, 10.0, "soft")
-        np.testing.assert_allclose(res.y.value, res2.y.value, atol=1e-12)
+        want_mass = (f(v, z + step) - f(v, z - step)) / (2 * step)
+        assert np.count_nonzero(want) > 20
+        np.testing.assert_allclose(x.adjoint, want, rtol=1e-4, atol=1e-5)
+        np.testing.assert_allclose(float(mass.adjoint), want_mass, rtol=1e-4, atol=1e-7)
 
 
 class TestFastSoft:

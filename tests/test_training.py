@@ -514,6 +514,22 @@ class TestTrain:
             tr.train(model, ds, quick_inference(),
                      train_config=tr.TrainConfig(epochs=1, batch_size=3))
 
+    def test_non_finite_gradient_names_the_buffer(self, monkeypatch):
+        model = md.ScoreModel(tiny_config(seed=12))
+        ds = tiny_dataset(6, seed=11)
+        original = md.TapedModel.grads
+
+        def sabotaged(tm):
+            grads = original(tm)
+            grads["cardinality.b2"][0] = np.nan
+            return grads
+
+        monkeypatch.setattr(md.TapedModel, "grads", sabotaged)
+        with pytest.raises(tr.TrainingDivergedError,
+                           match=r"gradient buffer cardinality.b2 .* in epoch 1, batch 1"):
+            tr.train(model, ds, quick_inference(),
+                     train_config=tr.TrainConfig(epochs=1, batch_size=3))
+
     def test_topz_variant_rejected(self):
         model = md.ScoreModel(tiny_config(seed=13))
         ds = tiny_dataset(4, seed=12)
