@@ -25,7 +25,6 @@ __all__ = [
     "count_cardinality_rule",
     "split_dataset",
     "take",
-    "load_split_indices",
     "eval_f1",
     "eval_cardinality_mse",
     "reference_cardinality_mse",
@@ -301,21 +300,6 @@ def split_dataset(dataset: Dataset, fractions=(0.8, 0.1, 0.1), seed: int = 0):
         take(dataset, part, name=f"{dataset.name}-{tag}" if dataset.name else tag)
         for part, tag in zip(cuts, names)
     )
-
-
-def load_split_indices(path) -> np.ndarray:
-    """One example index per line."""
-    out = []
-    with open(path) as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if line == "":
-                continue
-            try:
-                out.append(int(line))
-            except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: bad index {line!r}") from None
-    return np.array(out, dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------

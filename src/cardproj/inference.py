@@ -10,8 +10,6 @@ the trajectory backpropagates into all model parameters:
              cardinality budget (the main method);
 * ``sc``     adds the bucket score to the objective and clamps each step
              into the unit box;
-* ``logit``  ascends in logit space, keeping iterates in (0, 1) without any
-             projection;
 * ``topz``   no iterations at all: exact top-budget decoding of the unary
              coefficients, the sort-based oracle.
 
@@ -36,7 +34,7 @@ from .diffgraph import Var
 # kills all gradients) while staying well under one predicted label
 MIN_BUDGET = 0.01
 
-VARIANTS = ("pc", "sc", "logit", "topz")
+VARIANTS = ("pc", "sc", "topz")
 
 __all__ = [
     "InferenceConfig",
@@ -109,10 +107,16 @@ class Trajectory:
 
     ``z_used`` is None for the unconstrained variants.  States are tape
     nodes; ``final_values`` is the plain array of the last iterate.
+    ``cardinality_logits`` holds the cardinality head's output when a pass
+    over this example already computed it on the tape: inference sets it
+    for a modal budget, which reads it without a gradient path, and the
+    auxiliary training loss for its own head.  Later passes reuse it
+    instead of running the head again.
     """
 
     states: list
     z_used: float | None = None
+    cardinality_logits: Var | None = None
 
     def final(self) -> Var:
         return self.states[-1]
@@ -127,16 +131,21 @@ def init_labels(c: Var) -> Var:
 
 
 def _resolve_budget(tm: md.TapedModel, indices, values, cfg: InferenceConfig):
-    """Projection budget as (graph-or-float mass, numeric value)."""
+    """Projection budget as (graph-or-float mass, numeric value, head logits).
+
+    The logits are returned only for the modal budget: it reads them
+    without a gradient path, so other passes may share them.
+    """
     if cfg.z_source == "predictor":
         if cfg.z_mode == "expected":
             z = md.predict_cardinality(tm, indices, values, mode="expected")
             z = dg.clip(z, lo=MIN_BUDGET)
-            return z, float(z.value)
-        z = float(md.predict_cardinality(tm, indices, values, mode="argmax"))
-        return z, z
+            return z, float(z.value), None
+        logits = md.cardinality_logits(tm, indices, values)
+        z = float(md.modal_cardinality(logits))
+        return z, z, logits
     z = float(cfg.z_source)
-    return z, z
+    return z, z, None
 
 
 def run_inference(tm: md.TapedModel, feature_indices, feature_values,
@@ -148,37 +157,28 @@ def run_inference(tm: md.TapedModel, feature_indices, feature_values,
     c = md.unary_scores(tm, feature_indices, feature_values)
     y = init_labels(c)
     states = [y]
-    z_used = None
-    spec = None
+    z_used = logits = spec = None
     if cfg.variant == "pc":
-        mass, z_used = _resolve_budget(tm, feature_indices, feature_values, cfg)
+        mass, z_used, logits = _resolve_budget(tm, feature_indices, feature_values, cfg)
         spec = pj.CappedSimplexSpec(tm.config.label_count, mass)
-    alpha = c if cfg.variant == "logit" else None
     velocity = None
 
     for _ in range(cfg.steps):
         grad = dg.add(c, md.grad_global_score(tm, y))
         if cfg.variant == "sc":
             grad = dg.add(grad, md.grad_sc_score(tm, y))
-        if cfg.variant == "logit":
-            # chain rule through y = sigmoid(alpha)
-            grad = dg.mul(grad, dg.mul(y, 1.0 - y))
         velocity = (
             grad
             if velocity is None
             else dg.add(dg.scale(velocity, cfg.momentum), grad)
         )
-        if cfg.variant == "logit":
-            alpha = dg.add(alpha, dg.scale(velocity, cfg.step_size))
-            y = dg.sigmoid(alpha)
+        trial = dg.add(y, dg.scale(velocity, cfg.step_size))
+        if cfg.variant == "pc":
+            y = _project_state(trial, spec, cfg)
         else:
-            trial = dg.add(y, dg.scale(velocity, cfg.step_size))
-            if cfg.variant == "pc":
-                y = _project_state(trial, spec, cfg)
-            else:
-                y = dg.clip01(trial)
+            y = dg.clip01(trial)
         states.append(y)
-    return Trajectory(states, z_used)
+    return Trajectory(states, z_used, logits)
 
 
 def _project_state(trial: Var, spec: pj.CappedSimplexSpec, cfg: InferenceConfig) -> Var:
@@ -199,10 +199,10 @@ def _project_state(trial: Var, spec: pj.CappedSimplexSpec, cfg: InferenceConfig)
 
 def _topz_trajectory(tm, indices, values, cfg) -> Trajectory:
     c = md.unary_scores(tm, indices, values)
-    _, z_value = _resolve_budget(tm, indices, values, cfg)
+    _, z_value, logits = _resolve_budget(tm, indices, values, cfg)
     z = int(round(z_value))
     y = tm.tape.constant(exact_topz(np.array(c.value), z))
-    return Trajectory([y], float(z))
+    return Trajectory([y], float(z), logits)
 
 
 def exact_topz(c: np.ndarray, z: int) -> np.ndarray:

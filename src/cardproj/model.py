@@ -40,6 +40,7 @@ __all__ = [
     "cardinality_logits",
     "cardinality_distribution",
     "predict_cardinality",
+    "modal_cardinality",
     "sc_cardinality_score",
     "grad_sc_score",
     "save_model",
@@ -229,15 +230,25 @@ def predict_cardinality(tm: TapedModel, feature_indices, feature_values, mode="e
     budget stays differentiable; ``argmax`` returns the modal size as a
     plain int, detached from the graph.
     """
-    probs = cardinality_distribution(tm, feature_indices, feature_values)
-    if mode == "expected":
-        support = tm.tape.constant(
-            np.arange(tm.config.max_cardinality + 1, dtype=np.float64)
-        )
-        return dg.dot(probs, support)
     if mode == "argmax":
-        return int(np.argmax(probs.value))
-    raise ValueError(f"unknown cardinality mode {mode!r}")
+        return modal_cardinality(cardinality_logits(tm, feature_indices, feature_values))
+    if mode != "expected":
+        raise ValueError(f"unknown cardinality mode {mode!r}")
+    probs = cardinality_distribution(tm, feature_indices, feature_values)
+    support = tm.tape.constant(
+        np.arange(tm.config.max_cardinality + 1, dtype=np.float64)
+    )
+    return dg.dot(probs, support)
+
+
+def modal_cardinality(logits: Var) -> int:
+    """The most probable label-set size under the head's logits, a plain int.
+
+    Takes the argmax of the softmax, not of the logits, so it is the count
+    ``predict_cardinality(..., mode="argmax")`` returns for the same head
+    output.  Lets a pass that already holds the logits skip a second head.
+    """
+    return int(np.argmax(dg.softmax(logits).value))
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +261,6 @@ def _require_sc(tm: TapedModel) -> Var:
     return tm.vars["sc.weights"]
 
 
-def _soft_indicators(y: Var, count: int) -> list[Var]:
-    # indicator k (1-based) is sigmoid(sum(y) - k); returns k = 1 .. count
-    total = dg.vsum(y)
-    return [dg.sigmoid(dg.shift(total, -float(k))) for k in range(1, count + 1)]
-
-
 def sc_cardinality_score(tm: TapedModel, y: Var) -> Var:
     """Weighted soft bucket score: sum_k w_k I_k (1 - I_{k+1}).
 
@@ -264,7 +269,8 @@ def sc_cardinality_score(tm: TapedModel, y: Var) -> Var:
     """
     w = _require_sc(tm)
     z = tm.config.max_cardinality
-    ind = _soft_indicators(y, z + 1)
+    total = dg.vsum(y)
+    ind = [dg.sigmoid(dg.shift(total, -float(k))) for k in range(1, z + 2)]
     score = None
     for k in range(1, z + 1):
         term = dg.mul(dg.mul(dg.pick(w, k - 1), ind[k - 1]), 1.0 - ind[k])
@@ -273,29 +279,54 @@ def sc_cardinality_score(tm: TapedModel, y: Var) -> Var:
 
 
 def grad_sc_score(tm: TapedModel, y: Var) -> Var:
-    """Gradient of the bucket score with respect to ``y``, on the tape.
+    """Gradient of the bucket score with respect to ``y``, as one tape node.
 
     The score depends on ``y`` only through its sum, so the gradient is a
-    constant vector: d(score)/d(total) broadcast over coordinates.  Unlike
-    the ReLU case the derivative here is built from sigmoid nodes, keeping
-    it smooth in ``y``; second-order terms survive backpropagation through
-    the unrolled ascent.
+    constant vector ``slope * 1`` with
+
+        slope = sum_k w_k (I_k' (1 - I_{k+1}) - I_k I_{k+1}'),
+
+    where I_k = sigmoid(sum(y) - k) and I' = I (1 - I).  The slope is smooth
+    in ``y``.  For an output adjoint ``g`` the node's backward pass gives
+    every coordinate of ``y`` the adjoint sum(g) * d(slope)/d(sum(y)), the
+    second-order term that the unrolled ascent backpropagates through, and
+    each weight w_k the adjoint sum(g) times the bracket of bucket k.
+
+    Value and adjoints are bit-identical to the graph composed of
+    ``diffgraph`` nodes (sum, shifted sigmoids, one product chain per
+    bucket): the forward pass evaluates the same expressions, and the
+    backward pass adds every term in the order of that graph's reverse
+    sweep.
     """
     w = _require_sc(tm)
+    if w.tape is not y.tape:
+        raise ValueError("operands live on different tapes")
     z = tm.config.max_cardinality
-    ind = _soft_indicators(y, z + 1)
-    slope = None
-    for k in range(1, z + 1):
-        ik, ik1 = ind[k - 1], ind[k]
-        dik = dg.mul(ik, 1.0 - ik)
-        dik1 = dg.mul(ik1, 1.0 - ik1)
-        term = dg.mul(
-            dg.pick(w, k - 1),
-            dg.sub(dg.mul(dik, 1.0 - ik1), dg.mul(ik, dik1)),
-        )
-        slope = term if slope is None else dg.add(slope, term)
-    ones = y.tape.constant(np.ones(len(y)))
-    return dg.mul(ones, slope)
+    # I_1 .. I_{z+1}, through the same sigmoid as dg.sigmoid
+    ind = dg._sigmoid_values(y.value.sum() - np.arange(1.0, z + 2.0))
+    ik, ik1 = ind[:-1], ind[1:]
+    rest, rest1 = 1.0 - ik, 1.0 - ik1
+    dik, dik1 = ik * rest, ik1 * rest1
+    diff = dik * rest1 - ik * dik1
+    # left-to-right sum, as the chain of add nodes accumulates it
+    slope = np.cumsum(w.value * diff)[-1]
+
+    def bwd(g):
+        gs = g.sum()
+        g_diff = gs * w.value
+        g_dik1 = -g_diff * ik
+        g_dik = g_diff * rest1
+        # indicator adjoints: bucket k's terms for I_k, then bucket k-1's
+        # for I_k (as its I_{k+1}), as the sweep meets them last bucket first
+        g_ind = np.zeros(z + 1)
+        g_ind[:-1] = -g_diff * dik1 + g_dik * rest - g_dik * ik
+        g_ind[1:] = g_ind[1:] - g_diff * dik + g_dik1 * rest1 - g_dik1 * ik1
+        g_shift = g_ind * ind * (1.0 - ind)
+        # the shifted sums reach sum(y) last indicator first
+        y.adjoint += np.cumsum(g_shift[::-1])[-1]
+        w.adjoint += gs * diff
+
+    return Var(y.tape, np.full(len(y), slope), bwd)
 
 
 # ---------------------------------------------------------------------------

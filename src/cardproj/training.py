@@ -199,7 +199,9 @@ def example_loss(tm: md.TapedModel, example: dt.Example, target,
     initial relaxed state, which turns the model into a plain feedforward
     label scorer (the unconstrained baseline).  The top-z variant produces
     a single decoded state, so it is scored the same way (useful for
-    evaluation; it carries no gradient).
+    evaluation; it carries no gradient).  The auxiliary loss reads the
+    trajectory's cardinality logits when inference already computed them
+    (a modal budget), and otherwise records its own there.
     """
     target = _check_target(target, tm.config.label_count)
     traj = inf.run_inference(tm, example.feature_indices, example.feature_values,
@@ -209,9 +211,11 @@ def example_loss(tm: md.TapedModel, example: dt.Example, target,
     else:
         loss = weighted_trajectory_loss(traj, target, loss_config)
     if loss_config.aux_cardinality_weight > 0.0:
-        logits = md.cardinality_logits(tm, example.feature_indices, example.feature_values)
+        if traj.cardinality_logits is None:
+            traj.cardinality_logits = md.cardinality_logits(
+                tm, example.feature_indices, example.feature_values)
         count = min(int(target.sum()), tm.config.max_cardinality)
-        aux = cardinality_cross_entropy(logits, count)
+        aux = cardinality_cross_entropy(traj.cardinality_logits, count)
         loss = dg.add(loss, dg.scale(aux, loss_config.aux_cardinality_weight))
     return loss, traj
 
@@ -229,6 +233,14 @@ def _check_dims(model: md.ScoreModel, dataset: dt.Dataset) -> None:
         )
 
 
+def _modal_count(tm: md.TapedModel, example: dt.Example, traj: inf.Trajectory) -> int:
+    # the argmax count, from the head output the trajectory holds if any
+    logits = traj.cardinality_logits
+    if logits is None:
+        logits = md.cardinality_logits(tm, example.feature_indices, example.feature_values)
+    return md.modal_cardinality(logits)
+
+
 def predict(model: md.ScoreModel, dataset: dt.Dataset,
             inference_config: inf.InferenceConfig):
     """Decoded label matrix and argmax cardinality predictions."""
@@ -242,15 +254,18 @@ def predict(model: md.ScoreModel, dataset: dt.Dataset,
                                  inference_config)
         labels[i] = inf.decode_labels(traj.final_values(), inference_config.decode,
                                       z=traj.z_used)
-        counts[i] = md.predict_cardinality(tm, ex.feature_indices, ex.feature_values,
-                                           mode="argmax")
+        counts[i] = _modal_count(tm, ex, traj)
     return labels, counts
 
 
 def evaluate(model: md.ScoreModel, dataset: dt.Dataset,
              inference_config: inf.InferenceConfig,
              loss_config: LossConfig = LossConfig()) -> dict:
-    """Mean loss plus decoded metrics; the budget uses the argmax bucket."""
+    """Mean loss plus decoded metrics; the budget uses the argmax bucket.
+
+    The budget, the auxiliary loss and the modal count all read one
+    cardinality head output per example.
+    """
     _check_dims(model, dataset)
     eval_cfg = replace(inference_config, z_mode="argmax")
     losses = np.zeros(len(dataset))
@@ -264,8 +279,7 @@ def evaluate(model: md.ScoreModel, dataset: dt.Dataset,
         losses[i] = float(loss.value)
         labels[i] = inf.decode_labels(traj.final_values(), eval_cfg.decode,
                                       z=traj.z_used)
-        counts[i] = md.predict_cardinality(tm, ex.feature_indices, ex.feature_values,
-                                           mode="argmax")
+        counts[i] = _modal_count(tm, ex, traj)
     truth = np.stack([dataset.target(i) for i in range(len(dataset))])
     f1, f1_label = dt.eval_f1(labels, truth)
     card_mse = float(np.mean((counts - dataset.cardinalities()) ** 2))

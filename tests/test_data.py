@@ -244,14 +244,6 @@ class TestSplits:
             sub.examples[0].feature_indices, ds.examples[3].feature_indices
         )
 
-    def test_load_split_indices(self, tmp_path):
-        path = tmp_path / "idx.txt"
-        path.write_text("3\n0\n7\n")
-        np.testing.assert_array_equal(dt.load_split_indices(path), [3, 0, 7])
-        path.write_text("3\nxyz\n")
-        with pytest.raises(dt.DataFormatError, match=r":2: bad index"):
-            dt.load_split_indices(path)
-
 
 class TestEvalF1:
     def test_worked_example(self):

@@ -152,7 +152,7 @@ class TestDecodeLabels:
 
 
 class TestTrajectoryShapes:
-    @pytest.mark.parametrize("variant", ["pc", "sc", "logit"])
+    @pytest.mark.parametrize("variant", ["pc", "sc"])
     def test_records_initial_state_plus_one_per_step(self, variant):
         m = md.ScoreModel(tiny_config(seed=1))
         icfg = inf.InferenceConfig(variant=variant, steps=4, z_source=2.0)
@@ -160,7 +160,7 @@ class TestTrajectoryShapes:
         assert len(traj.states) == 5
         assert all(len(s) == 5 for s in traj.states)
 
-    @pytest.mark.parametrize("variant", ["pc", "sc", "logit"])
+    @pytest.mark.parametrize("variant", ["pc", "sc"])
     def test_zero_steps_returns_initial_labels_only(self, variant):
         m = md.ScoreModel(tiny_config(seed=1))
         icfg = inf.InferenceConfig(variant=variant, steps=0, z_source=2.0)
@@ -181,9 +181,9 @@ class TestTrajectoryShapes:
     def test_budget_variants_record_z_while_free_variants_do_not(self):
         m = md.ScoreModel(tiny_config(seed=1))
         pc = run(m, inf.InferenceConfig(variant="pc", steps=1, z_source=2.0))
-        logit = run(m, inf.InferenceConfig(variant="logit", steps=1))
+        sc = run(m, inf.InferenceConfig(variant="sc", steps=1))
         assert pc.z_used == 2.0
-        assert logit.z_used is None
+        assert sc.z_used is None
 
 
 class TestUnrolledPgd:
@@ -351,23 +351,6 @@ class TestUnrolledPgd:
             np.testing.assert_array_equal(sa.value, sb.value)
 
 
-class TestUnrolledLogit:
-    def test_zero_gradient_field_keeps_trajectory_constant(self):
-        m = bias_model(np.zeros(4))
-        traj = run(m, inf.InferenceConfig(variant="logit", steps=5, step_size=10.0))
-        for state in traj.states:
-            np.testing.assert_array_equal(state.value, np.full(4, 0.5))
-
-    def test_positive_unaries_drive_states_monotonically_toward_one(self):
-        m = bias_model(np.full(4, 2.0))
-        traj = run(
-            m, inf.InferenceConfig(variant="logit", steps=10, step_size=5.0, momentum=0.0)
-        )
-        values = np.array([s.value for s in traj.states])
-        assert np.all(np.diff(values, axis=0) > 0)
-        assert np.all(values[-1] > 0.99)
-
-
 class TestUnrolledSc:
     def test_zero_bucket_weights_reduce_to_clipped_ascent(self):
         m = md.ScoreModel(tiny_config(seed=2))
@@ -423,7 +406,7 @@ class TestGradientsThroughUnroll:
         loss = dg.dot(tape.constant(w_loss), traj.final())
         return tape, tm, loss
 
-    @pytest.mark.parametrize("variant", ["pc", "logit", "sc"])
+    @pytest.mark.parametrize("variant", ["pc", "sc"])
     def test_full_unroll_matches_fd(self, variant):
         m = md.ScoreModel(tiny_config(seed=0))
         rng = np.random.default_rng(0)

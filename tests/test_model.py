@@ -391,6 +391,85 @@ class TestScCardinalityScore:
         np.testing.assert_allclose(y.adjoint, want, rtol=FD_TOL, atol=FD_TOL)
 
 
+def composed_grad_sc_score(tm, y):
+    """The bucket-score gradient as a graph of diffgraph ops, bucket by bucket.
+
+    Reference for the fused node: one sum, one shifted sigmoid per
+    indicator, and one product chain per bucket, added left to right.
+    """
+    w = tm.vars["sc.weights"]
+    z = tm.config.max_cardinality
+    total = dg.vsum(y)
+    ind = [dg.sigmoid(dg.shift(total, -float(k))) for k in range(1, z + 2)]
+    slope = None
+    for k in range(1, z + 1):
+        ik, ik1 = ind[k - 1], ind[k]
+        dik = dg.mul(ik, 1.0 - ik)
+        dik1 = dg.mul(ik1, 1.0 - ik1)
+        term = dg.mul(
+            dg.pick(w, k - 1),
+            dg.sub(dg.mul(dik, 1.0 - ik1), dg.mul(ik, dik1)),
+        )
+        slope = term if slope is None else dg.add(slope, term)
+    ones = y.tape.constant(np.ones(len(y)))
+    return dg.mul(ones, slope)
+
+
+class TestFusedScGradNode:
+    @staticmethod
+    def _sweep(grad_fn, model, y0, seed):
+        # y and the weights also feed nodes before and after the gradient
+        # node, so the adjoints it adds land between other contributions
+        rng = np.random.default_rng(seed)
+        tape = dg.Tape()
+        tm = md.TapedModel(model, tape)
+        y = tape.leaf(y0)
+        w = tm.vars["sc.weights"]
+        before = dg.add(dg.mul(y, y), dg.scale(y, 0.5))
+        grad = grad_fn(tm, y)
+        after = dg.mul(dg.add(grad, before), y)
+        loss = dg.add(
+            dg.dot(after, tape.constant(rng.normal(size=len(y)))),
+            dg.mul(dg.vsum(w), dg.vsum(y)),
+        )
+        tape.backward(loss)
+        return grad.value, y.adjoint, w.adjoint
+
+    @pytest.mark.parametrize(
+        "labels, z", [(1, 1), (3, 1), (3, 3), (5, 3), (10, 10), (14, 10), (30, 30), (40, 30)]
+    )
+    def test_value_and_adjoints_bit_identical_to_composed_graph(self, labels, z):
+        m = md.ScoreModel(small_config(input_dim=2, label_count=labels, max_cardinality=z))
+        rng = np.random.default_rng(labels * 100 + z)
+        # sums at a bucket, between two buckets, and far outside all of them
+        sums = [0.0, 1.0, z / 2.0, z / 2.0 + 0.5, z - 0.25, z + 1.0, -40.0,
+                z + 40.0, -1000.0, z + 1000.0]
+        for case, total in enumerate(sums):
+            m.params["sc.weights"][:] = 0.0 if case == 0 else rng.normal(0, 2, z)
+            shares = rng.uniform(0.1, 1.0, labels)
+            y0 = shares / shares.sum() * total
+            want = self._sweep(composed_grad_sc_score, m, y0, case)
+            got = self._sweep(md.grad_sc_score, m, y0, case)
+            for name, a, b in zip(("value", "y adjoint", "weight adjoint"), want, got):
+                assert np.all(np.isfinite(b)), f"sum {total}: {name} not finite"
+                assert np.array_equal(a, b), f"sum {total}: {name} differs"
+
+    def test_records_exactly_one_node(self):
+        m = md.ScoreModel(small_config(label_count=12, max_cardinality=10))
+        tape = dg.Tape()
+        tm = md.TapedModel(m, tape)
+        y = tape.leaf(np.full(12, 0.4))
+        before = len(tape)
+        md.grad_sc_score(tm, y)
+        assert len(tape) == before + 1
+
+    def test_operands_on_different_tapes_rejected(self):
+        tm = md.TapedModel(md.ScoreModel(small_config()), dg.Tape())
+        y = dg.Tape().leaf(np.zeros(4))
+        with pytest.raises(ValueError, match="different tapes"):
+            md.grad_sc_score(tm, y)
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         m = md.ScoreModel(small_config(seed=9))

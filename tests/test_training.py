@@ -403,6 +403,34 @@ class TestPredictEvaluate:
             np.mean((counts - ds.cardinalities()) ** 2)
         )
 
+    @pytest.mark.parametrize(
+        "variant, aux", [("pc", 1.0), ("pc", 0.0), ("sc", 1.0), ("sc", 0.0), ("topz", 1.0)]
+    )
+    def test_evaluate_runs_the_cardinality_head_once_per_example(
+        self, variant, aux, monkeypatch
+    ):
+        # the budget, the auxiliary loss and the modal count share one head
+        # output, and the count is the one predict_cardinality returns
+        model = md.ScoreModel(tiny_config(seed=7, with_sc=True))
+        ds = tiny_dataset(8, seed=4)
+        counts = np.array([
+            md.predict_cardinality(md.TapedModel(model, Tape()), ex.feature_indices,
+                                   ex.feature_values, mode="argmax")
+            for ex in ds.examples
+        ])
+        calls = []
+        original = md.cardinality_logits
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(md, "cardinality_logits", counted)
+        metrics = tr.evaluate(model, ds, quick_inference(variant=variant),
+                              tr.LossConfig(aux_cardinality_weight=aux))
+        assert len(calls) == len(ds)
+        assert metrics["card_mse"] == float(np.mean((counts - ds.cardinalities()) ** 2))
+
     def test_dimension_mismatch_is_an_error(self):
         model = md.ScoreModel(tiny_config(seed=8))
         wrong = dt.generate_synthetic(
