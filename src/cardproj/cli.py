@@ -343,9 +343,6 @@ def _project_one(operator: str, v: np.ndarray, z: float, args) -> np.ndarray:
             leaf, spec, rounds=rounds, sharpness=args.sharpness, mode="soft"
         )
         return result.values()
-    if operator == "fast":
-        leaf = dg.Tape().leaf(v)
-        return pj.project_capped_fast_soft(leaf, spec, sharpness=args.sharpness).value
     raise ConfigError(f"unknown operator {operator!r}")
 
 
@@ -484,11 +481,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_proj = sub.add_parser("project", help="run a projection operator on vectors")
     p_proj.add_argument("operator",
-                        choices=("simplex", "capped", "dykstra", "fast", "matrix"))
+                        choices=("simplex", "capped", "dykstra", "matrix"))
     p_proj.add_argument("--z", type=float, help="mass budget")
     p_proj.add_argument("--rounds", type=int,
                         help="alternation rounds (default: 2 for dykstra, 100 for matrix)")
-    p_proj.add_argument("--sharpness", type=float, default=pj.DEFAULT_SHARPNESS)
+    p_proj.add_argument("--sharpness", type=float, default=pj.DEFAULT_SHARPNESS,
+                        help="soft surrogate sharpness (dykstra only)")
     p_proj.add_argument("--input", help="vector file, one per line (default: stdin)")
     p_proj.add_argument("--col-sums", dest="col_sums",
                         help="comma-separated column masses (matrix operator)")

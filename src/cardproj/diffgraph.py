@@ -39,7 +39,6 @@ __all__ = [
     "dot",
     "vsum",
     "pick",
-    "prepend_zero",
     "cumsum",
     "sort_desc",
     "matvec",
@@ -362,16 +361,6 @@ def pick(x: Var, i: int) -> Var:
         x.adjoint[i] += g
 
     return Var(x.tape, np.asarray(x.value[i]), bwd)
-
-
-def prepend_zero(x: Var) -> Var:
-    """Concatenate a literal zero in front, for sentinel positions."""
-    out = np.concatenate([[0.0], x.value])
-
-    def bwd(g):
-        x.adjoint += g[1:]
-
-    return Var(x.tape, out, bwd)
 
 
 def cumsum(x: Var) -> Var:

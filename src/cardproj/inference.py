@@ -45,7 +45,6 @@ __all__ = [
     "run_inference",
     "exact_topz",
     "decode_labels",
-    "total_score",
 ]
 
 
@@ -56,11 +55,12 @@ class InferenceConfig:
     ``z_source`` is either the string ``"predictor"`` (budget from the
     cardinality head, differentiable in ``expected`` mode, modal integer in
     ``argmax`` mode) or a plain number used verbatim.  ``projection``
-    selects the differentiable soft alternation or an exact replay whose
-    states are detached from the graph; the latter exists for feasibility
-    and monotonicity checks, not for training.  ``steps=0`` is the
-    degenerate trajectory ``[y0]``, which is how the plain unary baseline
-    is trained.
+    selects the soft alternation or an exact replay with the closed-form
+    projection, whose states are feasible to machine precision.  Both are
+    differentiable: each exact state is one node whose backward pass is the
+    projection's Jacobian on its free set, so gradients reach the trial
+    point and the budget.  ``steps=0`` is the degenerate trajectory
+    ``[y0]``, which is how the plain unary baseline is trained.
     """
 
     variant: str = "pc"
@@ -190,11 +190,9 @@ def _project_state(trial: Var, spec: pj.CappedSimplexSpec, cfg: InferenceConfig)
             sharpness=cfg.sharpness,
             mode="soft",
         ).y
-    # exact replay: closed-form projection of the same trial point, bridged
-    # back onto the tape as a constant (feasible to machine precision,
-    # gradient-free across steps)
-    exact = pj.project_capped_exact(trial.value, spec)
-    return trial.tape.constant(exact)
+    # exact replay: closed-form projection of the same trial point, one node
+    # whose Jacobian carries the gradient on to the trial point and the budget
+    return pj.project_capped_exact(trial, spec)
 
 
 def _topz_trajectory(tm, indices, values, cfg) -> Trajectory:
@@ -240,10 +238,3 @@ def decode_labels(values: np.ndarray, mode: str = "threshold", z=None) -> np.nda
         return exact_topz(values, int(round(float(z))))
     raise ValueError(f"unknown decode mode {mode!r}")
 
-
-def total_score(tm: md.TapedModel, c: Var, y: Var, variant: str = "pc") -> Var:
-    """The objective each ascent variant climbs, as a scalar node."""
-    score = dg.add(dg.dot(c, y), md.global_score(tm, y))
-    if variant == "sc":
-        score = dg.add(score, md.sc_cardinality_score(tm, y))
-    return score

@@ -9,7 +9,10 @@ routes onto it are implemented:
 
 * ``project_capped_exact`` solves the Euclidean projection in closed form
   by scanning the breakpoints of the piecewise-linear mass function
-  g(lam) = sum_i clamp(v_i - lam, 0, 1).
+  g(lam) = sum_i clamp(v_i - lam, 0, 1) over one sort of ``v``.  On a tape
+  node it records one node whose backward pass is the closed-form Jacobian
+  on the free set, which is how the exact replay of unrolled inference is
+  differentiated.
 * ``project_capped_bisection`` solves the same root-finding problem by a
   long scalar bisection.  It exists purely as an independent oracle.
 * ``project_capped_dykstra`` alternates between the unit upper box and the
@@ -25,12 +28,9 @@ VJP adds up every floating-point term in the order that a reverse sweep
 over the composed graph would, so values and gradients agree with it bit
 for bit; the tests keep that composed version as their reference.
 
-``project_capped_fast_soft`` is a differentiable variant of the scan: a
-fixed number of bisection steps where the active-set boundaries are located
-with soft one-hot weights, finished by a casewise clamp.
-
-Exact operators take plain numpy arrays.  Soft operators take tape nodes
-and return tape nodes.
+Exact operators take plain numpy arrays, and ``project_capped_exact`` and
+``project_box_upper`` also tape nodes.  Soft operators take tape nodes and
+return tape nodes.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ __all__ = [
     "project_capped_exact",
     "project_capped_bisection",
     "project_capped_dykstra",
-    "project_capped_fast_soft",
     "project_matrix_rows_cols",
     "matrix_residuals",
     "DEFAULT_SHARPNESS",
@@ -106,7 +105,6 @@ class ProjectionResult:
     y: object  # Var in soft mode, ndarray in exact mode
     residual_sum: float
     residual_box: float
-    iterations: int
 
     def values(self) -> np.ndarray:
         return self.y.value if isinstance(self.y, Var) else self.y
@@ -157,11 +155,16 @@ def _capped_pivot(v: np.ndarray, mass: float) -> tuple[np.ndarray, float]:
     """Projection onto the capped simplex, returning (point, threshold).
 
     The optimal point is clamp(v - lam, 0, 1) where lam solves
-    g(lam) = sum_i clamp(v_i - lam, 0, 1) = mass.  g is piecewise linear
-    and non-increasing with breakpoints at v_i and v_i - 1, so the root is
-    found by bracketing over breakpoints and solving the linear piece:
-    with n1 coordinates clamped at one and an active set A strictly inside
-    (0, 1), lam = (sum_{i in A} v_i - (mass - n1)) / |A|.
+    g(lam) = sum_i relu(v_i - lam) - sum_i relu(v_i - 1 - lam) = mass.  g is
+    piecewise linear and non-increasing with breakpoints at v_i and v_i - 1,
+    so the root is found by bracketing over breakpoints and solving the
+    linear piece: with n1 coordinates clamped at one and an active set A
+    strictly inside (0, 1), lam = (sum_{i in A} v_i - (mass - n1)) / |A|.
+
+    Both relu sums at every breakpoint come from one sort of ``v``, its
+    suffix sums and ``np.searchsorted`` (the sort-and-scan of Wang & Lu,
+    "Projection onto the capped simplex"), so the scan takes O(L log L) time
+    and O(L) memory.
     """
     L = v.size
     if mass <= 0.0:
@@ -169,8 +172,17 @@ def _capped_pivot(v: np.ndarray, mass: float) -> tuple[np.ndarray, float]:
     if mass >= L:
         return np.ones(L), float(v.min() - 1.0)
 
+    ascending = np.sort(v)
+    # suffix[i] is the sum of ascending[i:], with a zero past the end
+    suffix = np.append(np.cumsum(ascending[::-1])[::-1], 0.0)
+
+    def relu_sums(t):
+        # sum_i relu(v_i - t) for each entry of t
+        above = np.searchsorted(ascending, t, side="right")
+        return suffix[above] - t * (L - above)
+
     bps = np.unique(np.concatenate([v, v - 1.0]))
-    masses = np.clip(v[None, :] - bps[:, None], 0.0, 1.0).sum(axis=1)
+    masses = relu_sums(bps) - relu_sums(bps + 1.0)
     # masses is non-increasing in lam; locate the last breakpoint still >= mass
     k = int(np.searchsorted(-masses, -mass, side="right")) - 1
     if k == len(bps) - 1:
@@ -188,13 +200,36 @@ def _capped_pivot(v: np.ndarray, mass: float) -> tuple[np.ndarray, float]:
     return np.clip(v - lam, 0.0, 1.0), float(lam)
 
 
-def project_capped_exact(v: np.ndarray, spec: CappedSimplexSpec) -> np.ndarray:
-    """Closed-form Euclidean projection onto the capped simplex."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size != spec.dim:
+def project_capped_exact(v, spec: CappedSimplexSpec):
+    """Closed-form Euclidean projection onto the capped simplex.
+
+    Takes an ndarray and returns one, or takes a tape node and records one
+    node.  That node's backward pass is the closed-form Jacobian of the
+    projection on the free set A = {i : 0 < y_i < 1}, as for sparsemax
+    (Martins & Astudillo 2016): the input's adjoint on A gets
+    ``g[A] - mean(g[A])`` and a mass node's adjoint gets ``mean(g[A])``.
+    Coordinates clamped at zero or one pass no gradient, and when A is
+    empty, as at budgets 0 and ``dim``, nothing passes.
+    """
+    values = v.value if isinstance(v, Var) else np.asarray(v, dtype=np.float64)
+    if values.ndim != 1 or values.size != spec.dim:
         raise ValueError(f"expected a vector of length {spec.dim}")
-    point, _ = _capped_pivot(v, spec.mass_value)
-    return point
+    point, _ = _capped_pivot(values, spec.mass_value)
+    if not isinstance(v, Var):
+        return point
+    _, mass_node = _mass_operand(v.tape, spec.mass)
+    free = (point > 0.0) & (point < 1.0)
+
+    def bwd(g):
+        if not free.any():
+            return
+        g_free = g[free]
+        g_mean = g_free.mean()
+        v.adjoint[free] += g_free - g_mean
+        if mass_node is not None:
+            mass_node.adjoint += g_mean
+
+    return Var(v.tape, point, bwd)
 
 
 def project_capped_bisection(
@@ -348,7 +383,7 @@ def _dykstra_exact(v: np.ndarray, spec: CappedSimplexSpec, rounds: int):
     if mass == 0.0:
         y = np.zeros_like(v)
         rs, rb = _residuals(y, mass)
-        return ProjectionResult(y, rs, rb, 0)
+        return ProjectionResult(y, rs, rb)
     y, p, q = v.copy(), np.zeros_like(v), np.zeros_like(v)
     for _ in range(rounds):
         t = project_box_upper(y + p)
@@ -357,14 +392,14 @@ def _dykstra_exact(v: np.ndarray, spec: CappedSimplexSpec, rounds: int):
         q = t + q - y2
         y = y2
     rs, rb = _residuals(y, mass)
-    return ProjectionResult(y, rs, rb, rounds)
+    return ProjectionResult(y, rs, rb)
 
 
 def _dykstra_soft(v: Var, spec, rounds, sharpness):
     if spec.mass_value <= 0.0:
         # degenerate budget: the only feasible point is the origin
         y = dg.scale(v, 0.0)
-        return ProjectionResult(y, 0.0, 0.0, 0)
+        return ProjectionResult(y, 0.0, 0.0)
     m, mass_node = _mass_operand(v.tape, spec.mass)
     y = v.value
     p = q = np.zeros(len(v))
@@ -395,69 +430,7 @@ def _dykstra_soft(v: Var, spec, rounds, sharpness):
 
     out = Var(v.tape, y, bwd)
     rs, rb = _residuals(y, spec.mass_value)
-    return ProjectionResult(out, rs, rb, rounds)
-
-
-def project_capped_fast_soft(
-    v: Var,
-    spec: CappedSimplexSpec,
-    iterations: int = 30,
-    sharpness: float = DEFAULT_SHARPNESS,
-) -> Var:
-    """Differentiable one-shot projection onto the capped simplex.
-
-    Bisects the clamp threshold directly.  At each trial threshold the two
-    active-set boundaries (last coordinate clamped at one, last coordinate
-    above zero) are located by softmax-weighted index scores over the
-    descending sort, from which the mass at that threshold follows by dot
-    products with the cumulative sums.  The interval update itself is a
-    hard branch on values, as in any bisection; the returned point is the
-    casewise clamp at the final threshold, kept on the tape.
-
-    The boundary score for "clamped at one" gets a sentinel entry at
-    position zero so that thresholds above max(v) - 1, where nothing is
-    clamped, remain representable.
-    """
-    tape = v.tape
-    L = len(v)
-    if L != spec.dim:
-        raise ValueError(f"expected a vector of length {spec.dim}")
-    # the threshold search branches on values only, so a tape-node mass
-    # contributes no gradient here and its numeric value suffices
-    mass = spec.mass_value
-    if mass == 0.0:
-        return dg.scale(v, 0.0)
-    if mass == float(L):
-        return dg.shift(dg.scale(v, 0.0), 1.0)
-
-    mu, _ = dg.sort_desc(v)
-    cssv = dg.cumsum(mu)
-    cssv0 = dg.prepend_zero(cssv)
-    idx = tape.constant(np.arange(1, L + 1, dtype=np.float64))
-    idx0 = tape.constant(np.arange(0, L + 1, dtype=np.float64))
-
-    lo = dg.shift(dg.pick(mu, L - 1), -1.0)
-    hi = dg.pick(mu, 0)
-    lam = dg.scale(dg.add(lo, hi), 0.5)
-    for _ in range(iterations):
-        ones_sign = dg.softsign(dg.scale(dg.shift(dg.sub(mu, lam), -1.0), sharpness))
-        pos_sign = dg.softsign(dg.scale(dg.sub(mu, lam), sharpness))
-        w_ones = dg.softmax(
-            dg.scale(dg.prepend_zero(dg.mul(ones_sign, idx)), sharpness)
-        )
-        w_pos = dg.softmax(dg.scale(dg.mul(pos_sign, idx), sharpness))
-        n_ones = dg.dot(idx0, w_ones)
-        n_pos = dg.dot(idx, w_pos)
-        inner = dg.sub(dg.dot(cssv, w_pos), dg.dot(cssv0, w_ones))
-        trial_mass = dg.add(
-            dg.sub(inner, dg.mul(lam, dg.sub(n_pos, n_ones))), n_ones
-        )
-        if float(trial_mass.value) > mass:
-            lo = lam
-        else:
-            hi = lam
-        lam = dg.scale(dg.add(lo, hi), 0.5)
-    return dg.clip01(dg.sub(v, lam))
+    return ProjectionResult(out, rs, rb)
 
 
 # ---------------------------------------------------------------------------

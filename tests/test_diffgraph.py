@@ -243,14 +243,6 @@ class TestRearrangements:
         x = tape.leaf([1.0, 2.0, 3.0])
         np.testing.assert_array_equal(dg.cumsum(x).value, [1.0, 3.0, 6.0])
 
-    def test_prepend_zero(self):
-        tape = dg.Tape()
-        x = tape.leaf([4.0, 5.0])
-        out = dg.prepend_zero(x)
-        np.testing.assert_array_equal(out.value, [0.0, 4.0, 5.0])
-        tape.backward(dg.pick(out, 1))
-        np.testing.assert_array_equal(x.adjoint, [1.0, 0.0])
-
     def test_pick_scatters_gradient(self):
         tape = dg.Tape()
         x = tape.leaf([1.0, 2.0, 3.0])

@@ -6,6 +6,8 @@ operators are checked against their exact counterparts at high sharpness and
 against finite differences for gradients.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,6 +142,38 @@ class TestCappedExact:
             pj.project_capped_bisection(v, spec),
             atol=1e-8,
         )
+
+    @pytest.mark.parametrize("L", [159, 983])
+    def test_matches_bisection_oracle_at_paper_label_counts(self, L):
+        # Gaussian inputs, and the same rounded to one decimal so that many
+        # coordinates and breakpoints tie
+        rng = np.random.default_rng(L)
+        for rounded in (False, True):
+            for _ in range(4):
+                v = rng.standard_normal(L) * 2.0
+                if rounded:
+                    v = np.round(v, 1)
+                budgets = (0.0, float(L), float(rng.integers(1, L)),
+                           float(rng.uniform(0.5, L - 0.5)))
+                for z in budgets:
+                    spec = CappedSimplexSpec(L, z)
+                    np.testing.assert_allclose(
+                        pj.project_capped_exact(v, spec),
+                        pj.project_capped_bisection(v, spec),
+                        atol=1e-8,
+                    )
+
+    def test_pivot_memory_is_linear_in_label_count(self):
+        # measured peak 0.14 MB at L=983; a breakpoint-by-label table of
+        # float64 alone would take 15 MB
+        v = np.random.default_rng(0).standard_normal(983)
+        tracemalloc.start()
+        try:
+            pj._capped_pivot(v, 5.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * v.nbytes
 
 
 class TestSimplexSoft:
@@ -438,51 +472,87 @@ class TestFusedSoftNode:
         np.testing.assert_allclose(float(mass.adjoint), want_mass, rtol=1e-4, atol=1e-7)
 
 
-class TestFastSoft:
-    def test_worked_example(self):
-        tape = dg.Tape()
-        out = pj.project_capped_fast_soft(
-            tape.leaf([1.5, 0.8, -0.2]), CappedSimplexSpec(3, 2.0), 30, 50.0
-        )
-        np.testing.assert_allclose(out.value, [1.0, 1.0, 0.0], atol=1e-2)
+class TestCappedExactNode:
+    """The exact projection on a tape node: one node, closed-form Jacobian."""
 
-    def test_feasible_interior_point_is_nearly_fixed(self):
-        v = np.array([0.6, 0.55, 0.45, 0.4])
+    @staticmethod
+    def _loss_and_adjoints(v, z, readout):
+        # x and the mass feed other nodes too, so the test also pins that
+        # the projection adds into their adjoints rather than overwriting
         tape = dg.Tape()
-        out = pj.project_capped_fast_soft(
-            tape.leaf(v), CappedSimplexSpec(4, 2.0), 30, 50.0
+        x = tape.leaf(v)
+        mass = tape.leaf(z)
+        y = pj.project_capped_exact(x, CappedSimplexSpec(len(v), mass))
+        root = dg.add(dg.dot(y, tape.constant(readout)), dg.vsum(dg.scale(x, 0.5)))
+        root = dg.add(root, dg.scale(mass, -1.5))
+        tape.backward(root)
+        return y.value, x.adjoint, float(mass.adjoint)
+
+    @pytest.mark.parametrize("L", [1, 3, 30, 159, 983])
+    def test_value_equals_array_form(self, L):
+        rng = np.random.default_rng(L)
+        for _ in range(5):
+            v = rng.standard_normal(L) * 2.0
+            for z in (0.0, float(L), float(rng.integers(0, L + 1)), float(rng.uniform(0, L))):
+                want = pj.project_capped_exact(v, CappedSimplexSpec(L, z))
+                tape = dg.Tape()
+                for mass in (z, tape.leaf(z)):
+                    got = pj.project_capped_exact(tape.leaf(v), CappedSimplexSpec(L, mass))
+                    np.testing.assert_array_equal(got.value, want)
+
+    @pytest.mark.parametrize("L, z", [(3, 0.9), (30, 7.5), (159, 10.25), (983, 20.6)])
+    def test_adjoints_match_fd(self, L, z):
+        # the projection is piecewise linear, so central differences are
+        # exact up to rounding wherever no coordinate of v - lam sits within
+        # a step of the clamps at 0 and 1; measured worst absolute errors
+        # 2e-8 (input, L=983) and 6e-9 (mass)
+        rng = np.random.default_rng(L)
+        v = rng.permutation(np.linspace(-0.2, 1.2, L)) + rng.uniform(-0.01, 0.01, L)
+        readout = rng.standard_normal(L)
+        _, lam = pj._capped_pivot(v, z)
+        assert min(np.abs(v - lam).min(), np.abs(v - lam - 1.0).min()) > 1e-4
+
+        def f(u, mass):
+            y = pj.project_capped_exact(u, CappedSimplexSpec(L, mass))
+            return float(np.dot(readout, y)) + 0.5 * u.sum() - 1.5 * mass
+
+        y, got, got_mass = self._loss_and_adjoints(v, z, readout)
+        free = (y > 0.0) & (y < 1.0)
+        assert free.sum() >= min(2, L)
+        step = 1e-6
+        want = np.array(
+            [(f(v + step * e, z) - f(v - step * e, z)) / (2 * step) for e in np.eye(L)]
         )
-        np.testing.assert_allclose(out.value, v, atol=1e-2)
+        want_mass = (f(v, z + step) - f(v, z - step)) / (2 * step)
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-7)
+        np.testing.assert_allclose(got_mass, want_mass, rtol=1e-6, atol=1e-7)
 
-    def test_deviation_from_exact_oracle(self):
-        # measured worst deviation 2.9e-2 at this sharpness; bound 5e-2
-        rng = np.random.default_rng(7)
-        spec = CappedSimplexSpec(8, 3.0)
-        for _ in range(500):
-            v = rng.standard_normal(8) * 2.0
-            tape = dg.Tape()
-            out = pj.project_capped_fast_soft(tape.leaf(v), spec, 30, 50.0)
-            exact = pj.project_capped_exact(v, spec)
-            assert np.abs(out.value - exact).max() < 5e-2
+    @pytest.mark.parametrize("L", [1, 4, 30])
+    def test_degenerate_budgets_pass_no_gradient(self, L):
+        rng = np.random.default_rng(L)
+        v = rng.standard_normal(L)
+        readout = rng.standard_normal(L)
+        for z, corner in ((0.0, 0.0), (float(L), 1.0)):
+            y, got, got_mass = self._loss_and_adjoints(v, z, readout)
+            np.testing.assert_array_equal(y, np.full(L, corner))
+            # only the extra readouts of x and of the mass remain
+            np.testing.assert_array_equal(got, np.full(L, 0.5))
+            assert got_mass == -1.5
 
-    def test_degenerate_budgets(self):
+    def test_one_node_per_call(self):
         tape = dg.Tape()
-        z0 = pj.project_capped_fast_soft(
-            tape.leaf([0.4, -0.2]), CappedSimplexSpec(2, 0.0), 10, 50.0
-        )
-        np.testing.assert_array_equal(z0.value, [0.0, 0.0])
-        zL = pj.project_capped_fast_soft(
-            tape.leaf([0.4, -0.2]), CappedSimplexSpec(2, 2.0), 10, 50.0
-        )
-        np.testing.assert_array_equal(zL.value, [1.0, 1.0])
+        x = tape.leaf(np.linspace(-1.0, 2.0, 30))
+        mass = tape.leaf(4.0)
+        before = len(tape)
+        pj.project_capped_exact(x, CappedSimplexSpec(30, mass))
+        pj.project_capped_exact(x, CappedSimplexSpec(30, 4.0))
+        assert len(tape) == before + 2
 
-    def test_stays_on_tape(self):
-        tape = dg.Tape()
-        x = tape.leaf([1.5, 0.8, -0.2])
-        out = pj.project_capped_fast_soft(x, CappedSimplexSpec(3, 2.0), 20, 50.0)
-        tape.backward(dg.vsum(out))
-        # interior coordinate keeps unit diagonal sensitivity
-        assert x.adjoint.max() > 0.5
+    def test_mass_on_another_tape_rejected(self):
+        x = dg.Tape().leaf([0.5, 0.2, 0.1])
+        mass = dg.Tape().leaf(1.0)
+        with pytest.raises(ValueError, match="different tapes"):
+            pj.project_capped_exact(x, CappedSimplexSpec(3, mass))
 
 
 class TestMatrixExtension:
