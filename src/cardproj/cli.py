@@ -323,10 +323,16 @@ def _read_vectors(source) -> list:
         if not line:
             continue
         try:
-            rows.append((lineno, np.array([float(tok) for tok in line.split()])))
+            # numpy parses each token as float() does, in one call per line
+            rows.append((lineno, np.array(line.split(), dtype=np.float64)))
         except ValueError:
             raise ConfigError(f"line {lineno}: not a whitespace-separated real vector")
     return rows
+
+
+def _format_vector(values: np.ndarray) -> str:
+    # one format call per line; prints what f"{x:.10g}" prints for each x
+    return " ".join(["{:.10g}"] * len(values)).format(*values.tolist())
 
 
 def _project_one(operator: str, v: np.ndarray, z: float, args) -> np.ndarray:
@@ -372,7 +378,7 @@ def cmd_project(args) -> int:
         except (ValueError, pj.InfeasibleSpecError) as err:
             raise ConfigError(str(err)) from None
         for row in projected:
-            print(" ".join(f"{x:.10g}" for x in row))
+            print(_format_vector(row))
         if args.diagnostics:
             row_dev, col_dev = pj.matrix_residuals(projected, col_mass)
             print(f"residual_rows={row_dev:.3e} residual_cols={col_dev:.3e}",
@@ -386,12 +392,12 @@ def cmd_project(args) -> int:
             out = _project_one(args.operator, v, args.z, args)
         except pj.InfeasibleSpecError as err:
             raise ConfigError(f"line {lineno}: {err}") from None
-        print(" ".join(f"{x:.10g}" for x in out))
+        print(_format_vector(out))
         if args.diagnostics:
-            box = max(0.0, float(-out.min()), float(out.max() - 1.0))
+            res = pj.ProjectionResult(out, args.z)
             print(
-                f"line {lineno}: residual_sum={abs(out.sum() - args.z):.3e} "
-                f"residual_box={box:.3e}",
+                f"line {lineno}: residual_sum={res.residual_sum:.3e} "
+                f"residual_box={res.residual_box:.3e}",
                 file=sys.stderr,
             )
     return EXIT_OK

@@ -6,6 +6,14 @@ graph, so :meth:`Tape.backward` can seed the root adjoint and sweep the node
 list in reverse, letting each node push its adjoint into its parents through
 a closure captured at construction time.
 
+A value enters a tape as a leaf (:meth:`Tape.leaf`, a checked float64 copy
+of a value from outside), as a constant (:meth:`Tape.constant`, shared as it
+is, never given an adjoint) or bound as ``Var(tape, buffer)``, which shares a
+float64 buffer the caller owns, as a model's parameters do.  Shared arrays
+must not change while the tape is live.  An adjoint is zero-filled the first
+time it is touched, and the sweep skips nodes nothing reached.  The tape
+holds its nodes weakly, so reference counting frees a finished graph.
+
 All buffers are float64.  Unrolled inference stacks dozens of projection
 layers on a single tape, and anything less than double precision loses too
 much gradient fidelity for finite-difference verification.
@@ -15,6 +23,8 @@ Independent tapes share nothing and may be used concurrently.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -30,7 +40,6 @@ __all__ = [
     "shift",
     "relu",
     "sigmoid",
-    "softsign",
     "clip",
     "clip01",
     "softmax",
@@ -50,15 +59,27 @@ __all__ = [
 class Var:
     """A node on a tape: a value buffer, an adjoint buffer, a backward closure."""
 
-    __slots__ = ("tape", "value", "adjoint", "_index", "_backward")
+    __slots__ = ("tape", "value", "_adjoint", "_index", "_backward", "__weakref__")
 
     def __init__(self, tape: "Tape", value: np.ndarray, backward=None):
         self.tape = tape
         self.value = value
-        self.adjoint = None
+        self._adjoint = None
         self._backward = backward
         self._index = len(tape._nodes)
-        tape._nodes.append(self)
+        tape._nodes.append(weakref.ref(self))
+
+    @property
+    def adjoint(self) -> np.ndarray:
+        """The adjoint of the last sweep, zero-filled when first touched."""
+        adjoint = self._adjoint
+        if adjoint is None:
+            adjoint = self._adjoint = np.zeros(self.value.shape)
+        return adjoint
+
+    @adjoint.setter
+    def adjoint(self, value):
+        self._adjoint = value
 
     @property
     def shape(self):
@@ -101,11 +122,18 @@ class Var:
         return f"Var(shape={self.value.shape}, node={self._index})"
 
 
+class _Constant(Var):
+    """A node that keeps no adjoint: what a consumer adds into it is dropped."""
+
+    __slots__ = ()
+    _adjoint = property(lambda self: None, lambda self, value: None)
+
+
 class Tape:
     """Ordered record of one computation, ready for a reverse sweep."""
 
     def __init__(self):
-        self._nodes: list[Var] = []
+        self._nodes: list[weakref.ref] = []  # a node lives as long as its users
 
     def __len__(self):
         return len(self._nodes)
@@ -118,13 +146,12 @@ class Tape:
         return Var(self, arr)
 
     def constant(self, value) -> Var:
-        """Alias of :meth:`leaf`, used where the value is not a parameter.
+        """Record a value as it is, with no copy, no check and no adjoint.
 
-        Constants still receive adjoints during the reverse sweep; callers
-        simply never read them.  Wrapping a Var's current value in a constant
-        detaches it from the graph.
+        Wrapping a Var's current value in a constant detaches it from the
+        graph.
         """
-        return self.leaf(value)
+        return _Constant(self, np.asarray(value, dtype=np.float64))
 
     def backward(self, root: Var, seed=1.0) -> None:
         """Accumulate adjoints of every node with respect to ``root``.
@@ -135,12 +162,14 @@ class Tape:
         """
         if root.tape is not self:
             raise ValueError("root lives on a different tape")
-        for node in self._nodes:
-            node.adjoint = np.zeros_like(node.value)
+        nodes = [ref() for ref in self._nodes]
+        for node in nodes:
+            if node is not None:
+                node._adjoint = None
         root.adjoint = root.adjoint + np.asarray(seed, dtype=np.float64)
-        for node in self._nodes[root._index :: -1]:
-            if node._backward is not None:
-                node._backward(node.adjoint)
+        for node in nodes[root._index :: -1]:
+            if node is not None and node._adjoint is not None and node._backward is not None:
+                node._backward(node._adjoint)
 
 
 def _reduce_to(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -267,16 +296,6 @@ def _sigmoid_values(v: np.ndarray) -> np.ndarray:
     e = np.exp(v[~pos])
     out[~pos] = e / (1.0 + e)
     return out
-
-
-def softsign(x: Var) -> Var:
-    """x / (1 + |x|), a bounded odd surrogate for sign(x)."""
-    denom = 1.0 + np.abs(x.value)
-
-    def bwd(g):
-        x.adjoint += g / denom**2
-
-    return Var(x.tape, x.value / denom, bwd)
 
 
 def clip(x: Var, lo=None, hi=None) -> Var:

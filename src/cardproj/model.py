@@ -11,10 +11,12 @@ Four pieces share one parameter store:
 * optional per-bucket weights for the sigmoid-indicator cardinality score
   used by the soft-cardinality ascent variant.
 
-``ScoreModel`` owns plain float64 buffers.  Forward passes never touch the
-buffers directly: bind the model to a tape with ``TapedModel`` and call the
-operation functions, which build differentiable graphs and leave gradients
-in the bound leaves after a backward sweep.
+``ScoreModel`` owns plain float64 buffers, checked when a model is built or
+loaded.  Forward passes never touch the buffers directly: bind the model to
+a tape with ``TapedModel`` and call the operation functions, which build
+differentiable graphs and leave gradients in the bound nodes after a
+backward sweep.  Binding shares the buffers, so they must not change while
+a bound tape is live; training updates them only between tapes.
 """
 
 from __future__ import annotations
@@ -143,20 +145,20 @@ class ScoreModel:
 
 
 class TapedModel:
-    """One model bound to one tape: every buffer becomes a leaf node.
+    """One model bound to one tape: every buffer becomes a node sharing it.
 
-    A fresh binding is needed per tape; leaves from one tape cannot mix
+    A fresh binding is needed per tape; nodes from one tape cannot mix
     with nodes of another.  After ``tape.backward`` the per-buffer
-    gradients are read off with :meth:`grads`.
+    gradients, the adjoints themselves, are read off with :meth:`grads`.
     """
 
     def __init__(self, model: ScoreModel, tape: Tape):
         self.config = model.config
         self.tape = tape
-        self.vars = {name: tape.leaf(buf) for name, buf in model.params.items()}
+        self.vars = {name: Var(tape, buf) for name, buf in model.params.items()}
 
     def grads(self) -> dict[str, np.ndarray]:
-        return {name: np.array(v.adjoint) for name, v in self.vars.items()}
+        return {name: v.adjoint for name, v in self.vars.items()}
 
 
 def _check_sparse_input(tm: TapedModel, indices, values):

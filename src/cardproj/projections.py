@@ -99,20 +99,24 @@ class ProjectionResult:
     """Projected point plus feasibility diagnostics.
 
     ``residual_sum`` is |sum(y) - mass| and ``residual_box`` the largest
-    excursion outside [0, 1], both measured on the returned values.
+    excursion outside [0, 1], both measured on the returned values when
+    they are read.
     """
 
     y: object  # Var in soft mode, ndarray in exact mode
-    residual_sum: float
-    residual_box: float
+    mass: float
 
     def values(self) -> np.ndarray:
         return self.y.value if isinstance(self.y, Var) else self.y
 
+    @property
+    def residual_sum(self) -> float:
+        return abs(float(self.values().sum()) - self.mass)
 
-def _residuals(values: np.ndarray, mass: float) -> tuple[float, float]:
-    box = max(0.0, float((-values).max()), float((values - 1.0).max()))
-    return abs(float(values.sum()) - float(mass)), box
+    @property
+    def residual_box(self) -> float:
+        values = self.values()
+        return max(0.0, float((-values).max()), float((values - 1.0).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +267,8 @@ def _simplex_soft_forward(v: np.ndarray, mass, sharpness: float):
 
     ``mass`` is a float or the 0-d value of a mass node.  The expressions are
     those of the surrogate composed from ``diffgraph`` ops (sort, cumsum,
-    softsign, softmax, dot, relu), in the same order, so the values agree
-    bit for bit.
+    the softsign x / (1 + |x|), softmax, dot, relu), in the same order, so
+    the values agree bit for bit.
     """
     L = v.size
     perm = np.argsort(-v, kind="stable")
@@ -381,9 +385,7 @@ def _dykstra_exact(v: np.ndarray, spec: CappedSimplexSpec, rounds: int):
         raise ValueError(f"expected a vector of length {spec.dim}")
     mass = spec.mass_value
     if mass == 0.0:
-        y = np.zeros_like(v)
-        rs, rb = _residuals(y, mass)
-        return ProjectionResult(y, rs, rb)
+        return ProjectionResult(np.zeros_like(v), mass)
     y, p, q = v.copy(), np.zeros_like(v), np.zeros_like(v)
     for _ in range(rounds):
         t = project_box_upper(y + p)
@@ -391,15 +393,13 @@ def _dykstra_exact(v: np.ndarray, spec: CappedSimplexSpec, rounds: int):
         y2 = project_simplex_exact(t + q, mass)
         q = t + q - y2
         y = y2
-    rs, rb = _residuals(y, mass)
-    return ProjectionResult(y, rs, rb)
+    return ProjectionResult(y, mass)
 
 
 def _dykstra_soft(v: Var, spec, rounds, sharpness):
     if spec.mass_value <= 0.0:
         # degenerate budget: the only feasible point is the origin
-        y = dg.scale(v, 0.0)
-        return ProjectionResult(y, 0.0, 0.0)
+        return ProjectionResult(dg.scale(v, 0.0), 0.0)
     m, mass_node = _mass_operand(v.tape, spec.mass)
     y = v.value
     p = q = np.zeros(len(v))
@@ -428,9 +428,7 @@ def _dykstra_soft(v: Var, spec, rounds, sharpness):
             g_p = g_yp
         v.adjoint += g_p
 
-    out = Var(v.tape, y, bwd)
-    rs, rb = _residuals(y, spec.mass_value)
-    return ProjectionResult(out, rs, rb)
+    return ProjectionResult(Var(v.tape, y, bwd), spec.mass_value)
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,30 @@ class TestProject:
         assert code == 1
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["zap", "1__0", "_1", "0x10", "nan(1)", "1,5"])
+    def test_malformed_token_is_one_config_error(self, token):
+        # tokens that float() rejects; numpy must reject the same ones
+        with pytest.raises(cli.ConfigError,
+                           match="^line 2: not a whitespace-separated real vector$"):
+            cli._read_vectors(io.StringIO(f"0.5 0.5\n0.5 {token}\n"))
+
+    def test_vectors_parse_as_float_does(self):
+        lines = ["-0.0 1e-300 5e20 0.5", "1_0 nan inf -inf", "1e400 -1e-400 .5 +2."]
+        rows = cli._read_vectors(io.StringIO("\n".join(lines[:1] + [""] + lines[1:])))
+        assert [lineno for lineno, _ in rows] == [1, 3, 4]
+        for line, (_, row) in zip(lines, rows):
+            want = np.array([float(tok) for tok in line.split()])
+            assert row.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("values", [
+        [-0.0, 1e-300, 5e20, 0.5],
+        [1.0 / 3.0, -2.5e-7, 123456789012.0, 0.0],
+        [np.nan, np.inf, -np.inf, 1e-320],
+    ])
+    def test_vectors_format_as_each_scalar_does(self, values):
+        arr = np.array(values)
+        assert cli._format_vector(arr) == " ".join(f"{x:.10g}" for x in arr)
+
     def test_missing_z_is_usage_error(self, capsys, monkeypatch):
         assert self.run(["capped"], "0.5 0.5\n", monkeypatch) == 1
 

@@ -543,8 +543,19 @@ class TestTapedModel:
             assert g.shape == m.params[name].shape
             assert np.all(np.isfinite(g))
 
-    def test_binding_copies_buffers(self):
+    def test_binding_shares_buffers(self):
         m = md.ScoreModel(small_config())
         tm = md.TapedModel(m, dg.Tape())
-        m.params["unary.b"][0] = 123.0
-        assert tm.vars["unary.b"].value[0] == 0.0
+        for name, buf in m.params.items():
+            assert tm.vars[name].value is buf
+
+    def test_grads_are_the_adjoints_with_zeros_where_none_arrived(self):
+        m = md.ScoreModel(small_config(seed=2))
+        tape = dg.Tape()
+        tm = md.TapedModel(m, tape)
+        tape.backward(dg.vsum(md.unary_scores(tm, [0, 3], [1.0, 0.5])))
+        grads = tm.grads()
+        assert grads["unary.w"] is tm.vars["unary.w"].adjoint
+        for name in ("global.w1", "global.b2", "cardinality.w2", "sc.weights"):
+            assert grads[name].shape == m.params[name].shape
+            assert not grads[name].any()

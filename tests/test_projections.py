@@ -349,6 +349,16 @@ class TestDykstra:
         np.testing.assert_allclose(x.adjoint, want, rtol=1e-3, atol=1e-5)
 
 
+def softsign(x):
+    """x / (1 + |x|) as one node, with the values and adjoints of the fused VJP."""
+    denom = 1.0 + np.abs(x.value)
+
+    def bwd(g):
+        x.adjoint += g / denom**2
+
+    return dg.Var(x.tape, x.value / denom, bwd)
+
+
 def composed_simplex_soft(v, mass, sharpness):
     """The soft simplex surrogate built from diffgraph primitives, node by node."""
     tape = v.tape
@@ -358,7 +368,7 @@ def composed_simplex_soft(v, mass, sharpness):
     mu, _ = dg.sort_desc(v)
     cssv = dg.cumsum(mu)
     margin = dg.sub(dg.mul(mu, idx), dg.sub(cssv, mass))
-    sign = dg.softsign(dg.scale(margin, sharpness))
+    sign = softsign(dg.scale(margin, sharpness))
     weights = dg.softmax(dg.scale(dg.mul(sign, idx), sharpness))
     theta = dg.div(dg.sub(dg.dot(cssv, weights), mass), dg.dot(idx, weights))
     return dg.relu(dg.sub(v, theta))

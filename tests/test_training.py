@@ -1,5 +1,7 @@
+import gc
 import io
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from cardproj import inference as inf
 from cardproj import model as md
 from cardproj import training as tr
 from cardproj.diffgraph import Tape
+from test_diffgraph import eager_backward
 
 
 def tiny_config(**overrides):
@@ -374,6 +377,52 @@ class TestExampleLoss:
         tm = md.TapedModel(model, tape)
         loss, _ = tr.example_loss(tm, ex, target, cfg, tr.LossConfig())
         assert np.isfinite(float(loss.value))
+
+
+class TestExampleTape:
+    """What one training example leaves on its tape."""
+
+    @staticmethod
+    def _loss(variant):
+        model = md.ScoreModel(tiny_config(seed=7, with_sc=variant == "sc"))
+        ds = tiny_dataset(4, seed=3)
+        tape = Tape()
+        tm = md.TapedModel(model, tape)
+        loss, _ = tr.example_loss(tm, ds.examples[0], ds.target(0),
+                                  quick_inference(variant=variant, steps=5),
+                                  tr.LossConfig())
+        return tape, tm, loss
+
+    # one node per fused projection, score gradient and loss term: a test
+    # fails here when a fused node is split into its composed graph again
+    @pytest.mark.parametrize("variant, nodes", [("pc", 123), ("sc", 125)])
+    def test_node_count_of_a_five_step_example(self, variant, nodes):
+        tape, _, _ = self._loss(variant)
+        assert len(tape) == nodes
+
+    @pytest.mark.parametrize("variant", ["pc", "sc"])
+    def test_gradients_match_the_eager_zero_fill_sweep(self, variant):
+        tape, tm, loss = self._loss(variant)
+        tape.backward(loss)
+        lazy = tm.grads()
+        tape, tm, loss = self._loss(variant)
+        eager_backward(tape, loss)
+        for name, grad in tm.grads().items():
+            assert lazy[name].tobytes() == grad.tobytes(), name
+
+    def test_tape_is_freed_without_the_cycle_collector(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            tape, tm, loss = self._loss("pc")
+            tape.backward(loss)
+            tm.grads()
+            ref = weakref.ref(tape)
+            del tape, tm, loss
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestPredictEvaluate:
