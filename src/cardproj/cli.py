@@ -317,6 +317,11 @@ def cmd_eval(args) -> int:
 
 
 def _read_vectors(source) -> list:
+    """(line number, vector) for each non-blank line, every value finite.
+
+    The one check of a projection's input: every operator then sees the
+    same vectors and fails the same way.
+    """
     rows = []
     for lineno, raw in enumerate(source, 1):
         line = raw.strip()
@@ -324,9 +329,12 @@ def _read_vectors(source) -> list:
             continue
         try:
             # numpy parses each token as float() does, in one call per line
-            rows.append((lineno, np.array(line.split(), dtype=np.float64)))
+            row = np.array(line.split(), dtype=np.float64)
         except ValueError:
             raise ConfigError(f"line {lineno}: not a whitespace-separated real vector")
+        if not np.isfinite(row).all():
+            raise ConfigError(f"line {lineno}: non-finite value")
+        rows.append((lineno, row))
     return rows
 
 

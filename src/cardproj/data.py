@@ -19,6 +19,7 @@ __all__ = [
     "DataFormatError",
     "Example",
     "Dataset",
+    "Batch",
     "load_sparse_multilabel",
     "save_sparse_multilabel",
     "generate_synthetic",
@@ -109,6 +110,44 @@ class Dataset:
 
     def cardinalities(self) -> np.ndarray:
         return np.array([ex.cardinality() for ex in self.examples], dtype=np.float64)
+
+    def batch(self, rows) -> "Batch":
+        """The examples at positions ``rows``, stacked for one tape."""
+        rows = np.asarray(rows, dtype=np.intp)
+        examples = [self.examples[i] for i in rows]
+        indptr = np.zeros(rows.size + 1, dtype=np.intp)
+        np.cumsum([ex.feature_indices.size for ex in examples], out=indptr[1:])
+        targets = np.zeros((rows.size, self.label_count))
+        for r, ex in enumerate(examples):
+            targets[r, ex.labels] = 1.0
+        return Batch(
+            rows,
+            indptr,
+            np.concatenate([ex.feature_indices for ex in examples]),
+            np.concatenate([ex.feature_values for ex in examples]),
+            targets,
+        )
+
+
+@dataclass(frozen=True)
+class Batch:
+    """Examples of one dataset stacked as rows: CSR inputs, dense targets.
+
+    Row r holds the example at dataset position ``rows[r]``: its features
+    are ``feature_indices[indptr[r]:indptr[r + 1]]`` with the matching
+    ``feature_values``, and its binary label vector is ``targets[r]``.  The
+    examples were validated when they were built, so a batch is not checked
+    again.
+    """
+
+    rows: np.ndarray
+    indptr: np.ndarray
+    feature_indices: np.ndarray
+    feature_values: np.ndarray
+    targets: np.ndarray
+
+    def __len__(self):
+        return self.rows.size
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,15 @@ the trajectory backpropagates into all model parameters:
 The ascent direction is assembled from analytic gradient nodes
 (``grad_global_score`` and friends), not by differentiating the tape, so a
 single reverse sweep through the unrolled graph suffices for training.
+
+One run covers one example or a minibatch (a CSR input with its row
+pointer, see ``model``): every state is then a batch of rows on one tape,
+and the budget one value per row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,17 +109,18 @@ class InferenceConfig:
 class Trajectory:
     """All iterates of one inference run, y0 first, plus the budget used.
 
-    ``z_used`` is None for the unconstrained variants.  States are tape
+    ``z_used`` is None for the unconstrained variants; otherwise a float
+    for one example and one value per row for a batch.  States are tape
     nodes; ``final_values`` is the plain array of the last iterate.
     ``cardinality_logits`` holds the cardinality head's output when a pass
-    over this example already computed it on the tape: inference sets it
-    for a modal budget, which reads it without a gradient path, and the
-    auxiliary training loss for its own head.  Later passes reuse it
-    instead of running the head again.
+    over these examples already computed it on the tape: inference sets it
+    whenever the budget comes from the head, and the auxiliary training
+    loss otherwise.  Later passes reuse it instead of running the head
+    again.
     """
 
     states: list
-    z_used: float | None = None
+    z_used: object = None
     cardinality_logits: Var | None = None
 
     def final(self) -> Var:
@@ -130,36 +135,45 @@ def init_labels(c: Var) -> Var:
     return dg.sigmoid(c)
 
 
-def _resolve_budget(tm: md.TapedModel, indices, values, cfg: InferenceConfig):
+def _resolve_budget(tm: md.TapedModel, indices, values, indptr, rows: tuple,
+                    cfg: InferenceConfig):
     """Projection budget as (graph-or-float mass, numeric value, head logits).
 
-    The logits are returned only for the modal budget: it reads them
-    without a gradient path, so other passes may share them.
+    ``rows`` is () for one example and (B,) for a batch; the numeric value
+    is a float or one per row.  An expected budget and the auxiliary loss
+    share the head's logits; a modal budget reads them without a gradient
+    path.
     """
     if cfg.z_source == "predictor":
+        logits = md.cardinality_logits(tm, indices, values, indptr)
         if cfg.z_mode == "expected":
-            z = md.predict_cardinality(tm, indices, values, mode="expected")
-            z = dg.clip(z, lo=MIN_BUDGET)
-            return z, float(z.value), None
-        logits = md.cardinality_logits(tm, indices, values)
-        z = float(md.modal_cardinality(logits))
+            z = dg.clip(md.expected_cardinality(tm, logits), lo=MIN_BUDGET)
+            return z, _numbers(z.value), logits
+        z = _numbers(np.asarray(md.modal_cardinality(logits), dtype=np.float64))
         return z, z, logits
-    z = float(cfg.z_source)
+    z = _numbers(np.full(rows, float(cfg.z_source)))
     return z, z, None
 
 
-def run_inference(tm: md.TapedModel, feature_indices, feature_values,
-                  cfg: InferenceConfig) -> Trajectory:
-    """Run one inference variant on one example, recording every iterate."""
-    if cfg.variant == "topz":
-        return _topz_trajectory(tm, feature_indices, feature_values, cfg)
+def _numbers(values: np.ndarray):
+    # a float for one example, an array for a batch
+    return float(values) if values.ndim == 0 else values
 
-    c = md.unary_scores(tm, feature_indices, feature_values)
+
+def run_inference(tm: md.TapedModel, feature_indices, feature_values,
+                  cfg: InferenceConfig, indptr=None) -> Trajectory:
+    """Run one inference variant on one example, or on a CSR batch with
+    ``indptr``, recording every iterate."""
+    if cfg.variant == "topz":
+        return _topz_trajectory(tm, feature_indices, feature_values, indptr, cfg)
+
+    c = md.unary_scores(tm, feature_indices, feature_values, indptr)
     y = init_labels(c)
     states = [y]
     z_used = logits = spec = None
     if cfg.variant == "pc":
-        mass, z_used, logits = _resolve_budget(tm, feature_indices, feature_values, cfg)
+        mass, z_used, logits = _resolve_budget(tm, feature_indices, feature_values,
+                                               indptr, c.shape[:-1], cfg)
         spec = pj.CappedSimplexSpec(tm.config.label_count, mass)
     velocity = None
 
@@ -195,39 +209,44 @@ def _project_state(trial: Var, spec: pj.CappedSimplexSpec, cfg: InferenceConfig)
     return pj.project_capped_exact(trial, spec)
 
 
-def _topz_trajectory(tm, indices, values, cfg) -> Trajectory:
-    c = md.unary_scores(tm, indices, values)
-    _, z_value, logits = _resolve_budget(tm, indices, values, cfg)
-    z = int(round(z_value))
+def _topz_trajectory(tm, indices, values, indptr, cfg) -> Trajectory:
+    c = md.unary_scores(tm, indices, values, indptr)
+    _, z_value, logits = _resolve_budget(tm, indices, values, indptr, c.shape[:-1], cfg)
+    z = _numbers(np.round(np.asarray(z_value)))
     y = tm.tape.constant(exact_topz(np.array(c.value), z))
-    return Trajectory([y], float(z), logits)
+    return Trajectory([y], z, logits)
 
 
-def exact_topz(c: np.ndarray, z: int) -> np.ndarray:
-    """Binary vector activating the z largest coefficients.
+def exact_topz(c: np.ndarray, z) -> np.ndarray:
+    """Binary vector activating the z largest coefficients, row by row.
 
     This solves max_y c . y over binary y with exactly z ones, the
-    cardinality-constrained decoding that needs only a sort.  Ties go to
-    the lower index.
+    cardinality-constrained decoding that needs only a sort.  ``c`` is one
+    vector with an integer budget, or a batch of rows with one budget per
+    row.  Ties go to the lower index.
     """
     c = np.asarray(c, dtype=np.float64)
-    if c.ndim != 1:
+    if c.ndim not in (1, 2):
         raise ValueError("expected a coefficient vector")
-    if isinstance(z, (float, np.floating)) and not float(z).is_integer():
+    z = np.asarray(z)
+    if np.any(z != np.round(z)):
         raise ValueError(f"budget must be an integer, got {z}")
-    z = int(z)
-    if z < 0 or z > c.size:
-        raise ValueError(f"budget {z} out of range [0, {c.size}]")
-    out = np.zeros(c.size)
-    out[np.argsort(-c, kind="stable")[:z]] = 1.0
+    k = z.astype(np.intp)
+    if np.any(k < 0) or np.any(k > c.shape[-1]):
+        raise ValueError(f"budget {z} out of range [0, {c.shape[-1]}]")
+    order = np.argsort(-c, axis=-1, kind="stable")
+    chosen = (np.arange(c.shape[-1]) < k[..., None]).astype(np.float64)
+    out = np.empty_like(c)
+    np.put_along_axis(out, order, np.broadcast_to(chosen, c.shape), axis=-1)
     return out
 
 
 def decode_labels(values: np.ndarray, mode: str = "threshold", z=None) -> np.ndarray:
-    """Turn a relaxed label vector into a binary prediction.
+    """Turn relaxed label vectors into binary predictions, row by row.
 
     ``threshold`` activates coordinates at or above one half; ``topz``
-    activates the ``round(z)`` largest coordinates.
+    activates the ``round(z)`` largest coordinates, with one budget per row
+    for a batch.
     """
     values = np.asarray(values, dtype=np.float64)
     if mode == "threshold":
@@ -235,6 +254,5 @@ def decode_labels(values: np.ndarray, mode: str = "threshold", z=None) -> np.nda
     if mode == "topz":
         if z is None:
             raise ValueError("topz decoding needs a budget")
-        return exact_topz(values, int(round(float(z))))
+        return exact_topz(values, np.round(np.asarray(z, dtype=np.float64)))
     raise ValueError(f"unknown decode mode {mode!r}")
-

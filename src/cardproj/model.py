@@ -17,6 +17,13 @@ a tape with ``TapedModel`` and call the operation functions, which build
 differentiable graphs and leave gradients in the bound nodes after a
 backward sweep.  Binding shares the buffers, so they must not change while
 a bound tape is live; training updates them only between tapes.
+
+Every operation takes one example or a minibatch.  One example's sparse
+input is a pair (indices, values) and gives vectors; a minibatch is the
+same pair in CSR form plus its row pointer ``indptr`` and gives one row per
+example (see ``diffgraph.matvec_sparse``).  Inputs are validated where they
+enter the program, in ``data.Example``; here only the index range is
+checked.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ __all__ = [
     "cardinality_logits",
     "cardinality_distribution",
     "predict_cardinality",
+    "expected_cardinality",
     "modal_cardinality",
     "sc_cardinality_score",
     "grad_sc_score",
@@ -166,13 +174,10 @@ def _check_sparse_input(tm: TapedModel, indices, values):
     vals = np.asarray(values, dtype=np.float64)
     if idx.shape != vals.shape or idx.ndim != 1:
         raise ValueError("indices and values must be equal-length vectors")
-    if idx.size:
-        if idx.min() < 0 or idx.max() >= tm.config.input_dim:
-            raise ValueError(
-                f"feature index out of range for input_dim {tm.config.input_dim}"
-            )
-        if np.unique(idx).size != idx.size:
-            raise ValueError("duplicate feature indices")
+    if idx.size and (idx.min() < 0 or idx.max() >= tm.config.input_dim):
+        raise ValueError(
+            f"feature index out of range for input_dim {tm.config.input_dim}"
+        )
     return idx, vals
 
 
@@ -180,17 +185,18 @@ def _check_sparse_input(tm: TapedModel, indices, values):
 # score components
 
 
-def unary_scores(tm: TapedModel, feature_indices, feature_values) -> Var:
-    """Per-label unary coefficients c(x), shape (label_count,)."""
+def unary_scores(tm: TapedModel, feature_indices, feature_values, indptr=None) -> Var:
+    """Per-label unary coefficients c(x): (label_count,) per example."""
     idx, vals = _check_sparse_input(tm, feature_indices, feature_values)
     p = tm.vars
-    hidden = dg.relu(dg.add(dg.matvec_sparse(p["feature.w1"], idx, vals), p["feature.b1"]))
+    hidden = dg.relu(dg.add(dg.matvec_sparse(p["feature.w1"], idx, vals, indptr),
+                            p["feature.b1"]))
     feats = dg.add(dg.matvec(p["feature.w2"], hidden), p["feature.b2"])
     return dg.add(dg.matvec(p["unary.w"], feats), p["unary.b"])
 
 
 def global_score(tm: TapedModel, y: Var) -> Var:
-    """Input-independent potential over the label vector, a scalar node."""
+    """Input-independent potential over the label vector, one value per row."""
     p = tm.vars
     hidden = dg.relu(dg.add(dg.matvec(p["global.w1"], y), p["global.b1"]))
     return dg.add(dg.dot(p["global.w2"], hidden), p["global.b2"])
@@ -206,51 +212,61 @@ def grad_global_score(tm: TapedModel, y: Var) -> Var:
     returned node stays differentiable with respect to the parameters.
     """
     p = tm.vars
-    pre = p["global.w1"].value @ y.value + p["global.b1"].value
+    pre = dg.rows_times(y.value, p["global.w1"].value.T) + p["global.b1"].value
     mask = tm.tape.constant((pre > 0.0).astype(np.float64))
     return dg.matvec_t(p["global.w1"], dg.mul(p["global.w2"], mask))
 
 
-def cardinality_logits(tm: TapedModel, feature_indices, feature_values) -> Var:
+def cardinality_logits(tm: TapedModel, feature_indices, feature_values, indptr=None) -> Var:
     """Unnormalized scores over label-set sizes {0, ..., max_cardinality}."""
     idx, vals = _check_sparse_input(tm, feature_indices, feature_values)
     p = tm.vars
     hidden = dg.relu(
-        dg.add(dg.matvec_sparse(p["cardinality.w1"], idx, vals), p["cardinality.b1"])
+        dg.add(dg.matvec_sparse(p["cardinality.w1"], idx, vals, indptr),
+               p["cardinality.b1"])
     )
     return dg.add(dg.matvec(p["cardinality.w2"], hidden), p["cardinality.b2"])
 
 
-def cardinality_distribution(tm: TapedModel, feature_indices, feature_values) -> Var:
-    return dg.softmax(cardinality_logits(tm, feature_indices, feature_values))
+def cardinality_distribution(tm: TapedModel, feature_indices, feature_values,
+                             indptr=None) -> Var:
+    return dg.softmax(cardinality_logits(tm, feature_indices, feature_values, indptr))
 
 
-def predict_cardinality(tm: TapedModel, feature_indices, feature_values, mode="expected"):
-    """Predicted label-set size.
+def predict_cardinality(tm: TapedModel, feature_indices, feature_values, mode="expected",
+                        indptr=None):
+    """Predicted label-set size of each example.
 
-    ``expected`` returns the distribution mean as a scalar node, so the
-    budget stays differentiable; ``argmax`` returns the modal size as a
-    plain int, detached from the graph.
+    ``expected`` returns the distribution mean as a node, so the budget
+    stays differentiable; ``argmax`` returns the modal size as a plain int
+    (an int array for a batch), detached from the graph.
     """
-    if mode == "argmax":
-        return modal_cardinality(cardinality_logits(tm, feature_indices, feature_values))
-    if mode != "expected":
+    if mode not in ("expected", "argmax"):
         raise ValueError(f"unknown cardinality mode {mode!r}")
-    probs = cardinality_distribution(tm, feature_indices, feature_values)
+    logits = cardinality_logits(tm, feature_indices, feature_values, indptr)
+    if mode == "argmax":
+        return modal_cardinality(logits)
+    return expected_cardinality(tm, logits)
+
+
+def expected_cardinality(tm: TapedModel, logits: Var) -> Var:
+    """Mean label-set size under the head's logits, on the tape."""
     support = tm.tape.constant(
         np.arange(tm.config.max_cardinality + 1, dtype=np.float64)
     )
-    return dg.dot(probs, support)
+    return dg.dot(dg.softmax(logits), support)
 
 
-def modal_cardinality(logits: Var) -> int:
-    """The most probable label-set size under the head's logits, a plain int.
+def modal_cardinality(logits: Var):
+    """The most probable label-set size under the head's logits.
 
-    Takes the argmax of the softmax, not of the logits, so it is the count
+    A plain int for one example, an int array for a batch.  Takes the
+    argmax of the softmax, not of the logits, so it is the count
     ``predict_cardinality(..., mode="argmax")`` returns for the same head
     output.  Lets a pass that already holds the logits skip a second head.
     """
-    return int(np.argmax(dg.softmax(logits).value))
+    modal = np.argmax(dg.softmax(logits).value, axis=-1)
+    return int(modal) if modal.ndim == 0 else modal
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +299,8 @@ def sc_cardinality_score(tm: TapedModel, y: Var) -> Var:
 def grad_sc_score(tm: TapedModel, y: Var) -> Var:
     """Gradient of the bucket score with respect to ``y``, as one tape node.
 
-    The score depends on ``y`` only through its sum, so the gradient is a
-    constant vector ``slope * 1`` with
+    The score depends on ``y`` only through its sum, so the gradient of a
+    row is a constant vector ``slope * 1``, one slope per row, with
 
         slope = sum_k w_k (I_k' (1 - I_{k+1}) - I_k I_{k+1}'),
 
@@ -304,31 +320,31 @@ def grad_sc_score(tm: TapedModel, y: Var) -> Var:
     if w.tape is not y.tape:
         raise ValueError("operands live on different tapes")
     z = tm.config.max_cardinality
-    # I_1 .. I_{z+1}, through the same sigmoid as dg.sigmoid
-    ind = dg._sigmoid_values(y.value.sum() - np.arange(1.0, z + 2.0))
-    ik, ik1 = ind[:-1], ind[1:]
+    # I_1 .. I_{z+1} of each row, through the same sigmoid as dg.sigmoid
+    ind = dg._sigmoid_values(y.value.sum(axis=-1)[..., None] - np.arange(1.0, z + 2.0))
+    ik, ik1 = ind[..., :-1], ind[..., 1:]
     rest, rest1 = 1.0 - ik, 1.0 - ik1
     dik, dik1 = ik * rest, ik1 * rest1
     diff = dik * rest1 - ik * dik1
     # left-to-right sum, as the chain of add nodes accumulates it
-    slope = np.cumsum(w.value * diff)[-1]
+    slope = np.cumsum(w.value * diff, axis=-1)[..., -1:]
 
     def bwd(g):
-        gs = g.sum()
+        gs = g.sum(axis=-1)[..., None]
         g_diff = gs * w.value
         g_dik1 = -g_diff * ik
         g_dik = g_diff * rest1
         # indicator adjoints: bucket k's terms for I_k, then bucket k-1's
         # for I_k (as its I_{k+1}), as the sweep meets them last bucket first
-        g_ind = np.zeros(z + 1)
-        g_ind[:-1] = -g_diff * dik1 + g_dik * rest - g_dik * ik
-        g_ind[1:] = g_ind[1:] - g_diff * dik + g_dik1 * rest1 - g_dik1 * ik1
+        g_ind = np.zeros(ind.shape)
+        g_ind[..., :-1] = -g_diff * dik1 + g_dik * rest - g_dik * ik
+        g_ind[..., 1:] = g_ind[..., 1:] - g_diff * dik + g_dik1 * rest1 - g_dik1 * ik1
         g_shift = g_ind * ind * (1.0 - ind)
         # the shifted sums reach sum(y) last indicator first
-        y.adjoint += np.cumsum(g_shift[::-1])[-1]
-        w.adjoint += gs * diff
+        y.adjoint += np.cumsum(g_shift[..., ::-1], axis=-1)[..., -1:]
+        w.adjoint += dg._reduce_to(gs * diff, w.value.shape)
 
-    return Var(y.tape, np.full(len(y), slope), bwd)
+    return Var(y.tape, np.repeat(slope, y.shape[-1], axis=-1), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,9 @@ for bit; the tests keep that composed version as their reference.
 
 Exact operators take plain numpy arrays, and ``project_capped_exact`` and
 ``project_box_upper`` also tape nodes.  Soft operators take tape nodes and
-return tape nodes.
+return tape nodes.  The operators on tape nodes project one vector or each
+row of a minibatch, with one budget for every row or one per row; a row
+whose budget is zero projects to the origin and passes no gradient.
 """
 
 from __future__ import annotations
@@ -72,9 +74,9 @@ class InfeasibleSpecError(ValueError):
 class CappedSimplexSpec:
     """Feasible-set description: dimension and mass budget.
 
-    The mass may be a float or a scalar tape node; a node's current value
-    is validated, and soft projections keep it on the graph so gradients
-    reach whatever predicted the budget.
+    The mass may be a float, one float per row of a batch, or a tape node of
+    either shape; a node's current value is validated, and soft projections
+    keep it on the graph so gradients reach whatever predicted the budget.
     """
 
     dim: int
@@ -83,15 +85,19 @@ class CappedSimplexSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise InfeasibleSpecError(f"dimension must be positive, got {self.dim}")
-        mass_value = float(self.mass.value) if isinstance(self.mass, Var) else float(self.mass)
-        if not 0.0 <= mass_value <= self.dim:
-            raise InfeasibleSpecError(
-                f"mass budget {mass_value} outside [0, {self.dim}]"
-            )
+        for mass in np.atleast_1d(self.mass_value):
+            if not 0.0 <= mass <= self.dim:
+                raise InfeasibleSpecError(
+                    f"mass budget {mass} outside [0, {self.dim}]"
+                )
 
     @property
-    def mass_value(self) -> float:
-        return float(self.mass.value) if isinstance(self.mass, Var) else float(self.mass)
+    def mass_value(self):
+        """The budget as a float, or as an array of one per row."""
+        mass = self.mass.value if isinstance(self.mass, Var) else self.mass
+        if isinstance(mass, np.ndarray) and mass.ndim:
+            return mass.astype(np.float64, copy=False)
+        return float(mass)
 
 
 @dataclass
@@ -100,18 +106,18 @@ class ProjectionResult:
 
     ``residual_sum`` is |sum(y) - mass| and ``residual_box`` the largest
     excursion outside [0, 1], both measured on the returned values when
-    they are read.
+    they are read and both the worst over the rows of a batch, as floats.
     """
 
     y: object  # Var in soft mode, ndarray in exact mode
-    mass: float
+    mass: object  # float, or one per row
 
     def values(self) -> np.ndarray:
         return self.y.value if isinstance(self.y, Var) else self.y
 
     @property
     def residual_sum(self) -> float:
-        return abs(float(self.values().sum()) - self.mass)
+        return float(np.abs(self.values().sum(axis=-1) - self.mass).max())
 
     @property
     def residual_box(self) -> float:
@@ -129,13 +135,17 @@ def project_simplex_exact(v: np.ndarray, mass: float = 1.0) -> np.ndarray:
     Sorted-pivot method: with mu the descending sort of v and cumulative
     sums cssv, the pivot index is the largest rho such that
     mu_rho - (cssv_rho - mass) / rho > 0, and every coordinate is shifted
-    down by theta = (cssv_rho - mass) / rho, then floored at zero.
+    down by theta = (cssv_rho - mass) / rho, then floored at zero.  The
+    pivot runs on v - max(v), which leaves the projection unchanged and
+    keeps the always-valid candidate rho = 1 positive when the coordinates
+    span many orders of magnitude.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a non-empty vector")
     if mass <= 0:
         raise InfeasibleSpecError(f"simplex mass must be positive, got {mass}")
+    v = v - v.max()
     mu = np.sort(v)[::-1]
     cssv = np.cumsum(mu)
     idx = np.arange(1, v.size + 1)
@@ -207,31 +217,36 @@ def _capped_pivot(v: np.ndarray, mass: float) -> tuple[np.ndarray, float]:
 def project_capped_exact(v, spec: CappedSimplexSpec):
     """Closed-form Euclidean projection onto the capped simplex.
 
-    Takes an ndarray and returns one, or takes a tape node and records one
-    node.  That node's backward pass is the closed-form Jacobian of the
-    projection on the free set A = {i : 0 < y_i < 1}, as for sparsemax
+    Takes an ndarray and returns one, or takes a tape node, one vector or a
+    batch of rows, and records one node, which runs the pivot row by row.
+    That node's backward pass is the closed-form Jacobian of the projection
+    on the free set A = {i : 0 < y_i < 1} of each row, as for sparsemax
     (Martins & Astudillo 2016): the input's adjoint on A gets
     ``g[A] - mean(g[A])`` and a mass node's adjoint gets ``mean(g[A])``.
     Coordinates clamped at zero or one pass no gradient, and when A is
     empty, as at budgets 0 and ``dim``, nothing passes.
     """
-    values = v.value if isinstance(v, Var) else np.asarray(v, dtype=np.float64)
-    if values.ndim != 1 or values.size != spec.dim:
-        raise ValueError(f"expected a vector of length {spec.dim}")
-    point, _ = _capped_pivot(values, spec.mass_value)
     if not isinstance(v, Var):
-        return point
+        values = np.asarray(v, dtype=np.float64)
+        if values.ndim != 1 or values.size != spec.dim:
+            raise ValueError(f"expected a vector of length {spec.dim}")
+        return _capped_pivot(values, spec.mass_value)[0]
+    values = v.value
+    if values.ndim not in (1, 2) or values.shape[-1] != spec.dim:
+        raise ValueError(f"expected rows of length {spec.dim}")
+    masses = np.broadcast_to(spec.mass_value, values.shape[:-1])
+    point = np.empty_like(values)
+    for row in np.ndindex(values.shape[:-1]):
+        point[row] = _capped_pivot(values[row], float(masses[row]))[0]
     _, mass_node = _mass_operand(v.tape, spec.mass)
     free = (point > 0.0) & (point < 1.0)
+    n_free = free.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        if not free.any():
-            return
-        g_free = g[free]
-        g_mean = g_free.mean()
-        v.adjoint[free] += g_free - g_mean
+        g_mean = (g * free).sum(axis=-1, keepdims=True) / np.maximum(n_free, 1)
+        v.adjoint += free * (g - g_mean)
         if mass_node is not None:
-            mass_node.adjoint += g_mean
+            mass_node.adjoint += g_mean[..., 0]
 
     return Var(v.tape, point, bwd)
 
@@ -265,24 +280,28 @@ def project_capped_bisection(
 def _simplex_soft_forward(v: np.ndarray, mass, sharpness: float):
     """Values of the soft simplex surrogate at ``v``, plus what its VJP reads.
 
-    ``mass`` is a float or the 0-d value of a mass node.  The expressions are
-    those of the surrogate composed from ``diffgraph`` ops (sort, cumsum,
-    the softsign x / (1 + |x|), softmax, dot, relu), in the same order, so
-    the values agree bit for bit.
+    ``v`` is one vector or a batch of rows, and ``mass`` a float or the
+    value of a mass node: 0-d, or one per row.  The expressions are those of
+    the surrogate composed from ``diffgraph`` ops (sort, cumsum, the
+    softsign x / (1 + |x|), softmax, dot, relu), in the same order, so the
+    values agree bit for bit; every reduction runs along the rows.
     """
-    L = v.size
-    perm = np.argsort(-v, kind="stable")
+    m = np.asarray(mass, dtype=np.float64)[..., None]
+    L = v.shape[-1]
+    # each row's stable descending order, as an index into v
+    perm = np.argsort(-v, axis=-1, kind="stable")
+    perm = (perm,) if v.ndim == 1 else (np.arange(len(v))[:, None], perm)
     mu = v[perm]
-    cssv = np.cumsum(mu)
+    cssv = np.cumsum(mu, axis=-1)
     idx = np.arange(1, L + 1, dtype=np.float64)
-    margin = mu * idx - (cssv - mass)
+    margin = mu * idx - (cssv - m)
     scaled = sharpness * margin
     denom = 1.0 + np.abs(scaled)
     logits = sharpness * (scaled / denom * idx)
-    e = np.exp(logits - logits.max())
-    weights = e / e.sum()
-    num = np.asarray(np.dot(cssv, weights)) - mass
-    count = np.asarray(np.dot(idx, weights))
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    num = (cssv * weights).sum(axis=-1, keepdims=True) - m
+    count = (idx * weights).sum(axis=-1, keepdims=True)
     diff = v - num / count
     mask = (diff > 0.0).astype(np.float64)
     return np.maximum(diff, 0.0), (perm, idx, cssv, denom, weights, num, count, mask)
@@ -292,37 +311,37 @@ def _simplex_soft_vjp(saved, sharpness: float, g, g_in, g_mass) -> None:
     """Pull the output adjoint ``g`` back through one soft simplex surrogate.
 
     Adds the input's adjoint into ``g_in`` and subtracts the mass's from
-    ``g_mass`` (when not None), both in place.  Every floating-point sum
-    runs in the order in which a reverse sweep over the composed surrogate
-    would accumulate it, so the adjoints agree with that sweep bit for bit:
-    ``g_in`` gets the relu term and then the scattered sort term, and
-    ``g_mass`` the numerator term and then the margin term.
+    ``g_mass`` (when not None), both in place and row by row.  Every
+    floating-point sum runs in the order in which a reverse sweep over the
+    composed surrogate would accumulate it, so the adjoints agree with that
+    sweep bit for bit: ``g_in`` gets the relu term and then the scattered
+    sort term, and ``g_mass`` the numerator term and then the margin term.
     """
     perm, idx, cssv, denom, weights, num, count, mask = saved
     g_diff = g * mask
     g_in += g_diff
-    g_theta = -g_diff.sum()
+    g_theta = -g_diff.sum(axis=-1, keepdims=True)
     g_num = g_theta / count
     g_count = -(g_theta * num / count**2)
     g_weights = g_count * idx + g_num * cssv
-    g_logits = weights * (g_weights - np.dot(g_weights, weights))
+    g_logits = weights * (g_weights - (g_weights * weights).sum(axis=-1, keepdims=True))
     g_margin = sharpness * ((sharpness * g_logits) * idx / denom**2)
     if g_mass is not None:
-        g_mass -= g_num
-        g_mass -= (-g_margin).sum()
-    g_mu = g_margin * idx + np.cumsum((g_num * weights - g_margin)[::-1])[::-1]
+        g_mass -= g_num[..., 0]
+        g_mass -= (-g_margin).sum(axis=-1)
+    g_mu = g_margin * idx + np.cumsum((g_num * weights - g_margin)[..., ::-1], axis=-1)[..., ::-1]
     back = np.empty_like(g_mu)
     back[perm] = g_mu
     g_in += back
 
 
 def _mass_operand(tape, mass):
-    """The mass as the forward pass reads it, and its node (None for a float)."""
+    """The mass as the forward pass reads it, and its node (None otherwise)."""
     if isinstance(mass, Var):
         if mass.tape is not tape:
             raise ValueError("operands live on different tapes")
         return mass.value, mass
-    return float(mass), None
+    return np.asarray(mass, dtype=np.float64), None
 
 
 def project_simplex_soft(v: Var, mass, sharpness: float = DEFAULT_SHARPNESS) -> Var:
@@ -337,7 +356,7 @@ def project_simplex_soft(v: Var, mass, sharpness: float = DEFAULT_SHARPNESS) -> 
     ``mass`` may be a float or a scalar node; in the latter case gradients
     flow into whatever produced the mass budget.
     """
-    if not isinstance(mass, Var) and mass <= 0:
+    if not isinstance(mass, Var) and np.any(np.asarray(mass) <= 0):
         raise InfeasibleSpecError(f"simplex mass must be positive, got {mass}")
     m, mass_node = _mass_operand(v.tape, mass)
     sharpness = float(sharpness)
@@ -397,12 +416,13 @@ def _dykstra_exact(v: np.ndarray, spec: CappedSimplexSpec, rounds: int):
 
 
 def _dykstra_soft(v: Var, spec, rounds, sharpness):
-    if spec.mass_value <= 0.0:
-        # degenerate budget: the only feasible point is the origin
-        return ProjectionResult(dg.scale(v, 0.0), 0.0)
     m, mass_node = _mass_operand(v.tape, spec.mass)
+    # a zero budget's only feasible point is the origin: such rows give
+    # zeros and pass no gradient
+    live = (m > 0.0)[..., None]
+    dead = not live.all()
     y = v.value
-    p = q = np.zeros(len(v))
+    p = q = np.zeros(v.shape)
     saved = []
     for _ in range(rounds):
         yp = y + p
@@ -413,14 +433,16 @@ def _dykstra_soft(v: Var, spec, rounds, sharpness):
         y, inner = _simplex_soft_forward(tq, m, sharpness)
         q = tq - y
         saved.append((inner, inside))
+    if dead:
+        y = np.where(live, y, 0.0)
 
     def bwd(g):
         # adjoints of the last round's corrections p and q are zero; each
         # round's tq adjoint starts from the adjoint of the q it produced
         g_mass = None if mass_node is None else mass_node.adjoint
-        g_p = np.zeros(len(v))
-        g_tq = np.zeros(len(v))
-        g_y = g
+        g_p = np.zeros(v.shape)
+        g_tq = np.zeros(v.shape)
+        g_y = g * live if dead else g
         for inner, inside in reversed(saved):
             _simplex_soft_vjp(inner, sharpness, g_y, g_tq, g_mass)
             g_yp = g_p + (g_tq - g_p) * inside

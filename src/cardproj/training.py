@@ -7,9 +7,13 @@ backpropagated through projections, momentum, and the cardinality head in
 one reverse sweep.  An auxiliary cross-entropy on the cardinality buckets
 keeps the counter trained even when the trajectory loss plateaus.
 
-The outer optimizer is diagonal AdaGrad.  Minibatch gradients are
-accumulated per example in a fixed order, so training is deterministic
-for a fixed seed (the shuffle is the only randomness).
+Each minibatch runs on one tape: inference, the per-example losses and
+their mean are recorded row-wise over the batch, so one reverse sweep
+leaves the averaged gradient in the parameter adjoints.  The outer
+optimizer is diagonal AdaGrad.  Training is deterministic for a fixed seed
+(the shuffle is the only randomness).  Evaluation and prediction walk a
+split in fixed-size chunks, one tape each, and a row's decoded labels do
+not depend on the chunk it ran in.
 """
 
 from __future__ import annotations
@@ -26,6 +30,12 @@ from .diffgraph import Tape, Var
 
 SINGLE_STEP_LOSSES = ("soft_f1", "cross_entropy")
 
+# examples per tape in evaluate and predict.  A pc-5 chunk of 32 peaks at
+# about 3 MiB of traced memory with 30 labels and 53 MiB with 983, the
+# paper's largest label count; per example it is at most 11% slower than
+# the fastest of the chunk sizes 16, 32, 64 and 128 at either size.
+EVAL_CHUNK = 32
+
 __all__ = [
     "LossConfig",
     "TrainConfig",
@@ -36,10 +46,10 @@ __all__ = [
     "GradCheckReport",
     "soft_f1_loss",
     "binary_cross_entropy",
-    "single_step_loss",
     "weighted_trajectory_loss",
     "cardinality_cross_entropy",
     "example_loss",
+    "batch_loss",
     "predict",
     "evaluate",
     "train",
@@ -121,46 +131,49 @@ class AdaGrad:
 # losses
 
 
-def _check_target(target, size: int) -> np.ndarray:
+def _check_target(target, shape: tuple) -> np.ndarray:
     target = np.asarray(target, dtype=np.float64)
-    if target.shape != (size,):
-        raise ValueError(f"target shape {target.shape} does not match ({size},)")
+    if target.shape != shape:
+        raise ValueError(f"target shape {target.shape} does not match {shape}")
     if not np.all((target == 0.0) | (target == 1.0)):
         raise ValueError("target must be binary")
     return target
 
 
 def soft_f1_loss(y: Var, target) -> Var:
-    """Negative soft overlap score -2 y.t / sum(y + t), in [-1, 0].
+    """Negative soft overlap score -2 y.t / sum(y + t), in [-1, 0], per row.
 
     Reaches -1 exactly when y equals a nonempty binary target.  When both
     the relaxed state and the target are identically zero the loss is the
     constant 0 (agreement on the empty set, no gradient).
     """
-    target = _check_target(target, y.value.size)
-    if target.sum() == 0.0 and not np.any(y.value):
-        return y.tape.constant(0.0)
+    return _soft_f1(y, _check_target(target, y.shape))
+
+
+def _soft_f1(y: Var, target: np.ndarray) -> Var:
+    t_sum = target.sum(axis=-1)
+    # a row where both are empty divides its zero overlap by one
+    empty = (t_sum == 0.0) & ~np.any(y.value, axis=-1)
     overlap = dg.dot(y, y.tape.constant(target))
-    total = dg.shift(dg.vsum(y), float(target.sum()))
+    total = dg.shift(dg.vsum(y), t_sum + empty)
     return dg.div(dg.scale(overlap, -2.0), total)
 
 
 def binary_cross_entropy(y: Var, target) -> Var:
-    """Mean label-wise cross entropy, probabilities clamped away from {0, 1}."""
-    target = _check_target(target, y.value.size)
+    """Mean label-wise cross entropy per row, probabilities clamped away
+    from {0, 1}."""
+    return _cross_entropy(y, _check_target(target, y.shape))
+
+
+def _cross_entropy(y: Var, target: np.ndarray) -> Var:
     eps = 1e-7
     p = dg.clip(y, lo=eps, hi=1.0 - eps)
     pos = dg.mul(y.tape.constant(target), dg.log(p))
     neg = dg.mul(y.tape.constant(1.0 - target), dg.log(dg.shift(dg.neg(p), 1.0)))
-    return dg.scale(dg.vsum(dg.add(pos, neg)), -1.0 / target.size)
+    return dg.scale(dg.vsum(dg.add(pos, neg)), -1.0 / target.shape[-1])
 
 
-def single_step_loss(kind: str, y: Var, target) -> Var:
-    if kind == "soft_f1":
-        return soft_f1_loss(y, target)
-    if kind == "cross_entropy":
-        return binary_cross_entropy(y, target)
-    raise ValueError(f"unknown single-step loss {kind!r}")
+_STEP_LOSSES = {"soft_f1": _soft_f1, "cross_entropy": _cross_entropy}
 
 
 def weighted_trajectory_loss(trajectory: inf.Trajectory, target, loss_config: LossConfig) -> Var:
@@ -168,56 +181,79 @@ def weighted_trajectory_loss(trajectory: inf.Trajectory, target, loss_config: Lo
 
     State t of T contributes with weight 1 / (T * (T - t + 1)), so the
     final state carries the largest share.  The initialization (state 0)
-    is not scored; a trajectory without ascent states is an error.
+    is not scored; a trajectory without ascent states is an error.  The
+    target is checked once, not once per state.
     """
     states = trajectory.states[1:]
     if not states:
         raise ValueError("trajectory has no ascent states to score")
+    return _trajectory_loss(states, _check_target(target, states[0].shape), loss_config)
+
+
+def _trajectory_loss(states: list, target: np.ndarray, loss_config: LossConfig) -> Var:
+    step_loss = _STEP_LOSSES[loss_config.single_step]
     horizon = len(states)
     total = None
     for t, y in enumerate(states, start=1):
-        step = single_step_loss(loss_config.single_step, y, target)
-        term = dg.scale(step, 1.0 / (horizon * (horizon - t + 1)))
+        term = dg.scale(step_loss(y, target), 1.0 / (horizon * (horizon - t + 1)))
         total = term if total is None else dg.add(total, term)
     return total
 
 
-def cardinality_cross_entropy(logits: Var, true_count: int) -> Var:
-    """Cross entropy of the bucket distribution against an integer count."""
-    k = int(true_count)
-    if not 0 <= k < logits.value.size:
-        raise ValueError(f"count {k} outside the {logits.value.size} buckets")
+def cardinality_cross_entropy(logits: Var, true_count) -> Var:
+    """Cross entropy of the bucket distribution against an integer count,
+    or of each row's distribution against its own count."""
+    k = np.asarray(true_count, dtype=np.intp)
+    buckets = logits.shape[-1]
+    if np.any(k < 0) or np.any(k >= buckets):
+        raise ValueError(f"count {true_count} outside the {buckets} buckets")
     return dg.sub(dg.logsumexp(logits), dg.pick(logits, k))
 
 
-def example_loss(tm: md.TapedModel, example: dt.Example, target,
+def example_loss(tm: md.TapedModel, example, target,
                  inference_config: inf.InferenceConfig,
                  loss_config: LossConfig):
-    """Full training loss of one example; returns (loss node, trajectory).
+    """Training loss of each example; returns (loss node, trajectory).
 
-    With zero ascent steps the single-step loss is applied directly to the
-    initial relaxed state, which turns the model into a plain feedforward
-    label scorer (the unconstrained baseline).  The top-z variant produces
-    a single decoded state, so it is scored the same way (useful for
-    evaluation; it carries no gradient).  The auxiliary loss reads the
-    trajectory's cardinality logits when inference already computed them
-    (a modal budget), and otherwise records its own there.
+    ``example`` is one ``data.Example`` with a target vector, which gives a
+    0-d loss, or a ``data.Batch`` with its (B, L) targets, which gives one
+    loss per row on one tape.  With zero ascent steps the single-step loss
+    is applied directly to the initial relaxed state, which turns the model
+    into a plain feedforward label scorer (the unconstrained baseline).
+    The top-z variant produces a single decoded state, so it is scored the
+    same way (useful for evaluation; it carries no gradient).  The
+    auxiliary loss reads the trajectory's cardinality logits when inference
+    already computed them (a budget from the head), and otherwise records
+    its own there.
     """
-    target = _check_target(target, tm.config.label_count)
+    indptr = example.indptr if isinstance(example, dt.Batch) else None
+    rows = (len(example),) if indptr is not None else ()
+    target = _check_target(target, rows + (tm.config.label_count,))
     traj = inf.run_inference(tm, example.feature_indices, example.feature_values,
-                             inference_config)
+                             inference_config, indptr=indptr)
     if inference_config.steps == 0 or inference_config.variant == "topz":
-        loss = single_step_loss(loss_config.single_step, traj.final(), target)
+        loss = _STEP_LOSSES[loss_config.single_step](traj.final(), target)
     else:
-        loss = weighted_trajectory_loss(traj, target, loss_config)
+        loss = _trajectory_loss(traj.states[1:], target, loss_config)
     if loss_config.aux_cardinality_weight > 0.0:
         if traj.cardinality_logits is None:
             traj.cardinality_logits = md.cardinality_logits(
-                tm, example.feature_indices, example.feature_values)
-        count = min(int(target.sum()), tm.config.max_cardinality)
+                tm, example.feature_indices, example.feature_values, indptr)
+        count = np.minimum(target.sum(axis=-1), tm.config.max_cardinality)
         aux = cardinality_cross_entropy(traj.cardinality_logits, count)
         loss = dg.add(loss, dg.scale(aux, loss_config.aux_cardinality_weight))
     return loss, traj
+
+
+def batch_loss(tm: md.TapedModel, batch: dt.Batch,
+               inference_config: inf.InferenceConfig, loss_config: LossConfig):
+    """Mean training loss of a minibatch on one tape; returns (mean, per-row).
+
+    The mean is what a training step differentiates: one reverse sweep from
+    it leaves the batch-averaged gradient in the parameter adjoints.
+    """
+    losses, _ = example_loss(tm, batch, batch.targets, inference_config, loss_config)
+    return dg.scale(dg.vsum(losses), 1.0 / len(batch)), losses
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +269,17 @@ def _check_dims(model: md.ScoreModel, dataset: dt.Dataset) -> None:
         )
 
 
-def _modal_count(tm: md.TapedModel, example: dt.Example, traj: inf.Trajectory) -> int:
-    # the argmax count, from the head output the trajectory holds if any
+def _chunks(dataset: dt.Dataset):
+    for start in range(0, len(dataset), EVAL_CHUNK):
+        yield dataset.batch(np.arange(start, min(start + EVAL_CHUNK, len(dataset))))
+
+
+def _modal_count(tm: md.TapedModel, batch: dt.Batch, traj: inf.Trajectory):
+    # the argmax counts, from the head output the trajectory holds if any
     logits = traj.cardinality_logits
     if logits is None:
-        logits = md.cardinality_logits(tm, example.feature_indices, example.feature_values)
+        logits = md.cardinality_logits(tm, batch.feature_indices, batch.feature_values,
+                                       batch.indptr)
     return md.modal_cardinality(logits)
 
 
@@ -247,14 +289,13 @@ def predict(model: md.ScoreModel, dataset: dt.Dataset,
     _check_dims(model, dataset)
     labels = np.zeros((len(dataset), model.config.label_count))
     counts = np.zeros(len(dataset))
-    for i, ex in enumerate(dataset.examples):
-        tape = Tape()
-        tm = md.TapedModel(model, tape)
-        traj = inf.run_inference(tm, ex.feature_indices, ex.feature_values,
-                                 inference_config)
-        labels[i] = inf.decode_labels(traj.final_values(), inference_config.decode,
-                                      z=traj.z_used)
-        counts[i] = _modal_count(tm, ex, traj)
+    for batch in _chunks(dataset):
+        tm = md.TapedModel(model, Tape())
+        traj = inf.run_inference(tm, batch.feature_indices, batch.feature_values,
+                                 inference_config, indptr=batch.indptr)
+        labels[batch.rows] = inf.decode_labels(traj.final_values(),
+                                               inference_config.decode, z=traj.z_used)
+        counts[batch.rows] = _modal_count(tm, batch, traj)
     return labels, counts
 
 
@@ -270,17 +311,16 @@ def evaluate(model: md.ScoreModel, dataset: dt.Dataset,
     eval_cfg = replace(inference_config, z_mode="argmax")
     losses = np.zeros(len(dataset))
     labels = np.zeros((len(dataset), model.config.label_count))
+    truth = np.zeros_like(labels)
     counts = np.zeros(len(dataset))
-    for i, ex in enumerate(dataset.examples):
-        tape = Tape()
-        tm = md.TapedModel(model, tape)
-        target = dataset.target(i)
-        loss, traj = example_loss(tm, ex, target, eval_cfg, loss_config)
-        losses[i] = float(loss.value)
-        labels[i] = inf.decode_labels(traj.final_values(), eval_cfg.decode,
-                                      z=traj.z_used)
-        counts[i] = _modal_count(tm, ex, traj)
-    truth = np.stack([dataset.target(i) for i in range(len(dataset))])
+    for batch in _chunks(dataset):
+        tm = md.TapedModel(model, Tape())
+        loss, traj = example_loss(tm, batch, batch.targets, eval_cfg, loss_config)
+        losses[batch.rows] = loss.value
+        labels[batch.rows] = inf.decode_labels(traj.final_values(), eval_cfg.decode,
+                                               z=traj.z_used)
+        truth[batch.rows] = batch.targets
+        counts[batch.rows] = _modal_count(tm, batch, traj)
     f1, f1_label = dt.eval_f1(labels, truth)
     card_mse = float(np.mean((counts - dataset.cardinalities()) ** 2))
     return {
@@ -384,23 +424,17 @@ def train(model: md.ScoreModel, train_set: dt.Dataset,
     for epoch in range(1, train_config.epochs + 1):
         order = rng.permutation(count)
         for number, start in enumerate(range(0, count, train_config.batch_size), 1):
-            batch = order[start : start + train_config.batch_size]
-            sums = {name: np.zeros_like(buf) for name, buf in model.params.items()}
-            for i in batch:
-                tape = Tape()
-                tm = md.TapedModel(model, tape)
-                loss, _ = example_loss(tm, train_set.examples[i], train_set.target(i),
-                                       inference_config, loss_config)
-                value = float(loss.value)
-                if not np.isfinite(value):
-                    raise TrainingDivergedError(
-                        f"non-finite loss {value} at example {int(i)} in epoch {epoch}"
-                    )
-                tape.backward(loss)
-                for name, grad in tm.grads().items():
-                    sums[name] += grad
-            inv = 1.0 / batch.size
-            grads = {k: v * inv for k, v in sums.items()}
+            batch = train_set.batch(order[start : start + train_config.batch_size])
+            tm = md.TapedModel(model, Tape())
+            loss, losses = batch_loss(tm, batch, inference_config, loss_config)
+            bad = np.flatnonzero(~np.isfinite(losses.value))
+            if bad.size:
+                raise TrainingDivergedError(
+                    f"non-finite loss {losses.value[bad[0]]} at example "
+                    f"{int(batch.rows[bad[0]])} in epoch {epoch}"
+                )
+            tm.tape.backward(loss)
+            grads = tm.grads()
             where = f"in epoch {epoch}, batch {number}"
             _check_finite("gradient", grads, where)
             optimizer.step(model.params, grads)
@@ -453,7 +487,7 @@ def gradcheck(model: md.ScoreModel, example: dt.Example, target,
     buffers with vanishing gradients are compared at absolute scale.
     """
     model = model.copy()
-    target = _check_target(target, model.config.label_count)
+    target = _check_target(target, (model.config.label_count,))
 
     def loss_value() -> float:
         tape = Tape()

@@ -204,12 +204,41 @@ class TestProject:
             cli._read_vectors(io.StringIO(f"0.5 0.5\n0.5 {token}\n"))
 
     def test_vectors_parse_as_float_does(self):
-        lines = ["-0.0 1e-300 5e20 0.5", "1_0 nan inf -inf", "1e400 -1e-400 .5 +2."]
+        # non-finite tokens are rejected; see test_non_finite_input_exits_one
+        lines = ["-0.0 1e-300 5e20 0.5", "1_0 -1e-400 .5 +2.", "1e308 -4.9e-324 7"]
         rows = cli._read_vectors(io.StringIO("\n".join(lines[:1] + [""] + lines[1:])))
         assert [lineno for lineno, _ in rows] == [1, 3, 4]
         for line, (_, row) in zip(lines, rows):
             want = np.array([float(tok) for tok in line.split()])
             assert row.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("operator", ["simplex", "capped", "dykstra", "matrix"])
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_input_exits_one(self, operator, token, capsys, monkeypatch):
+        flags = ["--col-sums", "1,1"] if operator == "matrix" else ["--z", "1"]
+        code = self.run([operator, *flags], f"0.5 0.5\n1 {token}\n", monkeypatch)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: line 2: non-finite value\n"
+        assert captured.out == ""
+
+    def test_simplex_pivot_survives_a_wide_range(self, capsys, monkeypatch):
+        # rounding used to leave no pivot candidate positive here
+        code = self.run(["simplex", "--z", "1.5"], "5e20 1\n", monkeypatch)
+        assert code == 0
+        assert capsys.readouterr().out == "1.5 0\n"
+
+    def test_matrix_survives_a_wide_range(self, capsys, monkeypatch):
+        stdin = "-0.0 1e-300\n5e20 1\n0.25 -3\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code = cli.main(["project", "matrix", "--col-sums", "1.5,1.5", "--diagnostics"])
+        assert code == 0
+        captured = capsys.readouterr()
+        rows = np.array([[float(x) for x in line.split()]
+                         for line in captured.out.strip().split("\n")])
+        assert rows.shape == (3, 2) and np.all(rows >= 0.0)
+        np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(rows.sum(axis=0), [1.5, 1.5], atol=1e-9)
 
     @pytest.mark.parametrize("values", [
         [-0.0, 1e-300, 5e20, 0.5],
@@ -352,17 +381,19 @@ class TestEvalCommand:
         assert abs(got - logged) <= 1e-6
 
     def test_runs_inference_once_per_example(self, trained, capsys, monkeypatch):
-        calls = []
+        rows = []
         original = inf.run_inference
 
         def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+            traj = original(*args, **kwargs)
+            final = traj.final_values()
+            rows.append(final.shape[0] if final.ndim == 2 else 1)
+            return traj
 
         monkeypatch.setattr(inf, "run_inference", counted)
         _, out = self.eval_f1(trained, capsys, "--split", "train")
         examples = int(re.search(r"examples=(\d+)", out).group(1))
-        assert len(calls) == examples
+        assert sum(rows) == examples
 
     def test_variant_topz_flag(self, trained, capsys):
         _, out = self.eval_f1(trained, capsys, "--split", "train",

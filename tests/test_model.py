@@ -122,11 +122,6 @@ class TestUnaryScores:
         with pytest.raises(ValueError, match="out of range"):
             md.unary_scores(tm, [6], [1.0])
 
-    def test_rejects_duplicate_indices(self):
-        tm = md.TapedModel(md.ScoreModel(small_config()), dg.Tape())
-        with pytest.raises(ValueError, match="duplicate"):
-            md.unary_scores(tm, [2, 2], [1.0, 1.0])
-
     def test_gradients_match_fd(self):
         # seed chosen so no hidden pre-activation sits within 1e-3 of a kink
         m = md.ScoreModel(small_config(seed=3))

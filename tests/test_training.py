@@ -380,7 +380,7 @@ class TestExampleLoss:
 
 
 class TestExampleTape:
-    """What one training example leaves on its tape."""
+    """What one training example, or one minibatch, leaves on its tape."""
 
     @staticmethod
     def _loss(variant):
@@ -393,12 +393,18 @@ class TestExampleTape:
                                   tr.LossConfig())
         return tape, tm, loss
 
-    # one node per fused projection, score gradient and loss term: a test
-    # fails here when a fused node is split into its composed graph again
-    @pytest.mark.parametrize("variant, nodes", [("pc", 123), ("sc", 125)])
-    def test_node_count_of_a_five_step_example(self, variant, nodes):
-        tape, _, _ = self._loss(variant)
-        assert len(tape) == nodes
+    # one node per fused projection, score gradient and loss term, whatever
+    # the batch size: a test fails here when a fused node is split into its
+    # composed graph again or an op stops working on whole batches
+    @pytest.mark.parametrize("variant, nodes", [("pc", 120), ("sc", 127)])
+    def test_node_count_of_a_five_step_minibatch(self, variant, nodes):
+        model = md.ScoreModel(tiny_config(seed=7, with_sc=variant == "sc"))
+        ds = tiny_dataset(16, seed=3)
+        for size in (1, 16):
+            tm = md.TapedModel(model, Tape())
+            tr.batch_loss(tm, ds.batch(np.arange(size)),
+                          quick_inference(variant=variant, steps=5), tr.LossConfig())
+            assert len(tm.tape) == nodes, size
 
     @pytest.mark.parametrize("variant", ["pc", "sc"])
     def test_gradients_match_the_eager_zero_fill_sweep(self, variant):
@@ -423,6 +429,99 @@ class TestExampleTape:
         finally:
             if enabled:
                 gc.enable()
+
+
+def mixed_dataset():
+    """Synthetic rows plus two examples without features, one of them with
+    an empty label set; under the crafted head below both get budget 0."""
+    ds = dt.generate_synthetic(9, label_count=12, input_dim=16, seed=5,
+                               min_words=3, max_words=8)
+    empty = dt.Example(np.array([], dtype=int), np.array([]), np.array([], dtype=int))
+    bare = dt.Example(np.array([], dtype=int), np.array([]), np.array([3, 7]))
+    return dt.Dataset(ds.examples[:4] + [empty] + ds.examples[4:] + [bare], 16, 12)
+
+
+def mixed_model(with_sc):
+    m = md.ScoreModel(md.ModelConfig(
+        input_dim=16, label_count=12, max_cardinality=5, feature_hidden=6,
+        feature_dim=5, global_hidden=4, cardinality_hidden=6, with_sc=with_sc,
+        seed=3))
+    # at zero input the head favours bucket 0; any features push bucket 1 up
+    m.params["cardinality.b1"][:] = 0.0
+    m.params["cardinality.b2"][0] = 1.0
+    m.params["cardinality.w2"][1] += 3.0
+    if with_sc:
+        m.params["sc.weights"][:] = np.linspace(-1.0, 1.0, 5)
+    return m
+
+
+BATCH_CONFIGS = {
+    "pc-expected": (dict(variant="pc", steps=5), {}),
+    "pc-argmax": (dict(variant="pc", steps=5, z_mode="argmax"), {}),
+    "pc-aux0": (dict(variant="pc", steps=5), dict(aux_cardinality_weight=0.0)),
+    "pc-argmax-aux0": (dict(variant="pc", steps=5, z_mode="argmax"),
+                       dict(aux_cardinality_weight=0.0)),
+    "pc-exact": (dict(variant="pc", steps=5, projection="exact"), {}),
+    "pc-exact-argmax": (dict(variant="pc", steps=5, projection="exact", z_mode="argmax"), {}),
+    "sc": (dict(variant="sc", steps=5), {}),
+    "sc-aux0": (dict(variant="sc", steps=5), dict(aux_cardinality_weight=0.0)),
+    "steps0-ce": (dict(variant="pc", steps=0), dict(single_step="cross_entropy")),
+    "steps0-ce-aux0": (dict(variant="pc", steps=0),
+                       dict(single_step="cross_entropy", aux_cardinality_weight=0.0)),
+}
+
+
+class TestBatchEquivalence:
+    """One tape per minibatch computes what its rows compute alone."""
+
+    @staticmethod
+    def _step(model, ds, rows, icfg, lcfg):
+        tm = md.TapedModel(model, Tape())
+        loss, losses = tr.batch_loss(tm, ds.batch(rows), icfg, lcfg)
+        tm.tape.backward(loss)
+        return float(loss.value), losses.value.copy(), tm.grads()
+
+    @pytest.mark.parametrize("name", list(BATCH_CONFIGS))
+    def test_batch_is_the_mean_of_its_rows(self, name):
+        ikw, lkw = BATCH_CONFIGS[name]
+        icfg, lcfg = inf.InferenceConfig(**ikw), tr.LossConfig(**lkw)
+        model = mixed_model(icfg.variant == "sc")
+        ds = mixed_dataset()
+        rows = np.arange(len(ds))
+        if icfg.z_mode == "argmax":
+            tm = md.TapedModel(model, Tape())
+            batch = ds.batch(rows)
+            budgets = md.predict_cardinality(tm, batch.feature_indices,
+                                             batch.feature_values, "argmax",
+                                             indptr=batch.indptr)
+            assert budgets[4] == budgets[-1] == 0 and np.count_nonzero(budgets) == len(ds) - 2
+        loss, losses, grads = self._step(model, ds, rows, icfg, lcfg)
+        alone = [self._step(model, ds, [i], icfg, lcfg) for i in rows]
+        np.testing.assert_allclose(losses, [a[0] for a in alone], rtol=1e-12, atol=0)
+        assert loss == pytest.approx(np.mean([a[0] for a in alone]), rel=1e-12)
+        if icfg.z_mode == "argmax" and lcfg.aux_cardinality_weight == 0.0:
+            # the empty target with an all-zero state scores the constant 0
+            assert losses[4] == 0.0
+        for buf, grad in grads.items():
+            mean = np.mean([a[2][buf] for a in alone], axis=0)
+            scale = max(float(np.abs(mean).max()), 1e-300)
+            assert float(np.abs(grad - mean).max()) <= 1e-12 * scale, buf
+
+    @pytest.mark.parametrize("name", ["pc-expected", "pc-argmax", "pc-exact", "sc"])
+    def test_a_row_gives_the_same_bits_alone_as_in_a_batch(self, name):
+        ikw, _ = BATCH_CONFIGS[name]
+        icfg = inf.InferenceConfig(**ikw)
+        model = mixed_model(icfg.variant == "sc")
+        ds = mixed_dataset()
+        batch = ds.batch(np.arange(len(ds)))
+        traj = inf.run_inference(md.TapedModel(model, Tape()), batch.feature_indices,
+                                 batch.feature_values, icfg, indptr=batch.indptr)
+        for r, ex in enumerate(ds.examples):
+            one = inf.run_inference(md.TapedModel(model, Tape()), ex.feature_indices,
+                                    ex.feature_values, icfg)
+            assert one.final_values().tobytes() == traj.final_values()[r].tobytes()
+            if one.z_used is not None:
+                assert one.z_used == traj.z_used[r]
 
 
 class TestPredictEvaluate:
@@ -467,18 +566,33 @@ class TestPredictEvaluate:
                                    ex.feature_values, mode="argmax")
             for ex in ds.examples
         ])
-        calls = []
+        rows = []
         original = md.cardinality_logits
 
         def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+            logits = original(*args, **kwargs)
+            rows.append(logits.value.shape[0] if logits.value.ndim == 2 else 1)
+            return logits
 
         monkeypatch.setattr(md, "cardinality_logits", counted)
         metrics = tr.evaluate(model, ds, quick_inference(variant=variant),
                               tr.LossConfig(aux_cardinality_weight=aux))
-        assert len(calls) == len(ds)
+        assert sum(rows) == len(ds)
         assert metrics["card_mse"] == float(np.mean((counts - ds.cardinalities()) ** 2))
+
+    @pytest.mark.parametrize("variant", ["pc", "sc", "topz"])
+    def test_chunks_do_not_change_the_results(self, variant, monkeypatch):
+        # a row's values do not depend on the chunk it runs in
+        model = md.ScoreModel(tiny_config(seed=7, with_sc=True))
+        ds = tiny_dataset(8, seed=4)
+        cfg = quick_inference(variant=variant,
+                              decode="threshold" if variant == "sc" else "topz")
+        whole = tr.evaluate(model, ds, cfg), tr.predict(model, ds, cfg)
+        monkeypatch.setattr(tr, "EVAL_CHUNK", 3)
+        chunked = tr.evaluate(model, ds, cfg), tr.predict(model, ds, cfg)
+        assert chunked[0] == whole[0]
+        for a, b in zip(chunked[1], whole[1]):
+            np.testing.assert_array_equal(a, b)
 
     def test_dimension_mismatch_is_an_error(self):
         model = md.ScoreModel(tiny_config(seed=8))
@@ -577,14 +691,13 @@ class TestTrain:
     def test_non_finite_loss_names_the_example(self, monkeypatch):
         model = md.ScoreModel(tiny_config(seed=12))
         ds = tiny_dataset(6, seed=11)
-        bad = ds.examples[2]
         original = tr.example_loss
 
-        def sabotaged(tm, ex, target, icfg, lcfg):
-            loss, traj = original(tm, ex, target, icfg, lcfg)
-            if ex is bad:
-                loss = dg.scale(loss, np.nan)
-            return loss, traj
+        def sabotaged(tm, batch, target, icfg, lcfg):
+            # the row of example 2 loses its finite loss
+            losses, traj = original(tm, batch, target, icfg, lcfg)
+            spoil = np.where(batch.rows == 2, np.nan, 1.0)
+            return dg.mul(losses, tm.tape.constant(spoil)), traj
 
         monkeypatch.setattr(tr, "example_loss", sabotaged)
         with pytest.raises(tr.TrainingDivergedError, match=r"example 2 in epoch 1"):
