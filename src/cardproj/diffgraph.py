@@ -312,6 +312,12 @@ def _sigmoid_values(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _softmax_values(v: np.ndarray) -> np.ndarray:
+    # subtract each row's maximum so the exponential never overflows
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def clip(x: Var, lo=None, hi=None) -> Var:
     """Clamp into [lo, hi]; gradient is 1 strictly inside, 0 elsewhere."""
     v = x.value
@@ -347,8 +353,7 @@ def log(x: Var) -> Var:
 
 def softmax(x: Var) -> Var:
     """Normalized exponential of each row, stabilized by max subtraction."""
-    e = np.exp(x.value - x.value.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = _softmax_values(x.value)
 
     def bwd(g):
         x.adjoint += p * (g - (g * p).sum(axis=-1, keepdims=True))

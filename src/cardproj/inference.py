@@ -79,6 +79,11 @@ class InferenceConfig:
     decode: str = "threshold"
 
     def __post_init__(self):
+        # JSON true is a Python int: a boolean never stands for a number
+        for name in ("steps", "step_size", "momentum", "proj_rounds", "sharpness",
+                     "z_source"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if not isinstance(self.steps, (int, np.integer)) or self.steps < 0:
@@ -112,11 +117,10 @@ class Trajectory:
     ``z_used`` is None for the unconstrained variants; otherwise a float
     for one example and one value per row for a batch.  States are tape
     nodes; ``final_values`` is the plain array of the last iterate.
-    ``cardinality_logits`` holds the cardinality head's output when a pass
-    over these examples already computed it on the tape: inference sets it
-    whenever the budget comes from the head, and the auxiliary training
-    loss otherwise.  Later passes reuse it instead of running the head
-    again.
+    ``cardinality_logits`` is the cardinality head's output on the same
+    tape.  ``run_inference`` computes it once per run, whatever the variant
+    and budget source, so the budget, the auxiliary training loss and the
+    modal counts all read this one node.
     """
 
     states: list
@@ -135,24 +139,22 @@ def init_labels(c: Var) -> Var:
     return dg.sigmoid(c)
 
 
-def _resolve_budget(tm: md.TapedModel, indices, values, indptr, rows: tuple,
-                    cfg: InferenceConfig):
-    """Projection budget as (graph-or-float mass, numeric value, head logits).
+def _resolve_budget(tm: md.TapedModel, logits: Var, rows: tuple, cfg: InferenceConfig):
+    """Projection budget as (graph-or-float mass, numeric value).
 
     ``rows`` is () for one example and (B,) for a batch; the numeric value
-    is a float or one per row.  An expected budget and the auxiliary loss
-    share the head's logits; a modal budget reads them without a gradient
-    path.
+    is a float or one per row.  An expected budget is a differentiable
+    function of the head's ``logits``; a modal budget reads them without a
+    gradient path.
     """
     if cfg.z_source == "predictor":
-        logits = md.cardinality_logits(tm, indices, values, indptr)
         if cfg.z_mode == "expected":
             z = dg.clip(md.expected_cardinality(tm, logits), lo=MIN_BUDGET)
-            return z, _numbers(z.value), logits
+            return z, _numbers(z.value)
         z = _numbers(np.asarray(md.modal_cardinality(logits), dtype=np.float64))
-        return z, z, logits
+        return z, z
     z = _numbers(np.full(rows, float(cfg.z_source)))
-    return z, z, None
+    return z, z
 
 
 def _numbers(values: np.ndarray):
@@ -163,17 +165,25 @@ def _numbers(values: np.ndarray):
 def run_inference(tm: md.TapedModel, feature_indices, feature_values,
                   cfg: InferenceConfig, indptr=None) -> Trajectory:
     """Run one inference variant on one example, or on a CSR batch with
-    ``indptr``, recording every iterate."""
-    if cfg.variant == "topz":
-        return _topz_trajectory(tm, feature_indices, feature_values, indptr, cfg)
+    ``indptr``, recording every iterate.
 
+    The cardinality head runs exactly once, for every variant and budget
+    source, and its logits come back on the trajectory.  ``topz`` returns
+    its one decoded state with the rounded budget.
+    """
     c = md.unary_scores(tm, feature_indices, feature_values, indptr)
+    logits = md.cardinality_logits(tm, feature_indices, feature_values, indptr)
+    rows = c.shape[:-1]
+    if cfg.variant == "topz":
+        _, z_value = _resolve_budget(tm, logits, rows, cfg)
+        z = _numbers(np.round(np.asarray(z_value)))
+        return Trajectory([tm.tape.constant(exact_topz(np.array(c.value), z))], z, logits)
+
     y = init_labels(c)
     states = [y]
-    z_used = logits = spec = None
+    z_used = spec = None
     if cfg.variant == "pc":
-        mass, z_used, logits = _resolve_budget(tm, feature_indices, feature_values,
-                                               indptr, c.shape[:-1], cfg)
+        mass, z_used = _resolve_budget(tm, logits, rows, cfg)
         spec = pj.CappedSimplexSpec(tm.config.label_count, mass)
     velocity = None
 
@@ -207,14 +217,6 @@ def _project_state(trial: Var, spec: pj.CappedSimplexSpec, cfg: InferenceConfig)
     # exact replay: closed-form projection of the same trial point, one node
     # whose Jacobian carries the gradient on to the trial point and the budget
     return pj.project_capped_exact(trial, spec)
-
-
-def _topz_trajectory(tm, indices, values, indptr, cfg) -> Trajectory:
-    c = md.unary_scores(tm, indices, values, indptr)
-    _, z_value, logits = _resolve_budget(tm, indices, values, indptr, c.shape[:-1], cfg)
-    z = _numbers(np.round(np.asarray(z_value)))
-    y = tm.tape.constant(exact_topz(np.array(c.value), z))
-    return Trajectory([y], z, logits)
 
 
 def exact_topz(c: np.ndarray, z) -> np.ndarray:

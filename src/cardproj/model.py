@@ -47,7 +47,6 @@ __all__ = [
     "global_score",
     "grad_global_score",
     "cardinality_logits",
-    "cardinality_distribution",
     "predict_cardinality",
     "expected_cardinality",
     "modal_cardinality",
@@ -228,11 +227,6 @@ def cardinality_logits(tm: TapedModel, feature_indices, feature_values, indptr=N
     return dg.add(dg.matvec(p["cardinality.w2"], hidden), p["cardinality.b2"])
 
 
-def cardinality_distribution(tm: TapedModel, feature_indices, feature_values,
-                             indptr=None) -> Var:
-    return dg.softmax(cardinality_logits(tm, feature_indices, feature_values, indptr))
-
-
 def predict_cardinality(tm: TapedModel, feature_indices, feature_values, mode="expected",
                         indptr=None):
     """Predicted label-set size of each example.
@@ -261,11 +255,11 @@ def modal_cardinality(logits: Var):
     """The most probable label-set size under the head's logits.
 
     A plain int for one example, an int array for a batch.  Takes the
-    argmax of the softmax, not of the logits, so it is the count
-    ``predict_cardinality(..., mode="argmax")`` returns for the same head
-    output.  Lets a pass that already holds the logits skip a second head.
+    argmax of the probabilities ``dg.softmax`` computes, from the same
+    helper, not of the logits, and records nothing on the tape: the count is
+    read off, never differentiated.
     """
-    modal = np.argmax(dg.softmax(logits).value, axis=-1)
+    modal = np.argmax(dg._softmax_values(logits.value), axis=-1)
     return int(modal) if modal.ndim == 0 else modal
 
 

@@ -75,7 +75,8 @@ class LossConfig:
                 f"got {self.single_step!r}"
             )
         w = self.aux_cardinality_weight
-        if not (isinstance(w, (int, float)) and np.isfinite(w) and w >= 0):
+        if not (isinstance(w, (int, float)) and not isinstance(w, bool)
+                and np.isfinite(w) and w >= 0):
             raise ValueError("aux_cardinality_weight must be finite and >= 0")
 
 
@@ -88,7 +89,11 @@ class TrainConfig:
     patience: int = 10
 
     def __post_init__(self):
-        if not isinstance(self.epochs, int) or isinstance(self.epochs, bool) or self.epochs < 0:
+        # JSON true is a Python int: a boolean never stands for a number
+        for name in ("epochs", "batch_size", "learning_rate", "patience"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+        if not isinstance(self.epochs, int) or self.epochs < 0:
             raise ValueError("epochs must be a nonnegative integer")
         if not isinstance(self.batch_size, int) or self.batch_size < 1:
             raise ValueError("batch_size must be a positive integer")
@@ -222,9 +227,8 @@ def example_loss(tm: md.TapedModel, example, target,
     into a plain feedforward label scorer (the unconstrained baseline).
     The top-z variant produces a single decoded state, so it is scored the
     same way (useful for evaluation; it carries no gradient).  The
-    auxiliary loss reads the trajectory's cardinality logits when inference
-    already computed them (a budget from the head), and otherwise records
-    its own there.
+    auxiliary loss reads the cardinality logits the trajectory returns, so
+    the head runs once, for the budget and the loss alike.
     """
     indptr = example.indptr if isinstance(example, dt.Batch) else None
     rows = (len(example),) if indptr is not None else ()
@@ -236,9 +240,6 @@ def example_loss(tm: md.TapedModel, example, target,
     else:
         loss = _trajectory_loss(traj.states[1:], target, loss_config)
     if loss_config.aux_cardinality_weight > 0.0:
-        if traj.cardinality_logits is None:
-            traj.cardinality_logits = md.cardinality_logits(
-                tm, example.feature_indices, example.feature_values, indptr)
         count = np.minimum(target.sum(axis=-1), tm.config.max_cardinality)
         aux = cardinality_cross_entropy(traj.cardinality_logits, count)
         loss = dg.add(loss, dg.scale(aux, loss_config.aux_cardinality_weight))
@@ -274,19 +275,15 @@ def _chunks(dataset: dt.Dataset):
         yield dataset.batch(np.arange(start, min(start + EVAL_CHUNK, len(dataset))))
 
 
-def _modal_count(tm: md.TapedModel, batch: dt.Batch, traj: inf.Trajectory):
-    # the argmax counts, from the head output the trajectory holds if any
-    logits = traj.cardinality_logits
-    if logits is None:
-        logits = md.cardinality_logits(tm, batch.feature_indices, batch.feature_values,
-                                       batch.indptr)
-    return md.modal_cardinality(logits)
-
-
 def predict(model: md.ScoreModel, dataset: dt.Dataset,
             inference_config: inf.InferenceConfig):
-    """Decoded label matrix and argmax cardinality predictions."""
+    """Decoded label matrix and argmax cardinality predictions.
+
+    Decodes with the modal budget, as ``evaluate`` does, so its labels and
+    counts are the ones ``evaluate`` scores.
+    """
     _check_dims(model, dataset)
+    inference_config = replace(inference_config, z_mode="argmax")
     labels = np.zeros((len(dataset), model.config.label_count))
     counts = np.zeros(len(dataset))
     for batch in _chunks(dataset):
@@ -295,7 +292,7 @@ def predict(model: md.ScoreModel, dataset: dt.Dataset,
                                  inference_config, indptr=batch.indptr)
         labels[batch.rows] = inf.decode_labels(traj.final_values(),
                                                inference_config.decode, z=traj.z_used)
-        counts[batch.rows] = _modal_count(tm, batch, traj)
+        counts[batch.rows] = md.modal_cardinality(traj.cardinality_logits)
     return labels, counts
 
 
@@ -304,8 +301,8 @@ def evaluate(model: md.ScoreModel, dataset: dt.Dataset,
              loss_config: LossConfig = LossConfig()) -> dict:
     """Mean loss plus decoded metrics; the budget uses the argmax bucket.
 
-    The budget, the auxiliary loss and the modal count all read one
-    cardinality head output per example.
+    The budget, the auxiliary loss and the modal count all read the one
+    cardinality head output that inference returns for each example.
     """
     _check_dims(model, dataset)
     eval_cfg = replace(inference_config, z_mode="argmax")
@@ -320,7 +317,7 @@ def evaluate(model: md.ScoreModel, dataset: dt.Dataset,
         labels[batch.rows] = inf.decode_labels(traj.final_values(), eval_cfg.decode,
                                                z=traj.z_used)
         truth[batch.rows] = batch.targets
-        counts[batch.rows] = _modal_count(tm, batch, traj)
+        counts[batch.rows] = md.modal_cardinality(traj.cardinality_logits)
     f1, f1_label = dt.eval_f1(labels, truth)
     card_mse = float(np.mean((counts - dataset.cardinalities()) ** 2))
     return {

@@ -343,6 +343,22 @@ class TestTrainCommand:
         assert code == 2
         assert "example 3" in capsys.readouterr().err
 
+    # JSON true is a Python int; it must not pass for 1 or 1.0
+    @pytest.mark.parametrize("key", [
+        "inference.steps", "inference.proj_rounds", "inference.z_source",
+        "inference.step_size", "inference.sharpness", "loss.aux_cardinality_weight",
+        "optimizer.batch_size", "optimizer.patience", "optimizer.learning_rate",
+    ])
+    def test_boolean_for_a_number_exits_one(self, key, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(TINY_CONFIG))
+        code = cli.main(["train", "--config", str(config),
+                         "--checkpoint", str(tmp_path / "ck.npz"),
+                         "--metrics", str(tmp_path / "m.log"), "--set", f"{key}=true"])
+        assert code == 1
+        assert key.split(".")[1] in capsys.readouterr().err
+        assert not (tmp_path / "ck.npz").exists()
+
     def test_huge_learning_rate_diverges_with_exit_two(self, tmp_path, capsys):
         # the first step leaves weights near 1e300: still finite, but their
         # squared norms overflow, and the next forward pass would be nan

@@ -186,6 +186,34 @@ class TestTrajectoryShapes:
         assert sc.z_used is None
 
 
+class TestCardinalityHead:
+    """Every run computes the head once and returns its logits."""
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["example", "batch"])
+    @pytest.mark.parametrize("z_source", ["predictor", 2.0])
+    @pytest.mark.parametrize("variant", ["pc", "sc", "topz"])
+    def test_run_inference_runs_the_head_once(self, variant, z_source, batch, monkeypatch):
+        m = md.ScoreModel(tiny_config(seed=2))
+        outputs = []
+        original = md.cardinality_logits
+
+        def counted(*args, **kwargs):
+            outputs.append(original(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(md, "cardinality_logits", counted)
+        tm = md.TapedModel(m, dg.Tape())
+        icfg = inf.InferenceConfig(variant=variant, steps=2, z_source=z_source)
+        if batch:
+            traj = inf.run_inference(tm, [0, 2, 1], [1.0, -0.5, 2.0], icfg,
+                                     indptr=np.array([0, 2, 3]))
+        else:
+            traj = inf.run_inference(tm, [0, 2], [1.0, -0.5], icfg)
+        assert len(outputs) == 1
+        assert traj.cardinality_logits is outputs[0]
+        assert traj.cardinality_logits.shape == ((2, 5) if batch else (5,))
+
+
 class TestUnrolledPgd:
     def test_single_big_step_concentrates_on_top_two_exact(self):
         # one huge step with the budget at two: the exact projection lands

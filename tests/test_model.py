@@ -240,7 +240,7 @@ class TestCardinalityPredictor:
         m = md.ScoreModel(small_config())
         zero_params(m)
         tm = md.TapedModel(m, dg.Tape())
-        probs = md.cardinality_distribution(tm, [1], [1.0])
+        probs = dg.softmax(md.cardinality_logits(tm, [1], [1.0]))
         np.testing.assert_allclose(probs.value, np.full(4, 0.25), atol=1e-15)
 
     def test_uniform_over_five_buckets_expects_two(self):
@@ -276,9 +276,30 @@ class TestCardinalityPredictor:
             m = md.ScoreModel(small_config(seed=seed))
             tm = md.TapedModel(m, dg.Tape())
             idx = rng.choice(6, size=3, replace=False)
-            probs = md.cardinality_distribution(tm, idx, rng.normal(size=3))
+            probs = dg.softmax(md.cardinality_logits(tm, idx, rng.normal(size=3)))
             assert abs(float(probs.value.sum()) - 1.0) < 1e-8
             assert probs.value.min() >= 0.0
+
+    @pytest.mark.parametrize("rows", [(), (3,)])
+    def test_modal_count_records_nothing_on_the_tape(self, rows):
+        m = md.ScoreModel(small_config(seed=3))
+        m.params["cardinality.b2"][:] = [0.5, 2.0, -1.0, 2.0]  # a near tie
+        tape = dg.Tape()
+        tm = md.TapedModel(m, tape)
+        if rows:
+            logits = md.cardinality_logits(tm, [0, 4, 1, 2], [1.0, 1.5, -2.0, 0.5],
+                                           indptr=np.array([0, 2, 3, 4]))
+        else:
+            logits = md.cardinality_logits(tm, [0, 4], [1.0, 1.5])
+        before = len(tape)
+        modal = md.modal_cardinality(logits)
+        assert len(tape) == before
+        want = np.argmax(dg.softmax(logits).value, axis=-1)
+        np.testing.assert_array_equal(modal, want)
+        if rows:
+            assert modal.shape == rows
+        else:
+            assert isinstance(modal, int)
 
     def test_expected_mode_is_differentiable(self):
         m = md.ScoreModel(small_config(seed=6))

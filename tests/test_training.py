@@ -406,6 +406,38 @@ class TestExampleTape:
                           quick_inference(variant=variant, steps=5), tr.LossConfig())
             assert len(tm.tape) == nodes, size
 
+    # a run computes the head even when neither the budget nor the loss
+    # reads it: five forward-only nodes more than these counts had before
+    @pytest.mark.parametrize("variant, z_source, nodes",
+                             [("pc", 2.0, 111), ("sc", "predictor", 122)])
+    def test_node_count_without_the_auxiliary_loss(self, variant, z_source, nodes):
+        model = md.ScoreModel(tiny_config(seed=7, with_sc=variant == "sc"))
+        ds = tiny_dataset(16, seed=3)
+        tm = md.TapedModel(model, Tape())
+        tr.batch_loss(tm, ds.batch(np.arange(16)),
+                      quick_inference(variant=variant, steps=5, z_source=z_source),
+                      tr.LossConfig(aux_cardinality_weight=0.0))
+        assert len(tm.tape) == nodes
+
+    @pytest.mark.parametrize("z_source", ["predictor", 2.0])
+    @pytest.mark.parametrize("variant", ["pc", "sc"])
+    def test_auxiliary_loss_reads_the_head_of_the_run(self, variant, z_source, monkeypatch):
+        model = md.ScoreModel(tiny_config(seed=7, with_sc=variant == "sc"))
+        ds = tiny_dataset(4, seed=3)
+        calls = []
+        original = md.cardinality_logits
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(md, "cardinality_logits", counted)
+        tm = md.TapedModel(model, Tape())
+        tr.batch_loss(tm, ds.batch(np.arange(4)),
+                      quick_inference(variant=variant, steps=2, z_source=z_source),
+                      tr.LossConfig(aux_cardinality_weight=1.0))
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("variant", ["pc", "sc"])
     def test_gradients_match_the_eager_zero_fill_sweep(self, variant):
         tape, tm, loss = self._loss(variant)
@@ -550,6 +582,21 @@ class TestPredictEvaluate:
         assert metrics["card_mse"] == pytest.approx(
             np.mean((counts - ds.cardinalities()) ** 2)
         )
+
+    @pytest.mark.parametrize("decode", ["threshold", "topz"])
+    def test_predict_decodes_what_evaluate_scores(self, decode):
+        # under the default expected budget both decode with the modal one
+        model = md.ScoreModel(tiny_config(seed=0))
+        ds = tiny_dataset(24, seed=4)
+        cfg = inf.InferenceConfig(steps=5, decode=decode)
+        assert cfg.z_mode == "expected"
+        metrics = tr.evaluate(model, ds, cfg)
+        labels, counts = tr.predict(model, ds, cfg)
+        truth = np.stack([ds.target(i) for i in range(len(ds))])
+        f1, f1_label = dt.eval_f1(labels, truth)
+        assert f1 == metrics["f1"]
+        assert f1_label == metrics["f1_label"]
+        assert float(np.mean((counts - ds.cardinalities()) ** 2)) == metrics["card_mse"]
 
     @pytest.mark.parametrize(
         "variant, aux", [("pc", 1.0), ("pc", 0.0), ("sc", 1.0), ("sc", 0.0), ("topz", 1.0)]
