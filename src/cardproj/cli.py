@@ -22,6 +22,7 @@ import numpy as np
 
 from . import data as dt
 from . import diffgraph as dg
+from . import fields as fl
 from . import inference as inf
 from . import model as md
 from . import projections as pj
@@ -62,6 +63,17 @@ class DataConfig:
     fractions: tuple = (0.8, 0.1, 0.1)
 
     def __post_init__(self):
+        if self.path is not None and not isinstance(self.path, str):
+            raise ValueError(f"path must be a string or null, got {self.path!r}")
+        for name in ("label_count", "input_dim"):
+            if getattr(self, name) is not None:
+                fl.number(name, getattr(self, name), int, ">= 1")
+        for name in ("synthetic_examples", "min_words", "max_words", "modulus"):
+            fl.number(name, getattr(self, name), int, ">= 1")
+        if not isinstance(self.fractions, (list, tuple)) or len(self.fractions) != 3:
+            raise ValueError(f"fractions must be three numbers, got {self.fractions!r}")
+        for i, fraction in enumerate(self.fractions):
+            fl.number(f"fractions[{i}]", fraction, float, ">= 0")
         object.__setattr__(self, "fractions", tuple(float(f) for f in self.fractions))
 
 
@@ -76,6 +88,10 @@ class ModelSection:
     cardinality_hidden: int = 150
     with_sc: bool = False
 
+    def __post_init__(self):
+        # ModelConfig's check, with stand-ins for the dataset's dimensions
+        md.ModelConfig(**dataclasses.asdict(self), input_dim=1, label_count=sys.maxsize)
+
 
 @dataclass(frozen=True)
 class OptimizerSection:
@@ -83,6 +99,9 @@ class OptimizerSection:
     batch_size: int = 32
     learning_rate: float = 0.1
     patience: int = 10
+
+    def __post_init__(self):
+        tr.TrainConfig(**dataclasses.asdict(self))  # the one check of these fields
 
 
 @dataclass(frozen=True)
@@ -162,8 +181,10 @@ def load_run_config(path=None, overrides=(), base=None) -> RunConfig:
         if key != "seed" and key not in section_names:
             raise ConfigError(f"unknown config key {key}")
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    try:
+        fl.number("seed", seed, int, ">= 0")
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     sections = {
         name: _build_section(name, cls, raw.get(name, {}))
         for name, cls in _SECTIONS
@@ -212,19 +233,11 @@ def _resolve_datasets(cfg: RunConfig) -> dict:
 
 
 def _model_config(cfg: RunConfig, dataset: dt.Dataset) -> md.ModelConfig:
-    ms = cfg.model
-    return md.ModelConfig(
-        input_dim=dataset.input_dim,
-        label_count=dataset.label_count,
-        max_cardinality=ms.max_cardinality,
-        feature_hidden=ms.feature_hidden,
-        feature_dim=ms.feature_dim,
-        global_hidden=ms.global_hidden,
-        cardinality_hidden=ms.cardinality_hidden,
-        # the SC variant scores cardinality with its own weight vector
-        with_sc=ms.with_sc or cfg.inference.variant == "sc",
-        seed=cfg.seed,
-    )
+    fields = dataclasses.asdict(cfg.model)
+    # the SC variant scores cardinality with its own weight vector
+    fields["with_sc"] |= cfg.inference.variant == "sc"
+    return md.ModelConfig(**fields, input_dim=dataset.input_dim,
+                          label_count=dataset.label_count, seed=cfg.seed)
 
 
 def _set_inference(cfg: RunConfig, **changes) -> RunConfig:
@@ -255,13 +268,7 @@ def cmd_train(args) -> int:
         raise ConfigError("data.fractions leave the train split empty")
     dev_set = splits["dev"] if len(splits["dev"]) else None
     model = md.ScoreModel(_model_config(cfg, train_set))
-    train_config = tr.TrainConfig(
-        epochs=cfg.optimizer.epochs,
-        batch_size=cfg.optimizer.batch_size,
-        learning_rate=cfg.optimizer.learning_rate,
-        seed=cfg.seed,
-        patience=cfg.optimizer.patience,
-    )
+    train_config = tr.TrainConfig(**dataclasses.asdict(cfg.optimizer), seed=cfg.seed)
     stream = open(args.metrics, "w") if args.metrics else sys.stdout
     try:
         result = tr.train(

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fields as fl
+
 __all__ = [
     "DataFormatError",
     "Example",
@@ -248,11 +250,10 @@ def save_sparse_multilabel(dataset: Dataset, path) -> None:
 # synthetic task with planted cardinality structure
 
 
-def count_cardinality_rule(modulus: int = 10, base: int = 1):
-    """Label-set size as a function of the distinct-word count."""
-    if modulus < 1 or base < 0:
-        raise ValueError("modulus must be >= 1 and base >= 0")
-    return lambda m: base + (m % modulus)
+def count_cardinality_rule(modulus: int = 10):
+    """Label-set size as a function of the distinct-word count: 1 + (m mod modulus)."""
+    fl.number("modulus", modulus, int, ">= 1")
+    return lambda m: 1 + (m % modulus)
 
 
 def generate_synthetic(

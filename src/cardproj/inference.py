@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffgraph as dg
+from . import fields as fl
 from . import model as md
 from . import projections as pj
 from .diffgraph import Var
@@ -79,35 +80,17 @@ class InferenceConfig:
     decode: str = "threshold"
 
     def __post_init__(self):
-        # JSON true is a Python int: a boolean never stands for a number
-        for name in ("steps", "step_size", "momentum", "proj_rounds", "sharpness",
-                     "z_source"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if not isinstance(self.steps, (int, np.integer)) or self.steps < 0:
-            raise ValueError(f"steps must be a non-negative integer, got {self.steps!r}")
-        if not self.step_size > 0:
-            raise ValueError(f"step_size must be positive, got {self.step_size}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if not isinstance(self.proj_rounds, (int, np.integer)) or self.proj_rounds < 1:
-            raise ValueError(f"proj_rounds must be a positive integer, got {self.proj_rounds!r}")
-        if not self.sharpness > 0:
-            raise ValueError(f"sharpness must be positive, got {self.sharpness}")
-        if self.z_source != "predictor" and not isinstance(
-            self.z_source, (int, float, np.integer, np.floating)
-        ):
-            raise ValueError(
-                f"z_source must be 'predictor' or a number, got {self.z_source!r}"
-            )
-        if self.z_mode not in ("expected", "argmax"):
-            raise ValueError(f"z_mode must be 'expected' or 'argmax', got {self.z_mode!r}")
-        if self.projection not in ("soft", "exact"):
-            raise ValueError(f"projection must be 'soft' or 'exact', got {self.projection!r}")
-        if self.decode not in ("threshold", "topz"):
-            raise ValueError(f"decode must be 'threshold' or 'topz', got {self.decode!r}")
+        fl.choice("variant", self.variant, VARIANTS)
+        fl.number("steps", self.steps, int, ">= 0")
+        fl.number("step_size", self.step_size, float, "> 0")
+        fl.number("momentum", self.momentum, float, ">= 0", "< 1")
+        fl.number("proj_rounds", self.proj_rounds, int, ">= 1")
+        fl.number("sharpness", self.sharpness, float, "> 0")
+        if self.z_source != "predictor":
+            fl.number("z_source", self.z_source)
+        fl.choice("z_mode", self.z_mode, ("expected", "argmax"))
+        fl.choice("projection", self.projection, ("soft", "exact"))
+        fl.choice("decode", self.decode, ("threshold", "topz"))
 
 
 @dataclass

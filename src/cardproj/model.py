@@ -34,6 +34,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import diffgraph as dg
+from . import fields as fl
 from .diffgraph import Tape, Var
 
 CHECKPOINT_FORMAT = "cardproj-checkpoint-v1"
@@ -77,21 +78,11 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        sizes = (
-            "input_dim",
-            "label_count",
-            "max_cardinality",
-            "feature_hidden",
-            "feature_dim",
-            "global_hidden",
-            "cardinality_hidden",
-        )
-        for name in sizes:
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be positive, got {value}")
+        for name in ("input_dim", "label_count", "max_cardinality", "feature_hidden",
+                     "feature_dim", "global_hidden", "cardinality_hidden"):
+            fl.number(name, getattr(self, name), int, ">= 1")
+        fl.flag("with_sc", self.with_sc)
+        fl.number("seed", self.seed, int, ">= 0")
         if self.max_cardinality > self.label_count:
             raise ValueError(
                 f"max_cardinality {self.max_cardinality} exceeds "

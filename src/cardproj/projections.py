@@ -44,8 +44,11 @@ import numpy as np
 from . import diffgraph as dg
 from .diffgraph import Var
 
-# calibrated so two soft Dykstra rounds hold trajectory states within the
-# feasibility tolerances used by the inference invariants
+# the unrolled layers' operating point, not a feasibility guarantee: the
+# tests pin only pc states at L in {6, 12} within 0.05 of the budget and in
+# [-0.02, 1.25] (test_feasibility_envelope_at_full_defaults); N(0,1) inputs
+# at L=159 and 983 miss the budget by up to 0.057, and pc states leave the box
+# by 0.25 and more
 DEFAULT_SHARPNESS = 20.0
 DEFAULT_ROUNDS = 2
 
@@ -198,9 +201,8 @@ def _capped_pivot(v: np.ndarray, mass: float) -> tuple[np.ndarray, float]:
     bps = np.unique(np.concatenate([v, v - 1.0]))
     masses = relu_sums(bps) - relu_sums(bps + 1.0)
     # masses is non-increasing in lam; locate the last breakpoint still >= mass
+    # (the mass at the top breakpoint, max(v), is 0 < mass, so k + 1 exists)
     k = int(np.searchsorted(-masses, -mass, side="right")) - 1
-    if k == len(bps) - 1:
-        return np.clip(v - bps[k], 0.0, 1.0), float(bps[k])
     mid = 0.5 * (bps[k] + bps[k + 1])
     shifted = v - mid
     n1 = int((shifted >= 1.0).sum())
@@ -399,19 +401,26 @@ def project_capped_dykstra(
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _dykstra(y: np.ndarray, rounds: int, first, second) -> np.ndarray:
+    """Dykstra's alternation from ``y``: each round projects with ``first``
+    and then ``second``, each step correcting its input by the residual it
+    left in the previous round (p and q)."""
+    p = q = np.zeros_like(y)
+    for _ in range(rounds):
+        t = first(y + p)
+        p = y + p - t
+        y = second(t + q)
+        q = t + q - y
+    return y
+
+
 def _dykstra_exact(v: np.ndarray, spec: CappedSimplexSpec, rounds: int):
     if v.ndim != 1 or v.size != spec.dim:
         raise ValueError(f"expected a vector of length {spec.dim}")
     mass = spec.mass_value
     if mass == 0.0:
         return ProjectionResult(np.zeros_like(v), mass)
-    y, p, q = v.copy(), np.zeros_like(v), np.zeros_like(v)
-    for _ in range(rounds):
-        t = project_box_upper(y + p)
-        p = y + p - t
-        y2 = project_simplex_exact(t + q, mass)
-        q = t + q - y2
-        y = y2
+    y = _dykstra(v, rounds, project_box_upper, lambda x: project_simplex_exact(x, mass))
     return ProjectionResult(y, mass)
 
 
@@ -421,18 +430,18 @@ def _dykstra_soft(v: Var, spec, rounds, sharpness):
     # zeros and pass no gradient
     live = (m > 0.0)[..., None]
     dead = not live.all()
-    y = v.value
-    p = q = np.zeros(v.shape)
-    saved = []
-    for _ in range(rounds):
-        yp = y + p
-        t = project_box_upper(yp)
-        inside = (yp < 1.0).astype(np.float64)
-        p = yp - t
-        tq = t + q
+    insides, inners = [], []  # what each round's steps leave for the backward pass
+
+    def box(yp):
+        insides.append((yp < 1.0).astype(np.float64))
+        return project_box_upper(yp)
+
+    def simplex(tq):
         y, inner = _simplex_soft_forward(tq, m, sharpness)
-        q = tq - y
-        saved.append((inner, inside))
+        inners.append(inner)
+        return y
+
+    y = _dykstra(v.value, rounds, box, simplex)
     if dead:
         y = np.where(live, y, 0.0)
 
@@ -443,7 +452,7 @@ def _dykstra_soft(v: Var, spec, rounds, sharpness):
         g_p = np.zeros(v.shape)
         g_tq = np.zeros(v.shape)
         g_y = g * live if dead else g
-        for inner, inside in reversed(saved):
+        for inner, inside in zip(reversed(inners), reversed(insides)):
             _simplex_soft_vjp(inner, sharpness, g_y, g_tq, g_mass)
             g_yp = g_p + (g_tq - g_p) * inside
             g_y = g_yp - g_tq
@@ -480,32 +489,17 @@ def project_matrix_rows_cols(
         raise InfeasibleSpecError(
             f"column masses sum to {col_mass.sum()}, expected {n_rows}"
         )
-    cur = y.copy()
-    p = np.zeros_like(y)
-    q = np.zeros_like(y)
-    for _ in range(rounds):
-        t = _rows_to_simplex(cur + p)
-        p = cur + p - t
-        cur2 = _cols_to_mass(t + q, col_mass)
-        q = t + q - cur2
-        cur = cur2
-    return cur
+    return _dykstra(y, rounds, lambda m: _rows_to_mass(m, np.ones(n_rows)),
+                    lambda m: _rows_to_mass(m.T, col_mass).T)
 
 
-def _rows_to_simplex(m: np.ndarray) -> np.ndarray:
-    out = np.empty_like(m)
-    for i in range(m.shape[0]):
-        out[i] = project_simplex_exact(m[i], 1.0)
-    return out
-
-
-def _cols_to_mass(m: np.ndarray, col_mass: np.ndarray) -> np.ndarray:
-    out = np.empty_like(m)
-    for j in range(m.shape[1]):
-        if col_mass[j] == 0.0:
-            out[:, j] = 0.0
-        else:
-            out[:, j] = project_simplex_exact(m[:, j], col_mass[j])
+def _rows_to_mass(m: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """Each row of ``m`` projected onto the simplex of its mass; a row of
+    zero mass gives zeros."""
+    out = np.zeros_like(m)
+    for i, mass in enumerate(masses):
+        if mass > 0.0:
+            out[i] = project_simplex_exact(m[i], mass)
     return out
 
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import data as dt
 from . import diffgraph as dg
+from . import fields as fl
 from . import inference as inf
 from . import model as md
 from .diffgraph import Tape, Var
@@ -69,15 +70,8 @@ class LossConfig:
     aux_cardinality_weight: float = 1.0
 
     def __post_init__(self):
-        if self.single_step not in SINGLE_STEP_LOSSES:
-            raise ValueError(
-                f"single_step must be one of {SINGLE_STEP_LOSSES}, "
-                f"got {self.single_step!r}"
-            )
-        w = self.aux_cardinality_weight
-        if not (isinstance(w, (int, float)) and not isinstance(w, bool)
-                and np.isfinite(w) and w >= 0):
-            raise ValueError("aux_cardinality_weight must be finite and >= 0")
+        fl.choice("single_step", self.single_step, SINGLE_STEP_LOSSES)
+        fl.number("aux_cardinality_weight", self.aux_cardinality_weight, float, ">= 0")
 
 
 @dataclass(frozen=True)
@@ -89,35 +83,26 @@ class TrainConfig:
     patience: int = 10
 
     def __post_init__(self):
-        # JSON true is a Python int: a boolean never stands for a number
-        for name in ("epochs", "batch_size", "learning_rate", "patience"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
-        if not isinstance(self.epochs, int) or self.epochs < 0:
-            raise ValueError("epochs must be a nonnegative integer")
-        if not isinstance(self.batch_size, int) or self.batch_size < 1:
-            raise ValueError("batch_size must be a positive integer")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning_rate must be positive")
-        if not isinstance(self.patience, int) or self.patience < 1:
-            raise ValueError("patience must be a positive integer")
+        fl.number("epochs", self.epochs, int, ">= 0")
+        fl.number("batch_size", self.batch_size, int, ">= 1")
+        fl.number("learning_rate", self.learning_rate, float, "> 0")
+        fl.number("seed", self.seed, int, ">= 0")
+        fl.number("patience", self.patience, int, ">= 1")
 
 
 class AdaGrad:
     """Diagonal AdaGrad over a named parameter dictionary.
 
-    Each coordinate moves by -lr * g / (sqrt(G + g^2) + eps) where G is the
-    squared-gradient total accumulated before this step; the accumulator
+    Each coordinate moves by -lr * g / (sqrt(G + g^2) + EPSILON) where G is
+    the squared-gradient total accumulated before this step; the accumulator
     then advances to G + g^2.  Accumulators never decrease.
     """
 
-    def __init__(self, params: dict, learning_rate: float = 0.1, epsilon: float = 1e-8):
-        if not (np.isfinite(learning_rate) and learning_rate > 0):
-            raise ValueError("learning_rate must be positive")
-        if not epsilon > 0:
-            raise ValueError("epsilon must be positive")
+    EPSILON = 1e-8
+
+    def __init__(self, params: dict, learning_rate: float = 0.1):
+        fl.number("learning_rate", learning_rate, float, "> 0")
         self.learning_rate = float(learning_rate)
-        self.epsilon = float(epsilon)
         self.accumulators = {name: np.zeros_like(buf) for name, buf in params.items()}
 
     def step(self, params: dict, grads: dict) -> None:
@@ -129,7 +114,7 @@ class AdaGrad:
             if g.shape != acc.shape:
                 raise ValueError(f"gradient shape {g.shape} != {acc.shape} for {name!r}")
             acc += g * g
-            params[name] -= self.learning_rate * g / (np.sqrt(acc) + self.epsilon)
+            params[name] -= self.learning_rate * g / (np.sqrt(acc) + self.EPSILON)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import re
@@ -37,6 +38,14 @@ METRIC_LINE = re.compile(
     r"^epoch=(\d+) split=(train|dev) loss=(-?\d+\.\d{6}) f1=(\d\.\d{6}) "
     r"f1_label=\d\.\d{6} card_mse=\d+\.\d{6}$"
 )
+
+
+def number_keys():
+    """Every int or float field of every config section, and ``z_source``,
+    so a field added to a section is covered here when it is added."""
+    keys = [f"{name}.{f.name}" for name, cls in cli._SECTIONS
+            for f in dataclasses.fields(cls) if f.type in ("int", "float")]
+    return keys + ["inference.z_source"]
 
 
 @pytest.fixture(scope="module")
@@ -343,21 +352,44 @@ class TestTrainCommand:
         assert code == 2
         assert "example 3" in capsys.readouterr().err
 
-    # JSON true is a Python int; it must not pass for 1 or 1.0
-    @pytest.mark.parametrize("key", [
-        "inference.steps", "inference.proj_rounds", "inference.z_source",
-        "inference.step_size", "inference.sharpness", "loss.aux_cardinality_weight",
-        "optimizer.batch_size", "optimizer.patience", "optimizer.learning_rate",
-    ])
-    def test_boolean_for_a_number_exits_one(self, key, tmp_path, capsys):
+    def assert_config_error(self, spec, tmp_path, capsys):
+        """Training with ``spec`` exits 1 before writing a checkpoint, with
+        one error line that names the key."""
         config = tmp_path / "config.json"
         config.write_text(json.dumps(TINY_CONFIG))
         code = cli.main(["train", "--config", str(config),
                          "--checkpoint", str(tmp_path / "ck.npz"),
-                         "--metrics", str(tmp_path / "m.log"), "--set", f"{key}=true"])
+                         "--metrics", str(tmp_path / "m.log"), "--set", spec])
+        section, _, field = spec.partition("=")[0].rpartition(".")
+        err = capsys.readouterr().err
         assert code == 1
-        assert key.split(".")[1] in capsys.readouterr().err
+        assert err.startswith(f"error: {section}: {field}") and err.count("\n") == 1, err
         assert not (tmp_path / "ck.npz").exists()
+
+    # JSON true is a Python int; it must not pass for 1 or 1.0
+    @pytest.mark.parametrize("key", number_keys())
+    def test_boolean_for_a_number_exits_one(self, key, tmp_path, capsys):
+        self.assert_config_error(f"{key}=true", tmp_path, capsys)
+
+    @pytest.mark.parametrize("spec", [
+        "data.fractions=[true,0,0]",
+        "data.path=0",  # would read the corpus from file descriptor 0
+        "inference.step_size=Infinity",
+        "inference.sharpness=Infinity",
+        "model.with_sc=1",  # 1 == True, but a flag is a bool
+        "model.with_sc=0",
+    ])
+    def test_invalid_value_exits_one(self, spec, tmp_path, capsys):
+        self.assert_config_error(spec, tmp_path, capsys)
+
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_empty_train_split_exits_one(self, command, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(TINY_CONFIG))
+        code = cli.main([command, "--config", str(config),
+                         "--set", "data.fractions=[0, 0.5, 0.5]"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: data.fractions leave the train split empty\n"
 
     def test_huge_learning_rate_diverges_with_exit_two(self, tmp_path, capsys):
         # the first step leaves weights near 1e300: still finite, but their
@@ -415,6 +447,19 @@ class TestEvalCommand:
         _, out = self.eval_f1(trained, capsys, "--split", "train",
                               "--variant", "topz")
         assert "variant=topz" in out
+
+    def test_predictor_budget_flag(self, trained, capsys):
+        # the default budget source, named explicitly, changes nothing
+        _, out = self.eval_f1(trained, capsys, "--split", "train", "--z", "predictor")
+        _, default = self.eval_f1(trained, capsys, "--split", "train")
+        assert out == default
+
+    def test_empty_split_exits_one(self, trained, capsys):
+        # TINY_CONFIG gives the test split no examples
+        code = cli.main(["eval", "--config", str(trained["config"]),
+                         "--checkpoint", str(trained["checkpoint"]), "--split", "test"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: split 'test' is empty\n"
 
     def test_fixed_budget_flag(self, trained, capsys):
         _, out = self.eval_f1(trained, capsys, "--split", "train", "--z", "fixed:3")

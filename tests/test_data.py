@@ -170,7 +170,7 @@ class TestSyntheticGenerator:
         assert not same
 
     def test_cardinality_follows_rule(self):
-        rule = dt.count_cardinality_rule(modulus=10, base=1)
+        rule = dt.count_cardinality_rule(modulus=10)
         ds = dt.generate_synthetic(200, label_count=12, input_dim=40, seed=1)
         for ex in ds.examples:
             m = ex.feature_indices.size

@@ -590,3 +590,15 @@ class TestMatrixExtension:
     def test_negative_mass_rejected(self):
         with pytest.raises(InfeasibleSpecError):
             pj.project_matrix_rows_cols(np.zeros((2, 2)), np.array([3.0, -1.0]))
+
+    def test_zero_mass_column_stays_zero(self):
+        # the column step leaves a column of zero mass at zero; the rows
+        # then share their mass among the other columns
+        rng = np.random.default_rng(4)
+        y = rng.standard_normal((4, 3))
+        col_mass = np.array([2.5, 1.5, 0.0])
+        out = pj.project_matrix_rows_cols(y, col_mass, rounds=100)
+        np.testing.assert_array_equal(out[:, 2], 0.0)
+        row, col = pj.matrix_residuals(out, col_mass)
+        assert row < 1e-4 and col < 1e-4
+        assert out.min() >= 0.0
