@@ -223,7 +223,7 @@ def _resolve_datasets(cfg: RunConfig) -> dict:
             dc.synthetic_examples,
             dc.label_count if dc.label_count is not None else 30,
             dc.input_dim if dc.input_dim is not None else 40,
-            cardinality_rule=dt.count_cardinality_rule(dc.modulus),
+            modulus=dc.modulus,
             seed=cfg.seed,
             min_words=dc.min_words,
             max_words=dc.max_words,
@@ -357,17 +357,19 @@ def _project_one(operator: str, v: np.ndarray, z: float, args) -> np.ndarray:
     spec = pj.CappedSimplexSpec(v.size, z)
     if operator == "capped":
         return pj.project_capped_exact(v, spec)
-    if operator == "dykstra":
-        leaf = dg.Tape().leaf(v)
-        rounds = args.rounds if args.rounds is not None else pj.DEFAULT_ROUNDS
-        result = pj.project_capped_dykstra(
-            leaf, spec, rounds=rounds, sharpness=args.sharpness, mode="soft"
-        )
-        return result.values()
-    raise ConfigError(f"unknown operator {operator!r}")
+    rounds = args.rounds if args.rounds is not None else pj.DEFAULT_ROUNDS
+    return pj.project_capped_dykstra(dg.Tape().leaf(v), spec, rounds=rounds,
+                                     sharpness=args.sharpness, mode="soft").values()
 
 
 def cmd_project(args) -> int:
+    # each number flag obeys the config rule; the operators check the ranges
+    # that depend on the vectors
+    if args.z is not None:
+        fl.number("--z", args.z)
+    if args.rounds is not None:
+        fl.number("--rounds", args.rounds, int, ">= 1")
+    fl.number("--sharpness", args.sharpness, float, "> 0")
     if args.input is None:
         rows = _read_vectors(sys.stdin)
     else:
@@ -381,13 +383,15 @@ def cmd_project(args) -> int:
     if args.operator == "matrix":
         if args.col_sums is None:
             raise ConfigError("matrix projection requires --col-sums")
-        col_mass = np.array([float(tok) for tok in args.col_sums.split(",")])
+        col_mass = [float(tok) for tok in args.col_sums.split(",")]
+        for mass in col_mass:
+            fl.number("--col-sums", mass)
         width = rows[0][1].size
         for lineno, row in rows:
             if row.size != width:
                 raise ConfigError(f"line {lineno}: expected {width} columns, got {row.size}")
         matrix = np.stack([row for _, row in rows])
-        rounds = args.rounds if args.rounds is not None else 100
+        rounds = args.rounds if args.rounds is not None else pj.MATRIX_ROUNDS
         try:
             projected = pj.project_matrix_rows_cols(matrix, col_mass, rounds=rounds)
         except (ValueError, pj.InfeasibleSpecError) as err:
@@ -440,6 +444,7 @@ _TOY_GRADCHECK = {
 
 
 def cmd_gradcheck(args) -> int:
+    fl.number("--tolerance", args.tolerance, float, ">= 0")
     base = None if args.config else _TOY_GRADCHECK
     cfg = load_run_config(args.config, args.set, base=base)
     splits = _resolve_datasets(cfg)
@@ -505,7 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("simplex", "capped", "dykstra", "matrix"))
     p_proj.add_argument("--z", type=float, help="mass budget")
     p_proj.add_argument("--rounds", type=int,
-                        help="alternation rounds (default: 2 for dykstra, 100 for matrix)")
+                        help=f"alternation rounds (default: {pj.DEFAULT_ROUNDS} for "
+                             f"dykstra, {pj.MATRIX_ROUNDS} for matrix)")
     p_proj.add_argument("--sharpness", type=float, default=pj.DEFAULT_SHARPNESS,
                         help="soft surrogate sharpness (dykstra only)")
     p_proj.add_argument("--input", help="vector file, one per line (default: stdin)")

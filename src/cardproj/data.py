@@ -25,7 +25,6 @@ __all__ = [
     "load_sparse_multilabel",
     "save_sparse_multilabel",
     "generate_synthetic",
-    "count_cardinality_rule",
     "split_dataset",
     "take",
     "eval_f1",
@@ -84,7 +83,6 @@ class Dataset:
     examples: list
     input_dim: int
     label_count: int
-    name: str = ""
 
     def __post_init__(self):
         if self.input_dim < 1 or self.label_count < 1:
@@ -190,7 +188,7 @@ def _parse_line(line: str):
     return Example(np.array(indices), np.array(values), np.array(labels))
 
 
-def load_sparse_multilabel(path, label_count=None, input_dim=None, name=None) -> Dataset:
+def load_sparse_multilabel(path, label_count=None, input_dim=None) -> Dataset:
     """Read a multi-label corpus; every malformed line is rejected by number.
 
     Dimensions default to one past the largest index seen; passing them
@@ -226,7 +224,7 @@ def load_sparse_multilabel(path, label_count=None, input_dim=None, name=None) ->
             (int(e.feature_indices.max()) for e in examples if e.feature_indices.size),
             default=0,
         )
-    return Dataset(examples, input_dim, label_count, name or str(path))
+    return Dataset(examples, input_dim, label_count)
 
 
 def save_sparse_multilabel(dataset: Dataset, path) -> None:
@@ -250,27 +248,20 @@ def save_sparse_multilabel(dataset: Dataset, path) -> None:
 # synthetic task with planted cardinality structure
 
 
-def count_cardinality_rule(modulus: int = 10):
-    """Label-set size as a function of the distinct-word count: 1 + (m mod modulus)."""
-    fl.number("modulus", modulus, int, ">= 1")
-    return lambda m: 1 + (m % modulus)
-
-
 def generate_synthetic(
     n: int,
     label_count: int,
     input_dim: int,
-    cardinality_rule=None,
+    modulus: int = 10,
     seed: int = 0,
     min_words: int = 5,
     max_words: int = 34,
-    name: str = "synthetic",
 ) -> Dataset:
     """Random binary bags whose label-set size is a function of bag size.
 
     Each example activates m distinct words (uniform in [min_words,
     max_words]) with unit values; its labels are the top-k rows of a fixed
-    random linear map applied to the bag, with k = cardinality_rule(m).
+    random linear map applied to the bag, with k = 1 + (m mod modulus).
     Deterministic given the seed.
     """
     if n < 1:
@@ -280,7 +271,7 @@ def generate_synthetic(
             f"need 1 <= min_words <= max_words <= input_dim, got "
             f"[{min_words}, {max_words}] with input_dim {input_dim}"
         )
-    rule = cardinality_rule if cardinality_rule is not None else count_cardinality_rule()
+    fl.number("modulus", modulus, int, ">= 1")
     rng = np.random.default_rng(seed)
     mix = rng.normal(0.0, 1.0, size=(label_count, input_dim))
     examples = []
@@ -288,23 +279,23 @@ def generate_synthetic(
         m = int(rng.integers(min_words, max_words + 1))
         idx = np.sort(rng.choice(input_dim, size=m, replace=False))
         vals = np.ones(m)
-        k = int(rule(m))
-        if not 0 <= k <= label_count:
+        k = 1 + m % modulus
+        if k > label_count:
             raise ValueError(
                 f"cardinality rule maps {m} words to {k} labels, "
-                f"outside [0, {label_count}]"
+                f"outside [1, {label_count}]"
             )
         scores = mix[:, idx] @ vals
         labels = np.sort(np.argsort(-scores, kind="stable")[:k])
         examples.append(Example(idx, vals, labels))
-    return Dataset(examples, input_dim, label_count, name)
+    return Dataset(examples, input_dim, label_count)
 
 
 # ---------------------------------------------------------------------------
 # splits
 
 
-def take(dataset: Dataset, indices, name=None) -> Dataset:
+def take(dataset: Dataset, indices) -> Dataset:
     """Sub-dataset at the given example indices (order preserved)."""
     indices = np.asarray(indices, dtype=np.intp)
     if indices.ndim != 1:
@@ -316,12 +307,8 @@ def take(dataset: Dataset, indices, name=None) -> Dataset:
             )
         if np.unique(indices).size != indices.size:
             raise ValueError("duplicate example indices")
-    return Dataset(
-        [dataset.examples[i] for i in indices],
-        dataset.input_dim,
-        dataset.label_count,
-        name or dataset.name,
-    )
+    return Dataset([dataset.examples[i] for i in indices], dataset.input_dim,
+                   dataset.label_count)
 
 
 def split_dataset(dataset: Dataset, fractions=(0.8, 0.1, 0.1), seed: int = 0):
@@ -335,11 +322,7 @@ def split_dataset(dataset: Dataset, fractions=(0.8, 0.1, 0.1), seed: int = 0):
     n_train = int(fractions[0] * len(dataset))
     n_dev = int(fractions[1] * len(dataset))
     cuts = (perm[:n_train], perm[n_train : n_train + n_dev], perm[n_train + n_dev :])
-    names = ("train", "dev", "test")
-    return tuple(
-        take(dataset, part, name=f"{dataset.name}-{tag}" if dataset.name else tag)
-        for part, tag in zip(cuts, names)
-    )
+    return tuple(take(dataset, part) for part in cuts)
 
 
 # ---------------------------------------------------------------------------

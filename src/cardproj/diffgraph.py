@@ -51,7 +51,6 @@ __all__ = [
     "relu",
     "sigmoid",
     "clip",
-    "clip01",
     "softmax",
     "log",
     "logsumexp",
@@ -164,12 +163,12 @@ class Tape:
         """
         return _Constant(self, np.asarray(value, dtype=np.float64))
 
-    def backward(self, root: Var, seed=1.0) -> None:
+    def backward(self, root: Var) -> None:
         """Accumulate adjoints of every node with respect to ``root``.
 
-        ``seed`` is the adjoint assigned to the root (a scalar broadcasts
-        over vector roots).  Adjoint buffers are reset on every call, so
-        repeated sweeps do not accumulate across calls.
+        The root's adjoint is one (in every coordinate of a vector root).
+        Adjoint buffers are reset on every call, so repeated sweeps do not
+        accumulate across calls.
         """
         if root.tape is not self:
             raise ValueError("root lives on a different tape")
@@ -177,7 +176,7 @@ class Tape:
         for node in nodes:
             if node is not None:
                 node._adjoint = None
-        root.adjoint = root.adjoint + np.asarray(seed, dtype=np.float64)
+        root.adjoint = root.adjoint + 1.0
         for node in nodes[root._index :: -1]:
             if node is not None and node._adjoint is not None and node._backward is not None:
                 node._backward(node._adjoint)
@@ -331,10 +330,6 @@ def clip(x: Var, lo=None, hi=None) -> Var:
         x.adjoint += g * inside
 
     return Var(x.tape, np.clip(v, lo, hi), bwd)
-
-
-def clip01(x: Var) -> Var:
-    return clip(x, 0.0, 1.0)
 
 
 def log(x: Var) -> Var:

@@ -91,6 +91,8 @@ class InferenceConfig:
         fl.choice("z_mode", self.z_mode, ("expected", "argmax"))
         fl.choice("projection", self.projection, ("soft", "exact"))
         fl.choice("decode", self.decode, ("threshold", "topz"))
+        if self.decode == "topz" and self.variant == "sc":
+            raise ValueError("decode 'topz' needs a budget, and variant 'sc' has none")
 
 
 @dataclass
@@ -183,7 +185,7 @@ def run_inference(tm: md.TapedModel, feature_indices, feature_values,
         if cfg.variant == "pc":
             y = _project_state(trial, spec, cfg)
         else:
-            y = dg.clip01(trial)
+            y = dg.clip(trial, 0.0, 1.0)
         states.append(y)
     return Trajectory(states, z_used, logits)
 

@@ -28,11 +28,11 @@ VJP adds up every floating-point term in the order that a reverse sweep
 over the composed graph would, so values and gradients agree with it bit
 for bit; the tests keep that composed version as their reference.
 
-Exact operators take plain numpy arrays, and ``project_capped_exact`` and
-``project_box_upper`` also tape nodes.  Soft operators take tape nodes and
-return tape nodes.  The operators on tape nodes project one vector or each
-row of a minibatch, with one budget for every row or one per row; a row
-whose budget is zero projects to the origin and passes no gradient.
+Exact operators take plain numpy arrays, and ``project_capped_exact`` also
+tape nodes.  Soft operators take tape nodes and return tape nodes.  The
+operators on tape nodes project one vector or each row of a minibatch, with
+one budget for every row or one per row; a row whose budget is zero
+projects to the origin and passes no gradient.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diffgraph as dg
 from .diffgraph import Var
 
 # the unrolled layers' operating point, not a feasibility guarantee: the
@@ -51,6 +50,8 @@ from .diffgraph import Var
 # by 0.25 and more
 DEFAULT_SHARPNESS = 20.0
 DEFAULT_ROUNDS = 2
+# rounds of the row/column alternation of project_matrix_rows_cols
+MATRIX_ROUNDS = 100
 
 __all__ = [
     "CappedSimplexSpec",
@@ -66,6 +67,7 @@ __all__ = [
     "matrix_residuals",
     "DEFAULT_SHARPNESS",
     "DEFAULT_ROUNDS",
+    "MATRIX_ROUNDS",
 ]
 
 
@@ -157,14 +159,8 @@ def project_simplex_exact(v: np.ndarray, mass: float = 1.0) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def project_box_upper(y):
-    """Projection onto { y <= 1 }: clamp from above only.
-
-    Accepts a tape node or an ndarray; the tape form has gradient one
-    strictly below the cap and zero above it.
-    """
-    if isinstance(y, Var):
-        return dg.clip(y, hi=1.0)
+def project_box_upper(y: np.ndarray) -> np.ndarray:
+    """Projection onto { y <= 1 }: clamp from above only."""
     return np.minimum(np.asarray(y, dtype=np.float64), 1.0)
 
 
@@ -253,9 +249,7 @@ def project_capped_exact(v, spec: CappedSimplexSpec):
     return Var(v.tape, point, bwd)
 
 
-def project_capped_bisection(
-    v: np.ndarray, spec: CappedSimplexSpec, iterations: int = 200
-) -> np.ndarray:
+def project_capped_bisection(v: np.ndarray, spec: CappedSimplexSpec) -> np.ndarray:
     """Reference oracle: bisect the threshold until the mass budget is met.
 
     Deliberately naive; kept as an independent cross-check for
@@ -266,7 +260,7 @@ def project_capped_bisection(
         raise ValueError(f"expected a vector of length {spec.dim}")
     mass = spec.mass_value
     lo, hi = float(v.min() - 1.0), float(v.max())
-    for _ in range(iterations):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if np.clip(v - mid, 0.0, 1.0).sum() >= mass:
             lo = mid
@@ -467,7 +461,7 @@ def _dykstra_soft(v: Var, spec, rounds, sharpness):
 
 
 def project_matrix_rows_cols(
-    y: np.ndarray, col_mass: np.ndarray, rounds: int = 100
+    y: np.ndarray, col_mass: np.ndarray, rounds: int = MATRIX_ROUNDS
 ) -> np.ndarray:
     """Dykstra alternation between row and column simplex constraints.
 
@@ -476,6 +470,8 @@ def project_matrix_rows_cols(
     Consistency requires sum(col_mass) to equal the number of rows, since
     both constraint sets fix the total mass of the matrix.
     """
+    if rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 2:
         raise ValueError("expected a matrix")

@@ -255,54 +255,44 @@ def _check_dims(model: md.ScoreModel, dataset: dt.Dataset) -> None:
         )
 
 
-def _chunks(dataset: dt.Dataset):
+def _decode_split(model: md.ScoreModel, dataset: dt.Dataset,
+                  inference_config: inf.InferenceConfig, loss_config: LossConfig):
+    """Targets, losses, decoded labels and modal counts of a whole split.
+
+    Runs chunks of up to ``EVAL_CHUNK`` consecutive examples, one tape each,
+    and decodes with the modal budget.  The budget, the auxiliary loss and
+    the modal count all read the one cardinality head output that inference
+    returns.
+    """
+    _check_dims(model, dataset)
+    if len(dataset) == 0:
+        raise ValueError("cannot decode an empty split")
+    cfg = replace(inference_config, z_mode="argmax")
+    chunks = []
     for start in range(0, len(dataset), EVAL_CHUNK):
-        yield dataset.batch(np.arange(start, min(start + EVAL_CHUNK, len(dataset))))
+        batch = dataset.batch(np.arange(start, min(start + EVAL_CHUNK, len(dataset))))
+        tm = md.TapedModel(model, Tape())
+        loss, traj = example_loss(tm, batch, batch.targets, cfg, loss_config)
+        labels = inf.decode_labels(traj.final_values(), cfg.decode, z=traj.z_used)
+        chunks.append((batch.targets, loss.value, labels,
+                       md.modal_cardinality(traj.cardinality_logits)))
+    return [np.concatenate(parts) for parts in zip(*chunks)]
 
 
 def predict(model: md.ScoreModel, dataset: dt.Dataset,
             inference_config: inf.InferenceConfig):
-    """Decoded label matrix and argmax cardinality predictions.
-
-    Decodes with the modal budget, as ``evaluate`` does, so its labels and
-    counts are the ones ``evaluate`` scores.
-    """
-    _check_dims(model, dataset)
-    inference_config = replace(inference_config, z_mode="argmax")
-    labels = np.zeros((len(dataset), model.config.label_count))
-    counts = np.zeros(len(dataset))
-    for batch in _chunks(dataset):
-        tm = md.TapedModel(model, Tape())
-        traj = inf.run_inference(tm, batch.feature_indices, batch.feature_values,
-                                 inference_config, indptr=batch.indptr)
-        labels[batch.rows] = inf.decode_labels(traj.final_values(),
-                                               inference_config.decode, z=traj.z_used)
-        counts[batch.rows] = md.modal_cardinality(traj.cardinality_logits)
-    return labels, counts
+    """Decoded label matrix and argmax cardinality predictions: the labels
+    and counts that ``evaluate`` scores."""
+    _, _, labels, counts = _decode_split(model, dataset, inference_config, LossConfig())
+    return labels, counts.astype(np.float64)
 
 
 def evaluate(model: md.ScoreModel, dataset: dt.Dataset,
              inference_config: inf.InferenceConfig,
              loss_config: LossConfig = LossConfig()) -> dict:
-    """Mean loss plus decoded metrics; the budget uses the argmax bucket.
-
-    The budget, the auxiliary loss and the modal count all read the one
-    cardinality head output that inference returns for each example.
-    """
-    _check_dims(model, dataset)
-    eval_cfg = replace(inference_config, z_mode="argmax")
-    losses = np.zeros(len(dataset))
-    labels = np.zeros((len(dataset), model.config.label_count))
-    truth = np.zeros_like(labels)
-    counts = np.zeros(len(dataset))
-    for batch in _chunks(dataset):
-        tm = md.TapedModel(model, Tape())
-        loss, traj = example_loss(tm, batch, batch.targets, eval_cfg, loss_config)
-        losses[batch.rows] = loss.value
-        labels[batch.rows] = inf.decode_labels(traj.final_values(), eval_cfg.decode,
-                                               z=traj.z_used)
-        truth[batch.rows] = batch.targets
-        counts[batch.rows] = md.modal_cardinality(traj.cardinality_logits)
+    """Mean loss plus decoded metrics; the budget uses the argmax bucket."""
+    truth, losses, labels, counts = _decode_split(model, dataset, inference_config,
+                                                  loss_config)
     f1, f1_label = dt.eval_f1(labels, truth)
     card_mse = float(np.mean((counts - dataset.cardinalities()) ** 2))
     return {
@@ -461,13 +451,14 @@ class GradCheckReport:
 
 def gradcheck(model: md.ScoreModel, example: dt.Example, target,
               inference_config: inf.InferenceConfig,
-              loss_config: LossConfig = LossConfig(),
-              step: float = 1e-5) -> GradCheckReport:
+              loss_config: LossConfig = LossConfig()) -> GradCheckReport:
     """Compare backward-pass gradients against central finite differences.
 
-    The per-buffer metric is max|analytic - fd| / max(max|fd|, 1e-8), so
-    buffers with vanishing gradients are compared at absolute scale.
+    Each parameter moves by 1e-5 either way.  The per-buffer metric is
+    max|analytic - fd| / max(max|fd|, 1e-8), so buffers with vanishing
+    gradients are compared at absolute scale.
     """
+    step = 1e-5
     model = model.copy()
     target = _check_target(target, (model.config.label_count,))
 

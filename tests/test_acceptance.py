@@ -108,7 +108,7 @@ class TestUnrolledPipelineGradient:
         start = time.time()
         data = dt.generate_synthetic(
             4, label_count=5, input_dim=8, seed=3, min_words=2, max_words=6,
-            cardinality_rule=dt.count_cardinality_rule(modulus=4),
+            modulus=4,
         )
         config = md.ModelConfig(
             input_dim=8, label_count=5, max_cardinality=4, feature_hidden=4,

@@ -278,6 +278,25 @@ class TestProject:
         np.testing.assert_allclose(rows.sum(axis=0), [2.0, 1.0], atol=1e-4)
         assert "residual_rows" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["simplex", "--z", "nan"],
+        ["simplex", "--z", "inf"],
+        ["dykstra", "--z", "1", "--sharpness", "nan"],
+        ["dykstra", "--z", "1", "--sharpness", "inf"],
+        ["dykstra", "--z", "1", "--sharpness", "0"],
+        ["dykstra", "--z", "1", "--sharpness", "-5"],
+        ["matrix", "--col-sums", "1,1", "--rounds", "0"],
+        ["matrix", "--col-sums", "1,1", "--rounds", "-1"],
+        ["matrix", "--col-sums", "nan,2"],
+    ], ids=" ".join)
+    def test_invalid_number_flag_exits_one(self, argv, capsys, monkeypatch):
+        # each number flag obeys the config rule, whatever the vectors are
+        flag = argv[-2]
+        assert self.run(argv, "0.5 0.2\n0.1 0.9\n", monkeypatch) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag} must be ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     def test_matrix_requires_col_sums(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("0.5 0.5\n"))
         assert cli.main(["project", "matrix"]) == 1
@@ -352,11 +371,11 @@ class TestTrainCommand:
         assert code == 2
         assert "example 3" in capsys.readouterr().err
 
-    def assert_config_error(self, spec, tmp_path, capsys):
-        """Training with ``spec`` exits 1 before writing a checkpoint, with
-        one error line that names the key."""
+    def assert_config_error(self, spec, tmp_path, capsys, raw=TINY_CONFIG):
+        """Training ``raw`` with ``spec`` exits 1 before writing a checkpoint,
+        with one error line that names the key."""
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(TINY_CONFIG))
+        config.write_text(json.dumps(raw))
         code = cli.main(["train", "--config", str(config),
                          "--checkpoint", str(tmp_path / "ck.npz"),
                          "--metrics", str(tmp_path / "m.log"), "--set", spec])
@@ -381,6 +400,11 @@ class TestTrainCommand:
     ])
     def test_invalid_value_exits_one(self, spec, tmp_path, capsys):
         self.assert_config_error(spec, tmp_path, capsys)
+
+    def test_topz_decoding_without_a_budget_exits_one(self, tmp_path, capsys):
+        # sc predicts no budget; the config is refused before any data is made
+        raw = {**TINY_CONFIG, "inference": {"steps": 2, "variant": "sc"}}
+        self.assert_config_error("inference.decode=topz", tmp_path, capsys, raw)
 
     @pytest.mark.parametrize("command", ["train", "gradcheck"])
     def test_empty_train_split_exits_one(self, command, tmp_path, capsys):
@@ -506,6 +530,11 @@ class TestGradcheckCommand:
     def test_impossible_tolerance_fails(self, capsys):
         assert cli.main(["gradcheck", "--tolerance", "1e-15"]) == 1
         assert "gradient mismatch" in capsys.readouterr().err
+
+    def test_nan_tolerance_exits_one(self, capsys):
+        # a nan tolerance would let every gradient pass
+        assert cli.main(["gradcheck", "--tolerance", "nan"]) == 1
+        assert capsys.readouterr().err == "error: --tolerance must be a number >= 0, got nan\n"
 
     def test_corrupted_backward_exits_nonzero(self, capsys, monkeypatch):
         original = md.grad_global_score

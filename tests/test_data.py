@@ -10,7 +10,7 @@ def toy_dataset():
         dt.Example(np.array([2]), np.array([-0.5]), np.array([], dtype=int)),
         dt.Example(np.array([], dtype=int), np.array([]), np.array([0])),
     ]
-    return dt.Dataset(examples, input_dim=6, label_count=4, name="toy")
+    return dt.Dataset(examples, input_dim=6, label_count=4)
 
 
 class TestExample:
@@ -170,11 +170,10 @@ class TestSyntheticGenerator:
         assert not same
 
     def test_cardinality_follows_rule(self):
-        rule = dt.count_cardinality_rule(modulus=10)
         ds = dt.generate_synthetic(200, label_count=12, input_dim=40, seed=1)
         for ex in ds.examples:
             m = ex.feature_indices.size
-            assert ex.cardinality() == rule(m)
+            assert ex.cardinality() == 1 + m % 10
             assert 1 <= ex.cardinality() <= 10
 
     def test_bags_are_binary_unique(self):
@@ -195,7 +194,12 @@ class TestSyntheticGenerator:
     def test_infeasible_rule_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             dt.generate_synthetic(5, label_count=3, input_dim=20, seed=0, max_words=18,
-                                  cardinality_rule=lambda m: 99)
+                                  modulus=99)
+
+    @pytest.mark.parametrize("modulus", [0, True])
+    def test_modulus_validated(self, modulus):
+        with pytest.raises(ValueError, match="modulus must be an integer"):
+            dt.generate_synthetic(5, label_count=3, input_dim=40, modulus=modulus)
 
     def test_word_range_validated(self):
         with pytest.raises(ValueError, match="min_words"):

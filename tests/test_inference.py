@@ -387,7 +387,7 @@ class TestUnrolledSc:
         icfg = inf.InferenceConfig(variant="sc", steps=6, step_size=0.4)
         traj = run(m, icfg, idx=[0, 3], vals=[1.0, 2.0])
 
-        # reference: same ascent with the projection replaced by clip01
+        # reference: same ascent with the projection replaced by a [0, 1] clip
         tape = dg.Tape()
         tm = md.TapedModel(m, tape)
         c = md.unary_scores(tm, [0, 3], [1.0, 2.0])
@@ -399,7 +399,7 @@ class TestUnrolledSc:
             velocity = (
                 grad if velocity is None else dg.add(dg.scale(velocity, 0.9), grad)
             )
-            y = dg.clip01(dg.add(y, dg.scale(velocity, 0.4)))
+            y = dg.clip(dg.add(y, dg.scale(velocity, 0.4)), 0.0, 1.0)
             want.append(y.value.copy())
         for got, ref in zip(traj.states, want):
             np.testing.assert_array_equal(got.value, ref)

@@ -265,14 +265,6 @@ class TestBoxUpper:
             pj.project_box_upper(np.array([0.5, 1.5, -2.0])), [0.5, 1.0, -2.0]
         )
 
-    def test_tape_form_gradient(self):
-        tape = dg.Tape()
-        x = tape.leaf([0.5, 1.5])
-        out = pj.project_box_upper(x)
-        np.testing.assert_array_equal(out.value, [0.5, 1.0])
-        tape.backward(dg.vsum(out))
-        np.testing.assert_array_equal(x.adjoint, [1.0, 0.0])
-
 
 class TestDykstra:
     def test_feasible_point_is_fixed(self):
@@ -590,6 +582,11 @@ class TestMatrixExtension:
     def test_negative_mass_rejected(self):
         with pytest.raises(InfeasibleSpecError):
             pj.project_matrix_rows_cols(np.zeros((2, 2)), np.array([3.0, -1.0]))
+
+    @pytest.mark.parametrize("rounds", [0, -1])
+    def test_rounds_below_one_rejected(self, rounds):
+        with pytest.raises(ValueError, match="rounds must be >= 1"):
+            pj.project_matrix_rows_cols(np.eye(2), np.array([1.0, 1.0]), rounds=rounds)
 
     def test_zero_mass_column_stays_zero(self):
         # the column step leaves a column of zero mass at zero; the rows

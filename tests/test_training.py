@@ -34,7 +34,7 @@ def tiny_dataset(n=24, seed=0):
     # cardinalities 1..4 fit the tiny model's bucket range
     return dt.generate_synthetic(
         n, label_count=5, input_dim=12, seed=seed,
-        cardinality_rule=dt.count_cardinality_rule(modulus=4),
+        modulus=4,
         min_words=2, max_words=9,
     )
 
@@ -644,12 +644,16 @@ class TestPredictEvaluate:
     def test_dimension_mismatch_is_an_error(self):
         model = md.ScoreModel(tiny_config(seed=8))
         wrong = dt.generate_synthetic(
-            4, label_count=5, input_dim=9, seed=0,
-            cardinality_rule=dt.count_cardinality_rule(modulus=4),
-            min_words=2, max_words=8,
+            4, label_count=5, input_dim=9, seed=0, modulus=4, min_words=2, max_words=8,
         )
         with pytest.raises(ValueError, match="input_dim=12.*input_dim=9"):
             tr.predict(model, wrong, quick_inference())
+
+    @pytest.mark.parametrize("run", [tr.predict, tr.evaluate])
+    def test_empty_split_is_an_error(self, run):
+        model = md.ScoreModel(tiny_config(seed=8))
+        with pytest.raises(ValueError, match="empty split"):
+            run(model, dt.Dataset([], input_dim=12, label_count=5), quick_inference())
 
 
 class TestTrain:
