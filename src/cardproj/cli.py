@@ -383,9 +383,14 @@ def cmd_project(args) -> int:
     if args.operator == "matrix":
         if args.col_sums is None:
             raise ConfigError("matrix projection requires --col-sums")
-        col_mass = [float(tok) for tok in args.col_sums.split(",")]
-        for mass in col_mass:
-            fl.number("--col-sums", mass)
+        col_mass = []
+        for tok in args.col_sums.split(","):
+            try:
+                col_mass.append(float(tok))
+            except ValueError:
+                # worded as argparse words a bad --z
+                raise ConfigError(f"argument --col-sums: invalid float value: {tok!r}") from None
+            fl.number("--col-sums", col_mass[-1])
         width = rows[0][1].size
         for lineno, row in rows:
             if row.size != width:

@@ -3,15 +3,21 @@
 The on-disk corpus format is the svmlight-style multi-label text layout:
 one example per line, a comma-separated label list (possibly empty, marked
 by a leading space) followed by whitespace-separated ``index:value``
-feature pairs.  The synthetic generator plants a recoverable cardinality
-signal: the label-set size is a deterministic function of how many distinct
-words an example activates, and the label identities come from a fixed
-random linear map, so both the counter and the labels are learnable.
+feature pairs.  A corpus is held as CSR arrays, the layout minibatches
+use, and is checked once where it enters the program: by the loader, the
+synthetic generator, or :meth:`Dataset.from_examples`.  Splits and batches
+gather rows of a checked corpus and check nothing again.  The synthetic
+generator plants a recoverable cardinality signal: the label-set size is a
+deterministic function of how many distinct words an example activates,
+and the label identities come from a fixed random linear map, so both the
+counter and the labels are learnable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,61 +78,119 @@ class Example:
         object.__setattr__(self, "feature_values", vals[order])
         object.__setattr__(self, "labels", np.sort(labels))
 
+    @classmethod
+    def _view(cls, feature_indices, feature_values, labels) -> "Example":
+        """An example over arrays a dataset has already checked, unchanged."""
+        ex = object.__new__(cls)
+        ex.feature_indices, ex.feature_values, ex.labels = (
+            feature_indices, feature_values, labels)
+        return ex
+
     def cardinality(self) -> int:
         return int(self.labels.size)
 
 
-@dataclass
-class Dataset:
-    """Examples plus the feature/label dimensions they live in."""
+def _offsets(sizes) -> np.ndarray:
+    """CSR row pointer of rows with the given sizes."""
+    indptr = np.zeros(len(sizes) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=indptr[1:])
+    return indptr
 
-    examples: list
+
+def _gather(indptr: np.ndarray, rows: np.ndarray):
+    """Row pointer of CSR ``rows`` stacked in order, and their entries' positions."""
+    starts, sizes = indptr[rows], indptr[rows + 1] - indptr[rows]
+    out = _offsets(sizes)
+    return out, np.arange(out[-1]) + np.repeat(starts - out[:-1], sizes)
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """A corpus as CSR arrays, plus the feature/label dimensions it lives in.
+
+    Row i has features ``feature_indices[indptr[i]:indptr[i + 1]]``, sorted
+    and unique, with the matching float64 ``feature_values``, and the sorted,
+    unique labels ``labels[label_indptr[i]:label_indptr[i + 1]]``.  Every
+    index lies inside its dimension and every value is finite.  The
+    constructor checks only the dimensions: build a dataset with
+    :func:`load_sparse_multilabel`, :func:`generate_synthetic` or
+    :meth:`from_examples`, which check the rest once.  The arrays are made
+    read-only, so rows handed out as views stay valid.
+    """
+
+    indptr: np.ndarray
+    feature_indices: np.ndarray
+    feature_values: np.ndarray
+    label_indptr: np.ndarray
+    labels: np.ndarray
     input_dim: int
     label_count: int
 
     def __post_init__(self):
         if self.input_dim < 1 or self.label_count < 1:
             raise ValueError("dimensions must be positive")
-        for pos, ex in enumerate(self.examples):
-            if ex.feature_indices.size and ex.feature_indices.max() >= self.input_dim:
-                raise ValueError(
-                    f"example {pos}: feature index {ex.feature_indices.max()} "
-                    f"exceeds input_dim {self.input_dim}"
-                )
-            if ex.labels.size and ex.labels.max() >= self.label_count:
-                raise ValueError(
-                    f"example {pos}: label index {ex.labels.max()} "
-                    f"exceeds label_count {self.label_count}"
-                )
+        for arr in (self.indptr, self.feature_indices, self.feature_values,
+                    self.label_indptr, self.labels):
+            arr.flags.writeable = False
+
+    @classmethod
+    def from_examples(cls, examples, input_dim: int, label_count: int) -> "Dataset":
+        """Stack examples, each checked when built; an index past either
+        dimension is rejected with the example's position."""
+
+        def stacked(field, dtype):
+            return np.concatenate([np.empty(0, dtype)] + [getattr(ex, field) for ex in examples])
+
+        arrays = (
+            _offsets([ex.feature_indices.size for ex in examples]),
+            stacked("feature_indices", np.intp),
+            stacked("feature_values", np.float64),
+            _offsets([ex.labels.size for ex in examples]),
+            stacked("labels", np.intp),
+        )
+        fault = _first_fault(*arrays, input_dim, label_count)
+        if fault is not None:
+            raise ValueError(f"example {fault[0]}: {fault[1]}")
+        return cls(*arrays, input_dim, label_count)
 
     def __len__(self):
-        return len(self.examples)
+        return self.indptr.size - 1
+
+    @cached_property
+    def examples(self) -> tuple:
+        """Every row as an :class:`Example` of read-only views, built on first use."""
+        f, l = self.indptr.tolist(), self.label_indptr.tolist()
+        return tuple(
+            Example._view(self.feature_indices[f[i] : f[i + 1]],
+                          self.feature_values[f[i] : f[i + 1]],
+                          self.labels[l[i] : l[i + 1]])
+            for i in range(len(self))
+        )
 
     def target(self, i: int) -> np.ndarray:
         """Dense binary label vector of example i."""
         out = np.zeros(self.label_count)
-        out[self.examples[i].labels] = 1.0
+        out[self.labels[self.label_indptr[i] : self.label_indptr[i + 1]]] = 1.0
         return out
 
     def cardinalities(self) -> np.ndarray:
-        return np.array([ex.cardinality() for ex in self.examples], dtype=np.float64)
+        return np.diff(self.label_indptr).astype(np.float64)
+
+    def _rows(self, rows: np.ndarray) -> "Dataset":
+        """The rows at positions ``rows``, in order, without any check."""
+        indptr, at = _gather(self.indptr, rows)
+        label_indptr, label_at = _gather(self.label_indptr, rows)
+        return Dataset(indptr, self.feature_indices[at], self.feature_values[at],
+                       label_indptr, self.labels[label_at], self.input_dim,
+                       self.label_count)
 
     def batch(self, rows) -> "Batch":
         """The examples at positions ``rows``, stacked for one tape."""
         rows = np.asarray(rows, dtype=np.intp)
-        examples = [self.examples[i] for i in rows]
-        indptr = np.zeros(rows.size + 1, dtype=np.intp)
-        np.cumsum([ex.feature_indices.size for ex in examples], out=indptr[1:])
+        part = self._rows(rows)
         targets = np.zeros((rows.size, self.label_count))
-        for r, ex in enumerate(examples):
-            targets[r, ex.labels] = 1.0
-        return Batch(
-            rows,
-            indptr,
-            np.concatenate([ex.feature_indices for ex in examples]),
-            np.concatenate([ex.feature_values for ex in examples]),
-            targets,
-        )
+        targets[np.repeat(np.arange(rows.size), np.diff(part.label_indptr)), part.labels] = 1.0
+        return Batch(rows, part.indptr, part.feature_indices, part.feature_values, targets)
 
 
 @dataclass(frozen=True)
@@ -136,8 +200,7 @@ class Batch:
     Row r holds the example at dataset position ``rows[r]``: its features
     are ``feature_indices[indptr[r]:indptr[r + 1]]`` with the matching
     ``feature_values``, and its binary label vector is ``targets[r]``.  The
-    examples were validated when they were built, so a batch is not checked
-    again.
+    dataset was checked when it was built, so a batch is not checked again.
     """
 
     rows: np.ndarray
@@ -151,80 +214,181 @@ class Batch:
 
 
 # ---------------------------------------------------------------------------
+# the one check of a corpus
+
+
+def _follows(indptr: np.ndarray, size: int) -> np.ndarray:
+    """Mask over entries 1.. of a CSR array: entry k shares a row with k - 1."""
+    starts = np.zeros(size, dtype=bool)
+    starts[indptr[:-1][indptr[:-1] < size]] = True
+    return ~starts[1:]
+
+
+def _row_order(indptr: np.ndarray, values: np.ndarray):
+    """Stable permutation sorting each CSR row ascending; the whole-array
+    slice when every row already is strictly ascending, as a written corpus is."""
+    if np.all((np.diff(values) > 0) | ~_follows(indptr, values.size)):
+        return slice(None)
+    return np.lexsort((values, np.repeat(np.arange(indptr.size - 1), np.diff(indptr))))
+
+
+def _repeats(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Mask of the entries of sorted CSR rows equal to the entry before them."""
+    repeated = np.zeros(values.size, dtype=bool)
+    repeated[1:] = (np.diff(values) == 0) & _follows(indptr, values.size)
+    return repeated
+
+
+def _first_fault(indptr, feature_indices, feature_values, label_indptr, labels,
+                 input_dim, label_count):
+    """(row, message) of the first row that breaks a corpus rule, or None.
+
+    Rows must be sorted within themselves.  The rules are tried in the
+    order an :class:`Example` tries them, then the dimensions, which are
+    skipped when None; the earliest row wins, then the earliest rule.
+    """
+    rules = [
+        (indptr, feature_indices < 0, lambda row: "negative feature index"),
+        (label_indptr, labels < 0, lambda row: "negative label index"),
+        (indptr, _repeats(indptr, feature_indices), lambda row: "duplicate feature indices"),
+        (label_indptr, _repeats(label_indptr, labels), lambda row: "duplicate label indices"),
+        (indptr, ~np.isfinite(feature_values), lambda row: "non-finite feature value"),
+    ]
+    if label_count is not None:
+        rules.append((label_indptr, labels >= label_count, lambda row: (
+            f"label index {labels[label_indptr[row + 1] - 1]} "
+            f"exceeds label_count {label_count}")))
+    if input_dim is not None:
+        rules.append((indptr, feature_indices >= input_dim, lambda row: (
+            f"feature index {feature_indices[indptr[row + 1] - 1]} "
+            f"exceeds input_dim {input_dim}")))
+    first = None
+    for row_ptr, broken, message in rules:
+        if broken.any():
+            row = int(np.searchsorted(row_ptr, broken.argmax(), side="right")) - 1
+            if first is None or row < first[0]:
+                first = (row, message(row))
+    return first
+
+
+# ---------------------------------------------------------------------------
 # corpus reading and writing
 
 
-def _parse_line(line: str):
-    if line[0] in " \t":
-        label_field = ""
-        feature_tokens = line.split()
-    else:
-        tokens = line.split()
-        label_field = tokens[0]
-        feature_tokens = tokens[1:]
-        if ":" in label_field:
-            raise ValueError(
-                "missing label field (a feature pair appeared first; an empty "
-                "label set is written as a leading space)"
-            )
-    labels = []
-    if label_field:
-        for token in label_field.split(","):
-            try:
-                value = int(token)
-            except ValueError:
-                raise ValueError(f"bad label token {token!r}") from None
-            labels.append(value)
-    indices, values = [], []
-    for token in feature_tokens:
-        head, sep, tail = token.partition(":")
-        if not sep:
-            raise ValueError(f"feature pair {token!r} has no colon")
+def _convert(kind, tokens: list, dtype):
+    """``kind(token)`` of every token as one array, and None; or, when
+    ``kind`` rejects a token, the array up to the first such token and its
+    position."""
+    try:
+        return np.fromiter(map(kind, tokens), dtype, count=len(tokens)), None
+    except (ValueError, OverflowError) as err:
+        failure = err
+    for pos, token in enumerate(tokens):
         try:
-            indices.append(int(head))
-            values.append(float(tail))
-        except ValueError:
-            raise ValueError(f"bad feature pair {token!r}") from None
-    return Example(np.array(indices), np.array(values), np.array(labels))
+            np.fromiter((kind(token),), dtype, count=1)
+        except (ValueError, OverflowError):
+            return np.fromiter(map(kind, tokens[:pos]), dtype, count=pos), pos
+    raise failure
+
+
+_TWO_COLONS = re.compile(r":[^ :]*:")
+# rows converted at a time: bounds the token strings alive at once
+_BLOCK_ROWS = 1024
+
+
+def _feature_pairs(texts: list, sizes: list):
+    """Indices and values of the ``index:value`` tokens of every row, each
+    row's tokens joined by single spaces in ``texts``; and, at the first
+    token that is not such a pair, the arrays up to it, its position and
+    the token itself."""
+    indices, values, done = [], [], 0
+    for start in range(0, len(texts), _BLOCK_ROWS):
+        joined = " ".join(filter(None, texts[start : start + _BLOCK_ROWS]))
+        count = sum(sizes[start : start + _BLOCK_ROWS])
+        halves = joined.replace(":", " ").split()
+        # these alternate index, value exactly when no token holds two
+        # colons, there are as many colons as tokens, and no colon has an
+        # empty side
+        if (_TWO_COLONS.search(joined) or joined.count(":") != count
+                or len(halves) != 2 * count):
+            # split each token at its first colon, as a line-by-line reader does
+            halves = [half for token in joined.split() for half in token.partition(":")[::2]]
+        block_indices, bad_index = _convert(int, halves[0::2], np.intp)
+        block_values, bad_value = _convert(float, halves[1::2], np.float64)
+        indices.append(block_indices)
+        values.append(block_values)
+        bad = min((pos for pos in (bad_index, bad_value) if pos is not None), default=None)
+        if bad is not None:
+            return (np.concatenate(indices), np.concatenate(values), done + bad,
+                    joined.split()[bad])
+        done += count
+    return (np.concatenate([np.empty(0, np.intp)] + indices),
+            np.concatenate([np.empty(0)] + values), None, None)
 
 
 def load_sparse_multilabel(path, label_count=None, input_dim=None) -> Dataset:
     """Read a multi-label corpus; every malformed line is rejected by number.
 
-    Dimensions default to one past the largest index seen; passing them
-    explicitly turns out-of-range indices into load errors.
+    One pass splits the lines into label and feature tokens; the built-in
+    ``int`` and ``float`` convert all of them in bulk, and the corpus is
+    checked once.  The first bad line is reported, with the message a
+    line-by-line reader would give.  Dimensions default to one past the
+    largest index seen; passing them explicitly turns out-of-range indices
+    into load errors.
     """
-    examples = []
+    linenos, label_tokens, label_sizes, feature_texts, feature_sizes = [], [], [], [], []
+    faults = []  # (row, rank within a row, message) of unparseable lines
     with open(path) as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.rstrip("\r\n")
-            if line == "":
+            if not line:
                 continue
-            try:
-                ex = _parse_line(line)
-            except ValueError as err:
-                raise DataFormatError(f"{path}:{lineno}: {err}") from None
-            if label_count is not None and ex.labels.size and ex.labels.max() >= label_count:
-                raise DataFormatError(
-                    f"{path}:{lineno}: label index {ex.labels.max()} "
-                    f"exceeds label_count {label_count}"
-                )
-            if input_dim is not None and ex.feature_indices.size and (
-                ex.feature_indices.max() >= input_dim
-            ):
-                raise DataFormatError(
-                    f"{path}:{lineno}: feature index {ex.feature_indices.max()} "
-                    f"exceeds input_dim {input_dim}"
-                )
-            examples.append(ex)
+            linenos.append(lineno)
+            tokens = line.split()
+            if line[0] in " \t":
+                labels = []
+            elif tokens and ":" not in tokens[0]:
+                labels = tokens.pop(0).split(",")
+            else:
+                faults.append((len(linenos) - 1, 0,
+                               "missing label field (a feature pair appeared first; an "
+                               "empty label set is written as a leading space)"))
+                break
+            label_tokens += labels
+            label_sizes.append(len(labels))
+            feature_texts.append(" ".join(tokens))
+            feature_sizes.append(len(tokens))
+
+    label_indptr, indptr = _offsets(label_sizes), _offsets(feature_sizes)
+    labels, bad = _convert(int, label_tokens, np.intp)
+    if bad is not None:
+        row = int(np.searchsorted(label_indptr, bad, side="right")) - 1
+        faults.append((row, 1, f"bad label token {label_tokens[bad]!r}"))
+    indices, values, bad, token = _feature_pairs(feature_texts, feature_sizes)
+    if bad is not None:
+        row = int(np.searchsorted(indptr, bad, side="right")) - 1
+        faults.append((row, 2, f"feature pair {token!r} has no colon" if ":" not in token
+                       else f"bad feature pair {token!r}"))
+
+    # rows before the first unparseable line are checked; it stands if they pass
+    fault = min(faults, default=None)
+    parsed = len(feature_sizes) if fault is None else fault[0]
+    indptr, label_indptr = indptr[: parsed + 1], label_indptr[: parsed + 1]
+    indices, values = indices[: indptr[-1]], values[: indptr[-1]]
+    labels = labels[: label_indptr[-1]]
+    order = _row_order(indptr, indices)
+    indices, values = indices[order], values[order]
+    labels = labels[_row_order(label_indptr, labels)]
+    found = _first_fault(indptr, indices, values, label_indptr, labels, input_dim, label_count)
+    if found is None and fault is not None:
+        found = (fault[0], fault[2])
+    if found is not None:
+        raise DataFormatError(f"{path}:{linenos[found[0]]}: {found[1]}")
     if label_count is None:
-        label_count = 1 + max((int(e.labels.max()) for e in examples if e.labels.size), default=0)
+        label_count = 1 + int(labels.max()) if labels.size else 1
     if input_dim is None:
-        input_dim = 1 + max(
-            (int(e.feature_indices.max()) for e in examples if e.feature_indices.size),
-            default=0,
-        )
-    return Dataset(examples, input_dim, label_count)
+        input_dim = 1 + int(indices.max()) if indices.size else 1
+    return Dataset(indptr, indices, values, label_indptr, labels, input_dim, label_count)
 
 
 def save_sparse_multilabel(dataset: Dataset, path) -> None:
@@ -233,14 +397,14 @@ def save_sparse_multilabel(dataset: Dataset, path) -> None:
     Feature values are printed with enough digits to round-trip float64
     exactly.  An example with no labels gets the leading-space marker.
     """
+    pairs = list(map("{}:{:.17g}".format, dataset.feature_indices.tolist(),
+                     dataset.feature_values.tolist()))
+    labels = list(map(str, dataset.labels.tolist()))
+    indptr, label_indptr = dataset.indptr.tolist(), dataset.label_indptr.tolist()
     with open(path, "w") as handle:
-        for ex in dataset.examples:
-            labels = ",".join(str(int(l)) for l in ex.labels)
-            feats = " ".join(
-                f"{int(i)}:{v:.17g}"
-                for i, v in zip(ex.feature_indices, ex.feature_values)
-            )
-            line = (labels + " " + feats).rstrip() or " "
+        for i in range(len(dataset)):
+            line = (",".join(labels[label_indptr[i] : label_indptr[i + 1]]) + " "
+                    + " ".join(pairs[indptr[i] : indptr[i + 1]])).rstrip() or " "
             handle.write(line + "\n")
 
 
@@ -274,21 +438,23 @@ def generate_synthetic(
     fl.number("modulus", modulus, int, ">= 1")
     rng = np.random.default_rng(seed)
     mix = rng.normal(0.0, 1.0, size=(label_count, input_dim))
-    examples = []
+    bags, label_sets = [], []
     for _ in range(n):
         m = int(rng.integers(min_words, max_words + 1))
         idx = np.sort(rng.choice(input_dim, size=m, replace=False))
-        vals = np.ones(m)
         k = 1 + m % modulus
         if k > label_count:
             raise ValueError(
                 f"cardinality rule maps {m} words to {k} labels, "
                 f"outside [1, {label_count}]"
             )
-        scores = mix[:, idx] @ vals
-        labels = np.sort(np.argsort(-scores, kind="stable")[:k])
-        examples.append(Example(idx, vals, labels))
-    return Dataset(examples, input_dim, label_count)
+        scores = mix[:, idx] @ np.ones(m)
+        bags.append(idx)
+        label_sets.append(np.sort(np.argsort(-scores, kind="stable")[:k]))
+    indptr = _offsets([idx.size for idx in bags])
+    return Dataset(indptr, np.concatenate(bags, dtype=np.intp), np.ones(indptr[-1]),
+                   _offsets([labels.size for labels in label_sets]),
+                   np.concatenate(label_sets, dtype=np.intp), input_dim, label_count)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +473,7 @@ def take(dataset: Dataset, indices) -> Dataset:
             )
         if np.unique(indices).size != indices.size:
             raise ValueError("duplicate example indices")
-    return Dataset([dataset.examples[i] for i in indices], dataset.input_dim,
-                   dataset.label_count)
+    return dataset._rows(indices)
 
 
 def split_dataset(dataset: Dataset, fractions=(0.8, 0.1, 0.1), seed: int = 0):

@@ -21,9 +21,10 @@ a bound tape is live; training updates them only between tapes.
 Every operation takes one example or a minibatch.  One example's sparse
 input is a pair (indices, values) and gives vectors; a minibatch is the
 same pair in CSR form plus its row pointer ``indptr`` and gives one row per
-example (see ``diffgraph.matvec_sparse``).  Inputs are validated where they
-enter the program, in ``data.Example``; here only the index range is
-checked.
+example (see ``diffgraph.matvec_sparse``).  Inputs are validated once, where
+they enter the program (``data.load_sparse_multilabel``,
+``data.generate_synthetic``, ``data.Dataset.from_examples`` and
+``data.Example``); here only the index range is checked.
 """
 
 from __future__ import annotations
@@ -90,40 +91,46 @@ class ModelConfig:
             )
 
 
-def _init_params(config: ModelConfig) -> dict[str, np.ndarray]:
-    # He scaling before each ReLU, inverse fan-in for linear outputs,
-    # zero biases.  Draw order is fixed so a seed pins every buffer.
-    rng = np.random.default_rng(config.seed)
+def _param_shapes(config: ModelConfig) -> dict[str, tuple[tuple, float]]:
+    """Each buffer's shape and initial gain, in the order a seed draws them.
+
+    A buffer of gain g starts as N(0, g / fan_in) draws, fan-in being its
+    last axis: He scaling (g = 2) before each ReLU, inverse fan-in (g = 1)
+    for linear outputs.  Gain 0 buffers (biases, the SC weights) start at
+    zero and draw nothing.
+    """
     d, l = config.input_dim, config.label_count
     h1, f = config.feature_hidden, config.feature_dim
     h2, h3 = config.global_hidden, config.cardinality_hidden
     buckets = config.max_cardinality + 1
-
-    def he(rows, cols):
-        return rng.normal(0.0, np.sqrt(2.0 / cols), size=(rows, cols))
-
-    def lin(rows, cols):
-        return rng.normal(0.0, np.sqrt(1.0 / cols), size=(rows, cols))
-
-    params = {
-        "feature.w1": he(h1, d),
-        "feature.b1": np.zeros(h1),
-        "feature.w2": lin(f, h1),
-        "feature.b2": np.zeros(f),
-        "unary.w": lin(l, f),
-        "unary.b": np.zeros(l),
-        "global.w1": he(h2, l),
-        "global.b1": np.zeros(h2),
-        "global.w2": lin(1, h2)[0],
-        "global.b2": np.zeros(()),
-        "cardinality.w1": he(h3, d),
-        "cardinality.b1": np.zeros(h3),
-        "cardinality.w2": lin(buckets, h3),
-        "cardinality.b2": np.zeros(buckets),
+    shapes = {
+        "feature.w1": ((h1, d), 2.0),
+        "feature.b1": ((h1,), 0.0),
+        "feature.w2": ((f, h1), 1.0),
+        "feature.b2": ((f,), 0.0),
+        "unary.w": ((l, f), 1.0),
+        "unary.b": ((l,), 0.0),
+        "global.w1": ((h2, l), 2.0),
+        "global.b1": ((h2,), 0.0),
+        "global.w2": ((h2,), 1.0),
+        "global.b2": ((), 0.0),
+        "cardinality.w1": ((h3, d), 2.0),
+        "cardinality.b1": ((h3,), 0.0),
+        "cardinality.w2": ((buckets, h3), 1.0),
+        "cardinality.b2": ((buckets,), 0.0),
     }
     if config.with_sc:
-        params["sc.weights"] = np.zeros(config.max_cardinality)
-    return params
+        shapes["sc.weights"] = ((config.max_cardinality,), 0.0)
+    return shapes
+
+
+def _init_params(config: ModelConfig) -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(config.seed)
+    return {
+        name: rng.normal(0.0, np.sqrt(gain / shape[-1]), size=shape) if gain
+        else np.zeros(shape)
+        for name, (shape, gain) in _param_shapes(config).items()
+    }
 
 
 class ScoreModel:
@@ -357,15 +364,12 @@ def load_model(path) -> ScoreModel:
                 f"expected {CHECKPOINT_FORMAT!r}"
             )
         config = ModelConfig(**meta["config"])
-        expected = _init_params(config)
         params = {}
-        for name, template in expected.items():
+        for name, (shape, _) in _param_shapes(config).items():
             if name not in archive:
                 raise ValueError(f"checkpoint missing parameter buffer {name}")
             buf = np.asarray(archive[name], dtype=np.float64)
-            if buf.shape != template.shape:
-                raise ValueError(
-                    f"buffer {name} has shape {buf.shape}, expected {template.shape}"
-                )
+            if buf.shape != shape:
+                raise ValueError(f"buffer {name} has shape {buf.shape}, expected {shape}")
             params[name] = buf
     return ScoreModel(config, params)

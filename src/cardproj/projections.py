@@ -148,8 +148,8 @@ def project_simplex_exact(v: np.ndarray, mass: float = 1.0) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a non-empty vector")
-    if mass <= 0:
-        raise InfeasibleSpecError(f"simplex mass must be positive, got {mass}")
+    if not 0 < mass < np.inf:
+        raise InfeasibleSpecError(f"simplex mass must be finite and positive, got {mass}")
     v = v - v.max()
     mu = np.sort(v)[::-1]
     cssv = np.cumsum(mu)

@@ -297,6 +297,13 @@ class TestProject:
         assert captured.err.startswith(f"error: {flag} must be ")
         assert captured.err.count("\n") == 1 and captured.out == ""
 
+    def test_unparseable_col_sums_names_flag_and_token(self, capsys, monkeypatch):
+        assert self.run(["matrix", "--col-sums", "abc,1"], "0.5 0.2\n0.1 0.9\n",
+                        monkeypatch) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: argument --col-sums: invalid float value: 'abc'\n"
+        assert captured.out == ""
+
     def test_matrix_requires_col_sums(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("0.5 0.5\n"))
         assert cli.main(["project", "matrix"]) == 1

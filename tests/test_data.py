@@ -1,5 +1,11 @@
+import hashlib
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cardproj import data as dt
 
@@ -10,7 +16,7 @@ def toy_dataset():
         dt.Example(np.array([2]), np.array([-0.5]), np.array([], dtype=int)),
         dt.Example(np.array([], dtype=int), np.array([]), np.array([0])),
     ]
-    return dt.Dataset(examples, input_dim=6, label_count=4)
+    return dt.Dataset.from_examples(examples, input_dim=6, label_count=4)
 
 
 class TestExample:
@@ -49,12 +55,12 @@ class TestDataset:
     def test_rejects_out_of_range_label(self):
         ex = dt.Example(np.array([0]), np.array([1.0]), np.array([7]))
         with pytest.raises(ValueError, match="label index 7"):
-            dt.Dataset([ex], input_dim=3, label_count=4)
+            dt.Dataset.from_examples([ex], input_dim=3, label_count=4)
 
     def test_rejects_out_of_range_feature(self):
         ex = dt.Example(np.array([9]), np.array([1.0]), np.array([0]))
         with pytest.raises(ValueError, match="feature index 9"):
-            dt.Dataset([ex], input_dim=3, label_count=4)
+            dt.Dataset.from_examples([ex], input_dim=3, label_count=4)
 
 
 class TestCorpusFormat:
@@ -132,7 +138,7 @@ class TestCorpusFormat:
             k = int(rng.integers(0, 4))
             labels = rng.choice(5, size=k, replace=False)
             examples.append(dt.Example(idx, vals, labels))
-        ds = dt.Dataset(examples, input_dim=12, label_count=5)
+        ds = dt.Dataset.from_examples(examples, input_dim=12, label_count=5)
         path = tmp_path / "c.txt"
         dt.save_sparse_multilabel(ds, path)
         back = dt.load_sparse_multilabel(path, label_count=5, input_dim=12)
@@ -144,14 +150,202 @@ class TestCorpusFormat:
 
     def test_round_trip_preserves_exact_floats(self, tmp_path):
         ex = dt.Example(np.array([0]), np.array([0.1 + 0.2]), np.array([0]))
-        ds = dt.Dataset([ex], input_dim=1, label_count=1)
+        ds = dt.Dataset.from_examples([ex], input_dim=1, label_count=1)
         path = tmp_path / "c.txt"
         dt.save_sparse_multilabel(ds, path)
         back = dt.load_sparse_multilabel(path, label_count=1, input_dim=1)
         assert back.examples[0].feature_values[0] == 0.1 + 0.2
 
 
+def reference_parse_line(line: str) -> dt.Example:
+    """One corpus line read token by token, the reader the bulk loader replaced."""
+    if line[0] in " \t":
+        label_field, feature_tokens = "", line.split()
+    else:
+        label_field, *feature_tokens = line.split()
+        if ":" in label_field:
+            raise ValueError(
+                "missing label field (a feature pair appeared first; an empty "
+                "label set is written as a leading space)"
+            )
+    labels = []
+    for token in label_field.split(",") if label_field else []:
+        try:
+            labels.append(int(token))
+        except ValueError:
+            raise ValueError(f"bad label token {token!r}") from None
+    indices, values = [], []
+    for token in feature_tokens:
+        head, sep, tail = token.partition(":")
+        if not sep:
+            raise ValueError(f"feature pair {token!r} has no colon")
+        try:
+            indices.append(int(head))
+            values.append(float(tail))
+        except ValueError:
+            raise ValueError(f"bad feature pair {token!r}") from None
+    return dt.Example(np.array(indices, dtype=np.intp), np.array(values), np.array(labels, dtype=np.intp))
+
+
+def reference_load(path, label_count=None, input_dim=None):
+    """The line-by-line reader: the loaded arrays and dimensions, or the
+    DataFormatError it raises first."""
+    examples = []
+    with open(path) as handle:
+        for lineno, raw in enumerate(handle, 1):
+            line = raw.rstrip("\r\n")
+            if line == "":
+                continue
+            try:
+                ex = reference_parse_line(line)
+            except ValueError as err:
+                raise dt.DataFormatError(f"{path}:{lineno}: {err}") from None
+            if label_count is not None and ex.labels.size and ex.labels.max() >= label_count:
+                raise dt.DataFormatError(f"{path}:{lineno}: label index {ex.labels.max()} "
+                                         f"exceeds label_count {label_count}")
+            if input_dim is not None and ex.feature_indices.size and (
+                    ex.feature_indices.max() >= input_dim):
+                raise dt.DataFormatError(f"{path}:{lineno}: feature index "
+                                         f"{ex.feature_indices.max()} exceeds input_dim {input_dim}")
+            examples.append(ex)
+    if label_count is None:
+        label_count = 1 + max((int(e.labels.max()) for e in examples if e.labels.size), default=0)
+    if input_dim is None:
+        input_dim = 1 + max((int(e.feature_indices.max()) for e in examples
+                             if e.feature_indices.size), default=0)
+    return dt.Dataset.from_examples(examples, input_dim, label_count)
+
+
+DATASET_ARRAYS = ("indptr", "feature_indices", "feature_values", "label_indptr", "labels")
+
+# well-formed pieces, in any order, and the ways a line can go wrong
+VALUES = st.sampled_from(["1", "0.5", "-2.25", "1e-3", "+.5", "1_0", "7.", "-0"])
+CLEAN_LABELS = st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True)
+CLEAN_FEATURES = st.lists(st.integers(0, 9), max_size=6, unique=True).flatmap(
+    lambda idx: st.lists(VALUES, min_size=len(idx), max_size=len(idx)).map(
+        lambda vals: [f"{i}:{v}" for i, v in zip(idx, vals)]))
+ANY_LABELS = st.one_of(
+    CLEAN_LABELS, st.lists(st.integers(-1, 6), min_size=1, max_size=4),
+    st.sampled_from([["x"], ["1", ""], ["2", "", "3"], ["1:2"]]))
+ANY_FEATURES = st.lists(st.one_of(
+    st.builds("{}:{}".format, st.integers(-1, 9),
+              st.one_of(VALUES, st.sampled_from(["nan", "inf", "1e999", "x"]))),
+    st.sampled_from(["abc", "3:", ":4", "1:2:3", "x:1", "7"])), max_size=5)
+SEPARATORS = st.sampled_from([" ", "\t", "  ", " \t "])
+
+
+@st.composite
+def corpus_lines(draw, clean):
+    labels = draw(st.one_of(st.none(), CLEAN_LABELS if clean else ANY_LABELS))
+    tokens = draw(CLEAN_FEATURES if clean else ANY_FEATURES)
+    # no label field: the empty label set, marked by a leading space or tab
+    lead = draw(st.sampled_from([" ", "\t"])) if labels is None else ""
+    parts = ([] if labels is None else [",".join(map(str, labels))]) + tokens
+    body = "".join(tok + draw(SEPARATORS) for tok in parts[:-1]) + (parts[-1] if parts else "")
+    return lead + body + draw(st.sampled_from(["", " ", "\t"]))
+
+
+@st.composite
+def corpora(draw):
+    lines = draw(st.lists(st.one_of(corpus_lines(clean=True), st.just("")),
+                          min_size=1, max_size=8))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(corpus_lines(clean=False)))
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+
+
+class TestColumnarLoader:
+    @given(text=corpora(), explicit=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_line_by_line_reader(self, text, explicit):
+        dims = dict(label_count=5, input_dim=8) if explicit else {}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.txt"
+            path.write_bytes(text.encode())
+            try:
+                want = reference_load(path, **dims)
+            except dt.DataFormatError as err:
+                with pytest.raises(dt.DataFormatError) as got:
+                    dt.load_sparse_multilabel(path, **dims)
+                assert str(got.value) == str(err)
+                return
+            got = dt.load_sparse_multilabel(path, **dims)
+        assert (got.input_dim, got.label_count) == (want.input_dim, want.label_count)
+        for name in DATASET_ARRAYS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    def test_rows_past_the_first_block(self, tmp_path):
+        # more rows than one conversion block, and a bad token in a later one
+        path = tmp_path / "c.txt"
+        ds = dt.generate_synthetic(1100, label_count=12, input_dim=40, seed=2, max_words=9)
+        dt.save_sparse_multilabel(ds, path)
+        lines = path.read_text().split("\n")
+        path.write_text("\n".join(lines[:1050] + [lines[1050] + " 9:x"] + lines[1051:]))
+        with pytest.raises(dt.DataFormatError, match=r":1051: bad feature pair '9:x'"):
+            dt.load_sparse_multilabel(path)
+        path.write_text("\n".join(lines))
+        got, want = dt.load_sparse_multilabel(path), reference_load(path)
+        for name in DATASET_ARRAYS:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_worked_messy_corpus(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_bytes(b"3,1 5:0.25 0:1e-3\r\n\r\n 2:7\r\n0\t4:-1.5   1:2\n\t0:1\n")
+        ds = dt.load_sparse_multilabel(path)
+        np.testing.assert_array_equal(ds.indptr, [0, 2, 3, 5, 6])
+        np.testing.assert_array_equal(ds.feature_indices, [0, 5, 2, 1, 4, 0])
+        np.testing.assert_array_equal(ds.feature_values, [1e-3, 0.25, 7.0, 2.0, -1.5, 1.0])
+        np.testing.assert_array_equal(ds.label_indptr, [0, 2, 2, 3, 3])
+        np.testing.assert_array_equal(ds.labels, [1, 3, 0])
+        assert (ds.input_dim, ds.label_count) == (6, 4)
+
+    def test_bad_line_after_a_bad_row_is_not_reported(self, tmp_path):
+        # the duplicate on line 2 comes first, though line 3 fails to parse
+        path = tmp_path / "c.txt"
+        path.write_text("0 1:1\n0 5:1 5:1\n0 zz\n")
+        with pytest.raises(dt.DataFormatError, match=r":2: duplicate feature"):
+            dt.load_sparse_multilabel(path)
+
+    @pytest.mark.parametrize("line, pattern", [
+        ("1 7 1:2:3", "'7' has no colon"),
+        ("1 5: 2:1", "bad feature pair '5:'"),
+    ])
+    def test_colon_counts_that_balance_out_are_caught(self, tmp_path, line, pattern):
+        # as many colons and halves as a well-formed line has, wrongly placed
+        path = tmp_path / "c.txt"
+        path.write_text("0 1:1\n" + line + "\n")
+        with pytest.raises(dt.DataFormatError, match=f":2: .*{pattern}"):
+            dt.load_sparse_multilabel(path)
+
+    def test_blank_looking_line_is_a_format_error(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("0 1:1\n\x0c\n")
+        with pytest.raises(dt.DataFormatError, match=r":2: missing label field"):
+            dt.load_sparse_multilabel(path)
+
+    def test_rows_are_read_only_views(self):
+        ds = dt.generate_synthetic(5, label_count=12, input_dim=20, seed=1, max_words=10)
+        ex = ds.examples[2]
+        assert np.shares_memory(ex.feature_indices, ds.feature_indices)
+        with pytest.raises(ValueError, match="read-only"):
+            ex.feature_values[0] = 2.0
+        assert ds.examples is ds.examples
+
+
 class TestSyntheticGenerator:
+    @pytest.mark.parametrize("args, kwargs, digest", [
+        ((60, 12, 30), dict(seed=4, min_words=3, max_words=20, modulus=7),
+         "fb8b9f4a72b7f315a1dd0146669777b74716bc7bf0ed35b8be8cc1f198b0af51"),
+        ((40, 30, 40), dict(seed=1, min_words=5, max_words=14),
+         "4e3b6947d44d3cb08f5b8d2f17dba9bb260112a1da89a9747c4383cdee484b53"),
+    ])
+    def test_written_corpus_is_pinned(self, tmp_path, args, kwargs, digest):
+        # the digests of the per-example generator and writer this one replaced
+        path = tmp_path / "c.txt"
+        dt.save_sparse_multilabel(dt.generate_synthetic(*args, **kwargs), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_deterministic(self):
         a = dt.generate_synthetic(30, label_count=12, input_dim=20, seed=5, max_words=18)
         b = dt.generate_synthetic(30, label_count=12, input_dim=20, seed=5, max_words=18)
@@ -247,6 +441,31 @@ class TestSplits:
         np.testing.assert_array_equal(
             sub.examples[0].feature_indices, ds.examples[3].feature_indices
         )
+
+
+class TestBatch:
+    def test_matches_per_example_stacking(self):
+        base = dt.generate_synthetic(12, label_count=12, input_dim=20, seed=3, max_words=9)
+        empty = dt.Example(np.array([], dtype=int), np.array([]), np.array([], dtype=int))
+        bare = dt.Example(np.array([], dtype=int), np.array([]), np.array([2, 5]))
+        ds = dt.Dataset.from_examples([empty, *base.examples[:6], bare, *base.examples[6:], empty],
+                                      input_dim=20, label_count=12)
+        rng = np.random.default_rng(0)
+        for size in [1, 1, 2, 5, 15, 15]:
+            rows = rng.choice(len(ds), size=size, replace=False)
+            examples = [ds.examples[i] for i in rows]
+            indptr = np.zeros(size + 1, dtype=np.intp)
+            np.cumsum([ex.feature_indices.size for ex in examples], out=indptr[1:])
+            targets = np.zeros((size, 12))
+            for r, ex in enumerate(examples):
+                targets[r, ex.labels] = 1.0
+            want = (rows, indptr, np.concatenate([ex.feature_indices for ex in examples]),
+                    np.concatenate([ex.feature_values for ex in examples]), targets)
+            got = ds.batch(rows)
+            for name, a in zip(("rows", "indptr", "feature_indices", "feature_values", "targets"),
+                               want):
+                b = getattr(got, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 class TestEvalF1:

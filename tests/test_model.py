@@ -507,6 +507,16 @@ class TestCheckpoint:
         c2 = md.unary_scores(md.TapedModel(loaded, dg.Tape()), [0, 2], [1.0, 2.0])
         np.testing.assert_array_equal(c1.value, c2.value)
 
+    def test_load_draws_no_initialization(self, tmp_path, monkeypatch):
+        # buffer shapes come from the config, not from a fresh random model
+        m = md.ScoreModel(small_config(seed=4))
+        path = tmp_path / "model.npz"
+        md.save_model(m, path)
+        monkeypatch.setattr(np.random, "default_rng", None)
+        loaded = md.load_model(path)
+        for name in m.params:
+            np.testing.assert_array_equal(loaded.params[name], m.params[name])
+
     def test_rejects_archive_without_metadata(self, tmp_path):
         path = tmp_path / "junk.npz"
         np.savez(path, a=np.zeros(3))

@@ -49,6 +49,11 @@ class TestSimplexExact:
         with pytest.raises(InfeasibleSpecError):
             pj.project_simplex_exact(np.array([1.0, 2.0]), 0.0)
 
+    @pytest.mark.parametrize("mass", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_mass_not_finite_and_positive(self, mass):
+        with pytest.raises(InfeasibleSpecError, match="finite and positive"):
+            pj.project_simplex_exact(np.array([1.0, 2.0]), mass)
+
     def test_matches_bisection_oracle_on_random_instances(self):
         rng = np.random.default_rng(0)
         for _ in range(500):

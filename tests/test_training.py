@@ -470,7 +470,7 @@ def mixed_dataset():
                                min_words=3, max_words=8)
     empty = dt.Example(np.array([], dtype=int), np.array([]), np.array([], dtype=int))
     bare = dt.Example(np.array([], dtype=int), np.array([]), np.array([3, 7]))
-    return dt.Dataset(ds.examples[:4] + [empty] + ds.examples[4:] + [bare], 16, 12)
+    return dt.Dataset.from_examples([*ds.examples[:4], empty, *ds.examples[4:], bare], 16, 12)
 
 
 def mixed_model(with_sc):
@@ -653,7 +653,7 @@ class TestPredictEvaluate:
     def test_empty_split_is_an_error(self, run):
         model = md.ScoreModel(tiny_config(seed=8))
         with pytest.raises(ValueError, match="empty split"):
-            run(model, dt.Dataset([], input_dim=12, label_count=5), quick_inference())
+            run(model, dt.Dataset.from_examples([], input_dim=12, label_count=5), quick_inference())
 
 
 class TestTrain:
