@@ -39,8 +39,6 @@ __all__ = [
     "ModelSection",
     "OptimizerSection",
     "load_run_config",
-    "canonical_dict",
-    "serialize_run_config",
     "main",
 ]
 
@@ -190,22 +188,6 @@ def load_run_config(path=None, overrides=(), base=None) -> RunConfig:
         for name, cls in _SECTIONS
     }
     return RunConfig(seed=seed, **sections)
-
-
-def canonical_dict(cfg: RunConfig) -> dict:
-    """Stable fully-materialized form: every default spelled out."""
-    out = {"seed": cfg.seed}
-    for name, _ in _SECTIONS:
-        section = dataclasses.asdict(getattr(cfg, name))
-        for key, value in section.items():
-            if isinstance(value, tuple):
-                section[key] = list(value)
-        out[name] = section
-    return out
-
-
-def serialize_run_config(cfg: RunConfig) -> str:
-    return json.dumps(canonical_dict(cfg), indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +341,7 @@ def _project_one(operator: str, v: np.ndarray, z: float, args) -> np.ndarray:
         return pj.project_capped_exact(v, spec)
     rounds = args.rounds if args.rounds is not None else pj.DEFAULT_ROUNDS
     return pj.project_capped_dykstra(dg.Tape().leaf(v), spec, rounds=rounds,
-                                     sharpness=args.sharpness, mode="soft").values()
+                                     sharpness=args.sharpness).values()
 
 
 def cmd_project(args) -> int:

@@ -34,7 +34,6 @@ __all__ = [
     "split_dataset",
     "take",
     "eval_f1",
-    "eval_cardinality_mse",
     "reference_cardinality_mse",
 ]
 
@@ -63,20 +62,14 @@ class Example:
             raise ValueError("example fields must be vectors")
         if idx.shape != vals.shape:
             raise ValueError("feature indices and values differ in length")
-        if idx.size and idx.min() < 0:
-            raise ValueError("negative feature index")
-        if labels.size and labels.min() < 0:
-            raise ValueError("negative label index")
-        if np.unique(idx).size != idx.size:
-            raise ValueError("duplicate feature indices")
-        if np.unique(labels).size != labels.size:
-            raise ValueError("duplicate label indices")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("non-finite feature value")
         order = np.argsort(idx)
-        object.__setattr__(self, "feature_indices", idx[order])
-        object.__setattr__(self, "feature_values", vals[order])
-        object.__setattr__(self, "labels", np.sort(labels))
+        idx, vals, labels = idx[order], vals[order], np.sort(labels)
+        # the corpus rules, on a corpus of this one row
+        fault = _first_fault(_offsets([idx.size]), idx, vals, _offsets([labels.size]),
+                             labels, None, None)
+        if fault is not None:
+            raise ValueError(fault[1])
+        self.feature_indices, self.feature_values, self.labels = idx, vals, labels
 
     @classmethod
     def _view(cls, feature_indices, feature_values, labels) -> "Example":
@@ -243,9 +236,10 @@ def _first_fault(indptr, feature_indices, feature_values, label_indptr, labels,
                  input_dim, label_count):
     """(row, message) of the first row that breaks a corpus rule, or None.
 
-    Rows must be sorted within themselves.  The rules are tried in the
-    order an :class:`Example` tries them, then the dimensions, which are
-    skipped when None; the earliest row wins, then the earliest rule.
+    Rows must be sorted within themselves.  The rules are tried in a fixed
+    order, the dimensions last, which are skipped when None; the earliest
+    row wins, then the earliest rule.  An :class:`Example` checks its one
+    row here too.
     """
     rules = [
         (indptr, feature_indices < 0, lambda row: "negative feature index"),
@@ -522,21 +516,6 @@ def eval_f1(predictions, targets) -> tuple[float, float]:
     sizes_l = pred.sum(axis=0) + true.sum(axis=0)
     per_label = np.where(sizes_l > 0, 2.0 * inter_l / np.maximum(sizes_l, 1e-300), 1.0)
     return float(per_example.mean()), float(per_label.mean())
-
-
-def eval_cardinality_mse(predicted, targets, train_targets=None, seed: int = 0):
-    """MSE of a cardinality predictor against two reference baselines.
-
-    Returns (predictor, constant, random); the baselines are those of
-    :func:`reference_cardinality_mse`.  ``train_targets`` defaults to
-    ``targets``.
-    """
-    predicted = np.asarray(predicted, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if predicted.shape != targets.shape or predicted.ndim != 1:
-        raise ValueError("predicted and targets must be equal-length vectors")
-    mse_h = float(np.mean((predicted - targets) ** 2))
-    return (mse_h, *reference_cardinality_mse(targets, train_targets, seed))
 
 
 def reference_cardinality_mse(targets, train_targets=None, seed: int = 0):

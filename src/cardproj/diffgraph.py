@@ -10,11 +10,14 @@ batch: matrix products go row by row (:func:`rows_times`) and reductions
 run along the contiguous last axis, so a row gives the same bits alone as
 inside any batch.
 
-The engine is deliberately small.  A :class:`Tape` records nodes in
-construction order, which is already a topological order of the computation
-graph, so :meth:`Tape.backward` can seed the root adjoint and sweep the node
-list in reverse, letting each node push its adjoint into its parents through
-a closure captured at construction time.
+The engine is deliberately small.  Ops are plain functions (``add(a, b)``,
+``scale(x, k)``) and a :class:`Var` defines no arithmetic operators, so
+every node a program records is spelled out where it is made.  A
+:class:`Tape` records nodes in construction order, which is already a
+topological order of the computation graph, so :meth:`Tape.backward` can
+seed the root adjoint and sweep the node list in reverse, letting each node
+push its adjoint into its parents through a closure captured at
+construction time.
 
 A value enters a tape as a leaf (:meth:`Tape.leaf`, a checked float64 copy
 of a value from outside), as a constant (:meth:`Tape.constant`, shared as it
@@ -57,8 +60,6 @@ __all__ = [
     "dot",
     "vsum",
     "pick",
-    "cumsum",
-    "sort_desc",
     "matvec",
     "matvec_t",
     "matvec_sparse",
@@ -97,36 +98,6 @@ class Var:
 
     def __len__(self):
         return self.value.shape[0]
-
-    def __add__(self, other):
-        if isinstance(other, Var):
-            return add(self, other)
-        return shift(self, float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Var):
-            return sub(self, other)
-        return shift(self, -float(other))
-
-    def __rsub__(self, other):
-        return shift(neg(self), float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Var):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Var):
-            return div(self, other)
-        return scale(self, 1.0 / float(other))
-
-    def __neg__(self):
-        return neg(self)
 
     def __repr__(self):
         return f"Var(shape={self.value.shape}, node={self._index})"
@@ -404,35 +375,6 @@ def pick(x: Var, i) -> Var:
         x.adjoint[at] += g
 
     return Var(x.tape, np.asarray(x.value[at]), bwd)
-
-
-def cumsum(x: Var) -> Var:
-    """Running sums along each row."""
-
-    def bwd(g):
-        x.adjoint += np.cumsum(g[..., ::-1], axis=-1)[..., ::-1]
-
-    return Var(x.tape, np.cumsum(x.value, axis=-1), bwd)
-
-
-def sort_desc(x: Var) -> tuple[Var, np.ndarray]:
-    """Sort each row descending; returns the sorted node and the permutation.
-
-    ``perm[..., i]`` is the source index of output position ``i``.  Ties keep
-    the lower source index first.  The backward pass scatters the adjoint
-    back through the permutation, so gradients follow whichever coordinate
-    produced each sorted position.
-    """
-    if x.value.ndim == 0:
-        raise ValueError("sort_desc requires rows")
-    perm = np.argsort(-x.value, axis=-1, kind="stable")
-
-    def bwd(g):
-        back = np.empty_like(g)
-        np.put_along_axis(back, perm, g, axis=-1)
-        x.adjoint += back
-
-    return Var(x.tape, np.take_along_axis(x.value, perm, axis=-1), bwd), perm
 
 
 # ---------------------------------------------------------------------------

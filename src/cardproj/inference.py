@@ -193,11 +193,7 @@ def run_inference(tm: md.TapedModel, feature_indices, feature_values,
 def _project_state(trial: Var, spec: pj.CappedSimplexSpec, cfg: InferenceConfig) -> Var:
     if cfg.projection == "soft":
         return pj.project_capped_dykstra(
-            trial,
-            spec,
-            rounds=cfg.proj_rounds,
-            sharpness=cfg.sharpness,
-            mode="soft",
+            trial, spec, rounds=cfg.proj_rounds, sharpness=cfg.sharpness
         ).y
     # exact replay: closed-form projection of the same trial point, one node
     # whose Jacobian carries the gradient on to the trial point and the budget

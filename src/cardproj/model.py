@@ -11,6 +11,11 @@ Four pieces share one parameter store:
 * optional per-bucket weights for the sigmoid-indicator cardinality score
   used by the soft-cardinality ascent variant.
 
+Ascent needs only the gradients of the two label-vector scores, so the
+global potential and the bucket score enter the program as their gradient
+nodes (``grad_global_score``, ``grad_sc_score``) and are never evaluated
+themselves.
+
 ``ScoreModel`` owns plain float64 buffers, checked when a model is built or
 loaded.  Forward passes never touch the buffers directly: bind the model to
 a tape with ``TapedModel`` and call the operation functions, which build
@@ -46,13 +51,11 @@ __all__ = [
     "TapedModel",
     "CHECKPOINT_FORMAT",
     "unary_scores",
-    "global_score",
     "grad_global_score",
     "cardinality_logits",
     "predict_cardinality",
     "expected_cardinality",
     "modal_cardinality",
-    "sc_cardinality_score",
     "grad_sc_score",
     "save_model",
     "load_model",
@@ -192,18 +195,11 @@ def unary_scores(tm: TapedModel, feature_indices, feature_values, indptr=None) -
     return dg.add(dg.matvec(p["unary.w"], feats), p["unary.b"])
 
 
-def global_score(tm: TapedModel, y: Var) -> Var:
-    """Input-independent potential over the label vector, one value per row."""
-    p = tm.vars
-    hidden = dg.relu(dg.add(dg.matvec(p["global.w1"], y), p["global.b1"]))
-    return dg.add(dg.dot(p["global.w2"], hidden), p["global.b2"])
-
-
 def grad_global_score(tm: TapedModel, y: Var) -> Var:
     """Gradient of the global potential with respect to ``y``, on the tape.
 
-    For a one-hidden-layer ReLU network the gradient is
-    W1' (w2 * step(W1 y + b1)).  The step mask enters as a detached
+    The potential of each row is w2 . relu(W1 y + b1) + b2, and its gradient
+    is W1' (w2 * step(W1 y + b1)).  The step mask enters as a detached
     constant: the potential's second derivative in ``y`` is zero almost
     everywhere, so a constant mask is exact away from kinks, while the
     returned node stays differentiable with respect to the parameters.
@@ -265,42 +261,23 @@ def modal_cardinality(logits: Var):
 # sigmoid-indicator cardinality score (soft-cardinality ascent variant)
 
 
-def _require_sc(tm: TapedModel) -> Var:
-    if "sc.weights" not in tm.vars:
-        raise ValueError("model was built without sc weights (with_sc=False)")
-    return tm.vars["sc.weights"]
-
-
-def sc_cardinality_score(tm: TapedModel, y: Var) -> Var:
-    """Weighted soft bucket score: sum_k w_k I_k (1 - I_{k+1}).
-
-    I_k = sigmoid(sum(y) - k) softly tests whether at least k labels are
-    active, so I_k (1 - I_{k+1}) peaks when the total mass sits near k.
-    """
-    w = _require_sc(tm)
-    z = tm.config.max_cardinality
-    total = dg.vsum(y)
-    ind = [dg.sigmoid(dg.shift(total, -float(k))) for k in range(1, z + 2)]
-    score = None
-    for k in range(1, z + 1):
-        term = dg.mul(dg.mul(dg.pick(w, k - 1), ind[k - 1]), 1.0 - ind[k])
-        score = term if score is None else dg.add(score, term)
-    return score
-
-
 def grad_sc_score(tm: TapedModel, y: Var) -> Var:
     """Gradient of the bucket score with respect to ``y``, as one tape node.
 
-    The score depends on ``y`` only through its sum, so the gradient of a
-    row is a constant vector ``slope * 1``, one slope per row, with
+    The bucket score of a row is sum_k w_k I_k (1 - I_{k+1}) over
+    k = 1..max_cardinality, where I_k = sigmoid(sum(y) - k) softly tests
+    whether at least k labels are active, so I_k (1 - I_{k+1}) peaks when
+    the total mass sits near k.  It depends on ``y`` only through its sum,
+    so the gradient of a row is a constant vector ``slope * 1``, one slope
+    per row, with
 
         slope = sum_k w_k (I_k' (1 - I_{k+1}) - I_k I_{k+1}'),
 
-    where I_k = sigmoid(sum(y) - k) and I' = I (1 - I).  The slope is smooth
-    in ``y``.  For an output adjoint ``g`` the node's backward pass gives
-    every coordinate of ``y`` the adjoint sum(g) * d(slope)/d(sum(y)), the
-    second-order term that the unrolled ascent backpropagates through, and
-    each weight w_k the adjoint sum(g) times the bracket of bucket k.
+    where I' = I (1 - I).  The slope is smooth in ``y``.  For an output
+    adjoint ``g`` the node's backward pass gives every coordinate of ``y``
+    the adjoint sum(g) * d(slope)/d(sum(y)), the second-order term that the
+    unrolled ascent backpropagates through, and each weight w_k the adjoint
+    sum(g) times the bracket of bucket k.
 
     Value and adjoints are bit-identical to the graph composed of
     ``diffgraph`` nodes (sum, shifted sigmoids, one product chain per
@@ -308,7 +285,9 @@ def grad_sc_score(tm: TapedModel, y: Var) -> Var:
     backward pass adds every term in the order of that graph's reverse
     sweep.
     """
-    w = _require_sc(tm)
+    if "sc.weights" not in tm.vars:
+        raise ValueError("model was built without sc weights (with_sc=False)")
+    w = tm.vars["sc.weights"]
     if w.tape is not y.tape:
         raise ValueError("operands live on different tapes")
     z = tm.config.max_cardinality
@@ -344,13 +323,15 @@ def grad_sc_score(tm: TapedModel, y: Var) -> Var:
 
 
 def save_model(model: ScoreModel, path) -> None:
-    """Write parameters plus architecture metadata to an .npz container."""
+    """Write parameters plus architecture metadata to an .npz container at
+    exactly ``path``: through an open file, so no ``.npz`` suffix is added."""
     meta = json.dumps(
         {"format": CHECKPOINT_FORMAT, "config": asdict(model.config)}
     )
     arrays = dict(model.params)
     arrays["__meta__"] = np.array(meta)
-    np.savez(path, **arrays)
+    with open(path, "wb") as handle:
+        np.savez(handle, **arrays)
 
 
 def load_model(path) -> ScoreModel:

@@ -1,10 +1,10 @@
-"""Projections onto the simplex, the unit box, and their intersection.
+"""Projections onto the simplex and onto its intersection with the unit box.
 
 The feasible set for a cardinality budget ``z`` over ``L`` labels is
 
     Z = { y : 0 <= y_i <= 1,  sum_i y_i = z },
 
-the simplex scaled to mass ``z`` and capped at one per coordinate.  Three
+the simplex scaled to mass ``z`` and capped at one per coordinate.  Two
 routes onto it are implemented:
 
 * ``project_capped_exact`` solves the Euclidean projection in closed form
@@ -13,23 +13,21 @@ routes onto it are implemented:
   node it records one node whose backward pass is the closed-form Jacobian
   on the free set, which is how the exact replay of unrolled inference is
   differentiated.
-* ``project_capped_bisection`` solves the same root-finding problem by a
-  long scalar bisection.  It exists purely as an independent oracle.
 * ``project_capped_dykstra`` alternates between the unit upper box and the
-  scaled simplex with Dykstra correction terms.  In ``soft`` mode the
-  simplex step is a differentiable surrogate, which is what the unrolled
-  inference layers use.
+  scaled simplex with Dykstra correction terms, the simplex step being a
+  differentiable surrogate of the sorted-pivot projection.  This is what
+  the unrolled inference layers use.
 
-The soft simplex surrogate and the soft alternation each run in plain numpy
-and record one tape node, whose hand-written backward pass (a VJP) returns
-the adjoints of the input and of a mass node.  The forward pass uses the
-same expressions as the surrogate composed from ``diffgraph`` ops, and the
-VJP adds up every floating-point term in the order that a reverse sweep
-over the composed graph would, so values and gradients agree with it bit
-for bit; the tests keep that composed version as their reference.
+The soft alternation runs in plain numpy and records one tape node, whose
+hand-written backward pass (a VJP) returns the adjoints of the input and of
+a mass node.  The forward pass uses the same expressions as the alternation
+composed from ``diffgraph`` ops, and the VJP adds up every floating-point
+term in the order that a reverse sweep over the composed graph would, so
+values and gradients agree with it bit for bit; the tests keep that
+composed version as their reference.
 
-Exact operators take plain numpy arrays, and ``project_capped_exact`` also
-tape nodes.  Soft operators take tape nodes and return tape nodes.  The
+``project_simplex_exact`` takes plain numpy arrays; ``project_capped_exact``
+takes arrays or tape nodes, and ``project_capped_dykstra`` tape nodes.  The
 operators on tape nodes project one vector or each row of a minibatch, with
 one budget for every row or one per row; a row whose budget is zero
 projects to the origin and passes no gradient.
@@ -58,10 +56,7 @@ __all__ = [
     "ProjectionResult",
     "InfeasibleSpecError",
     "project_simplex_exact",
-    "project_simplex_soft",
-    "project_box_upper",
     "project_capped_exact",
-    "project_capped_bisection",
     "project_capped_dykstra",
     "project_matrix_rows_cols",
     "matrix_residuals",
@@ -114,7 +109,7 @@ class ProjectionResult:
     they are read and both the worst over the rows of a batch, as floats.
     """
 
-    y: object  # Var in soft mode, ndarray in exact mode
+    y: object  # a Var, or an ndarray
     mass: object  # float, or one per row
 
     def values(self) -> np.ndarray:
@@ -157,11 +152,6 @@ def project_simplex_exact(v: np.ndarray, mass: float = 1.0) -> np.ndarray:
     rho = idx[mu - (cssv - mass) / idx > 0][-1]
     theta = (cssv[rho - 1] - mass) / rho
     return np.maximum(v - theta, 0.0)
-
-
-def project_box_upper(y: np.ndarray) -> np.ndarray:
-    """Projection onto { y <= 1 }: clamp from above only."""
-    return np.minimum(np.asarray(y, dtype=np.float64), 1.0)
 
 
 def _capped_pivot(v: np.ndarray, mass: float) -> tuple[np.ndarray, float]:
@@ -249,26 +239,6 @@ def project_capped_exact(v, spec: CappedSimplexSpec):
     return Var(v.tape, point, bwd)
 
 
-def project_capped_bisection(v: np.ndarray, spec: CappedSimplexSpec) -> np.ndarray:
-    """Reference oracle: bisect the threshold until the mass budget is met.
-
-    Deliberately naive; kept as an independent cross-check for
-    ``project_capped_exact`` and for diagnostics.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size != spec.dim:
-        raise ValueError(f"expected a vector of length {spec.dim}")
-    mass = spec.mass_value
-    lo, hi = float(v.min() - 1.0), float(v.max())
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if np.clip(v - mid, 0.0, 1.0).sum() >= mass:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(v - 0.5 * (lo + hi), 0.0, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # soft operators
 
@@ -276,11 +246,18 @@ def project_capped_bisection(v: np.ndarray, spec: CappedSimplexSpec) -> np.ndarr
 def _simplex_soft_forward(v: np.ndarray, mass, sharpness: float):
     """Values of the soft simplex surrogate at ``v``, plus what its VJP reads.
 
+    The surrogate follows the sorted-pivot method of
+    :func:`project_simplex_exact` but replaces its two discrete choices with
+    smooth stand-ins: the positivity test of each pivot candidate goes
+    through a softsign, and the argmax over candidates through a softmax of
+    index-weighted scores.  ``sharpness`` scales both, and the surrogate
+    approaches the exact projection as it grows.
+
     ``v`` is one vector or a batch of rows, and ``mass`` a float or the
     value of a mass node: 0-d, or one per row.  The expressions are those of
-    the surrogate composed from ``diffgraph`` ops (sort, cumsum, the
-    softsign x / (1 + |x|), softmax, dot, relu), in the same order, so the
-    values agree bit for bit; every reduction runs along the rows.
+    the surrogate composed node by node (a sort, running sums, the softsign
+    x / (1 + |x|), softmax, dot, relu), in the same order, so the values
+    agree bit for bit; every reduction runs along the rows.
     """
     m = np.asarray(mass, dtype=np.float64)[..., None]
     L = v.shape[-1]
@@ -340,61 +317,6 @@ def _mass_operand(tape, mass):
     return np.asarray(mass, dtype=np.float64), None
 
 
-def project_simplex_soft(v: Var, mass, sharpness: float = DEFAULT_SHARPNESS) -> Var:
-    """Differentiable surrogate of the simplex projection, as one tape node.
-
-    Follows the sorted-pivot method but replaces its two discrete choices
-    with smooth stand-ins: the positivity test of each pivot candidate goes
-    through a softsign, and the argmax over candidates through a softmax of
-    index-weighted scores.  ``sharpness`` scales both, and the surrogate
-    approaches the exact projection as it grows.
-
-    ``mass`` may be a float or a scalar node; in the latter case gradients
-    flow into whatever produced the mass budget.
-    """
-    if not isinstance(mass, Var) and np.any(np.asarray(mass) <= 0):
-        raise InfeasibleSpecError(f"simplex mass must be positive, got {mass}")
-    m, mass_node = _mass_operand(v.tape, mass)
-    sharpness = float(sharpness)
-    out, saved = _simplex_soft_forward(v.value, m, sharpness)
-
-    def bwd(g):
-        _simplex_soft_vjp(saved, sharpness, g, v.adjoint,
-                          None if mass_node is None else mass_node.adjoint)
-
-    return Var(v.tape, out, bwd)
-
-
-def project_capped_dykstra(
-    v,
-    spec: CappedSimplexSpec,
-    rounds: int = DEFAULT_ROUNDS,
-    sharpness: float = DEFAULT_SHARPNESS,
-    mode: str = "soft",
-) -> ProjectionResult:
-    """Project onto the capped simplex by alternating two easy projections.
-
-    Each round applies the upper-box clamp and then the scaled-simplex
-    projection, with Dykstra correction terms carried between rounds so the
-    alternation converges to the intersection projection rather than to an
-    arbitrary feasible point.
-
-    ``mode='exact'`` runs on plain arrays with exact sub-projections.
-    ``mode='soft'`` uses the soft simplex surrogate and records all rounds
-    on the tape of ``v`` as one node, whose backward pass returns the
-    gradients of the whole alternation, correction terms included.
-    """
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    if mode == "exact":
-        return _dykstra_exact(np.asarray(v, dtype=np.float64), spec, rounds)
-    if mode == "soft":
-        if not isinstance(v, Var):
-            raise TypeError("soft mode projects a tape node")
-        return _dykstra_soft(v, spec, rounds, float(sharpness))
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def _dykstra(y: np.ndarray, rounds: int, first, second) -> np.ndarray:
     """Dykstra's alternation from ``y``: each round projects with ``first``
     and then ``second``, each step correcting its input by the residual it
@@ -408,17 +330,24 @@ def _dykstra(y: np.ndarray, rounds: int, first, second) -> np.ndarray:
     return y
 
 
-def _dykstra_exact(v: np.ndarray, spec: CappedSimplexSpec, rounds: int):
-    if v.ndim != 1 or v.size != spec.dim:
-        raise ValueError(f"expected a vector of length {spec.dim}")
-    mass = spec.mass_value
-    if mass == 0.0:
-        return ProjectionResult(np.zeros_like(v), mass)
-    y = _dykstra(v, rounds, project_box_upper, lambda x: project_simplex_exact(x, mass))
-    return ProjectionResult(y, mass)
+def project_capped_dykstra(
+    v: Var,
+    spec: CappedSimplexSpec,
+    rounds: int = DEFAULT_ROUNDS,
+    sharpness: float = DEFAULT_SHARPNESS,
+) -> ProjectionResult:
+    """Project onto the capped simplex by alternating two easy projections.
 
-
-def _dykstra_soft(v: Var, spec, rounds, sharpness):
+    Each round clamps into { y <= 1 } and then applies the soft simplex
+    surrogate, with Dykstra correction terms carried between rounds so the
+    alternation heads for the intersection projection rather than for an
+    arbitrary feasible point.  All rounds are recorded on the tape of ``v``
+    as one node, whose backward pass returns the gradients of the whole
+    alternation, correction terms included.
+    """
+    if rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    sharpness = float(sharpness)
     m, mass_node = _mass_operand(v.tape, spec.mass)
     # a zero budget's only feasible point is the origin: such rows give
     # zeros and pass no gradient
@@ -428,7 +357,7 @@ def _dykstra_soft(v: Var, spec, rounds, sharpness):
 
     def box(yp):
         insides.append((yp < 1.0).astype(np.float64))
-        return project_box_upper(yp)
+        return np.minimum(yp, 1.0)
 
     def simplex(tq):
         y, inner = _simplex_soft_forward(tq, m, sharpness)

@@ -121,26 +121,14 @@ class AdaGrad:
 # losses
 
 
-def _check_target(target, shape: tuple) -> np.ndarray:
-    target = np.asarray(target, dtype=np.float64)
-    if target.shape != shape:
-        raise ValueError(f"target shape {target.shape} does not match {shape}")
-    if not np.all((target == 0.0) | (target == 1.0)):
-        raise ValueError("target must be binary")
-    return target
-
-
-def soft_f1_loss(y: Var, target) -> Var:
+def soft_f1_loss(y: Var, target: np.ndarray) -> Var:
     """Negative soft overlap score -2 y.t / sum(y + t), in [-1, 0], per row.
 
-    Reaches -1 exactly when y equals a nonempty binary target.  When both
-    the relaxed state and the target are identically zero the loss is the
-    constant 0 (agreement on the empty set, no gradient).
+    ``target`` is a binary array of the shape of ``y``.  Reaches -1 exactly
+    when y equals a nonempty binary target.  When both the relaxed state and
+    the target are identically zero the loss is the constant 0 (agreement on
+    the empty set, no gradient).
     """
-    return _soft_f1(y, _check_target(target, y.shape))
-
-
-def _soft_f1(y: Var, target: np.ndarray) -> Var:
     t_sum = target.sum(axis=-1)
     # a row where both are empty divides its zero overlap by one
     empty = (t_sum == 0.0) & ~np.any(y.value, axis=-1)
@@ -149,13 +137,9 @@ def _soft_f1(y: Var, target: np.ndarray) -> Var:
     return dg.div(dg.scale(overlap, -2.0), total)
 
 
-def binary_cross_entropy(y: Var, target) -> Var:
-    """Mean label-wise cross entropy per row, probabilities clamped away
-    from {0, 1}."""
-    return _cross_entropy(y, _check_target(target, y.shape))
-
-
-def _cross_entropy(y: Var, target: np.ndarray) -> Var:
+def binary_cross_entropy(y: Var, target: np.ndarray) -> Var:
+    """Mean label-wise cross entropy per row against a binary ``target`` of
+    the shape of ``y``, probabilities clamped away from {0, 1}."""
     eps = 1e-7
     p = dg.clip(y, lo=eps, hi=1.0 - eps)
     pos = dg.mul(y.tape.constant(target), dg.log(p))
@@ -163,24 +147,20 @@ def _cross_entropy(y: Var, target: np.ndarray) -> Var:
     return dg.scale(dg.vsum(dg.add(pos, neg)), -1.0 / target.shape[-1])
 
 
-_STEP_LOSSES = {"soft_f1": _soft_f1, "cross_entropy": _cross_entropy}
+_STEP_LOSSES = {"soft_f1": soft_f1_loss, "cross_entropy": binary_cross_entropy}
 
 
-def weighted_trajectory_loss(trajectory: inf.Trajectory, target, loss_config: LossConfig) -> Var:
+def weighted_trajectory_loss(trajectory: inf.Trajectory, target: np.ndarray,
+                             loss_config: LossConfig) -> Var:
     """Mean per-state loss, discounted toward early ascent states.
 
     State t of T contributes with weight 1 / (T * (T - t + 1)), so the
     final state carries the largest share.  The initialization (state 0)
-    is not scored; a trajectory without ascent states is an error.  The
-    target is checked once, not once per state.
+    is not scored; a trajectory without ascent states is an error.
     """
     states = trajectory.states[1:]
     if not states:
         raise ValueError("trajectory has no ascent states to score")
-    return _trajectory_loss(states, _check_target(target, states[0].shape), loss_config)
-
-
-def _trajectory_loss(states: list, target: np.ndarray, loss_config: LossConfig) -> Var:
     step_loss = _STEP_LOSSES[loss_config.single_step]
     horizon = len(states)
     total = None
@@ -207,7 +187,8 @@ def example_loss(tm: md.TapedModel, example, target,
 
     ``example`` is one ``data.Example`` with a target vector, which gives a
     0-d loss, or a ``data.Batch`` with its (B, L) targets, which gives one
-    loss per row on one tape.  With zero ascent steps the single-step loss
+    loss per row on one tape.  This is where a target is checked: it must
+    be binary and of the shape the labels give.  With zero ascent steps the single-step loss
     is applied directly to the initial relaxed state, which turns the model
     into a plain feedforward label scorer (the unconstrained baseline).
     The top-z variant produces a single decoded state, so it is scored the
@@ -217,13 +198,18 @@ def example_loss(tm: md.TapedModel, example, target,
     """
     indptr = example.indptr if isinstance(example, dt.Batch) else None
     rows = (len(example),) if indptr is not None else ()
-    target = _check_target(target, rows + (tm.config.label_count,))
+    target = np.asarray(target, dtype=np.float64)
+    if target.shape != rows + (tm.config.label_count,):
+        raise ValueError(f"target shape {target.shape} does not match "
+                         f"{rows + (tm.config.label_count,)}")
+    if not np.all((target == 0.0) | (target == 1.0)):
+        raise ValueError("target must be binary")
     traj = inf.run_inference(tm, example.feature_indices, example.feature_values,
                              inference_config, indptr=indptr)
     if inference_config.steps == 0 or inference_config.variant == "topz":
         loss = _STEP_LOSSES[loss_config.single_step](traj.final(), target)
     else:
-        loss = _trajectory_loss(traj.states[1:], target, loss_config)
+        loss = weighted_trajectory_loss(traj, target, loss_config)
     if loss_config.aux_cardinality_weight > 0.0:
         count = np.minimum(target.sum(axis=-1), tm.config.max_cardinality)
         aux = cardinality_cross_entropy(traj.cardinality_logits, count)
@@ -456,11 +442,13 @@ def gradcheck(model: md.ScoreModel, example: dt.Example, target,
 
     Each parameter moves by 1e-5 either way.  The per-buffer metric is
     max|analytic - fd| / max(max|fd|, 1e-8), so buffers with vanishing
-    gradients are compared at absolute scale.
+    gradients are compared at absolute scale.  ``topz`` decodes without a
+    relaxed trajectory, so nothing it returns has a gradient to check.
     """
+    if inference_config.variant == "topz":
+        raise ValueError("topz inference has no relaxed trajectory to differentiate")
     step = 1e-5
     model = model.copy()
-    target = _check_target(target, (model.config.label_count,))
 
     def loss_value() -> float:
         tape = Tape()

@@ -1,0 +1,112 @@
+"""Reference implementations that the tests check shipped code against.
+
+No program path calls any of these.  Each is either an independent route to
+what a shipped operator computes (a long scalar bisection for the capped
+projection, Dykstra's alternation with exact steps), or the composed form
+of a fused node, built from ``diffgraph`` ops node by node, which the fused
+node must match bit for bit (the global potential and the bucket score,
+whose gradients ship as fused nodes, and the sort and running sums of the
+soft simplex surrogate).  ``project_simplex_soft`` alone wraps shipped
+code: the soft simplex step of ``project_capped_dykstra`` as a node of its
+own, so that step can be tested apart from the alternation.
+"""
+
+import numpy as np
+
+from cardproj import diffgraph as dg
+from cardproj import projections as pj
+from cardproj.diffgraph import Var
+
+
+def sort_desc(x: Var) -> tuple[Var, np.ndarray]:
+    """Sort each row descending; returns the sorted node and the permutation.
+
+    ``perm[..., i]`` is the source index of output position ``i``.  Ties keep
+    the lower source index first.  The backward pass scatters the adjoint
+    back through the permutation, so gradients follow whichever coordinate
+    produced each sorted position.
+    """
+    if x.value.ndim == 0:
+        raise ValueError("sort_desc requires rows")
+    perm = np.argsort(-x.value, axis=-1, kind="stable")
+
+    def bwd(g):
+        back = np.empty_like(g)
+        np.put_along_axis(back, perm, g, axis=-1)
+        x.adjoint += back
+
+    return Var(x.tape, np.take_along_axis(x.value, perm, axis=-1), bwd), perm
+
+
+def cumsum(x: Var) -> Var:
+    """Running sums along each row."""
+
+    def bwd(g):
+        x.adjoint += np.cumsum(g[..., ::-1], axis=-1)[..., ::-1]
+
+    return Var(x.tape, np.cumsum(x.value, axis=-1), bwd)
+
+
+def global_score(tm, y: Var) -> Var:
+    """The global potential w2 . relu(W1 y + b1) + b2 of each row, whose
+    gradient ``model.grad_global_score`` computes."""
+    p = tm.vars
+    hidden = dg.relu(dg.add(dg.matvec(p["global.w1"], y), p["global.b1"]))
+    return dg.add(dg.dot(p["global.w2"], hidden), p["global.b2"])
+
+
+def sc_cardinality_score(tm, y: Var) -> Var:
+    """Weighted soft bucket score sum_k w_k I_k (1 - I_{k+1}), composed node
+    by node: the graph whose gradient and adjoints ``model.grad_sc_score``
+    reproduces as one node."""
+    w = tm.vars["sc.weights"]
+    z = tm.config.max_cardinality
+    total = dg.vsum(y)
+    ind = [dg.sigmoid(dg.shift(total, -float(k))) for k in range(1, z + 2)]
+    score = None
+    for k in range(1, z + 1):
+        term = dg.mul(dg.mul(dg.pick(w, k - 1), ind[k - 1]), dg.shift(dg.neg(ind[k]), 1.0))
+        score = term if score is None else dg.add(score, term)
+    return score
+
+
+def project_capped_bisection(v: np.ndarray, spec: pj.CappedSimplexSpec) -> np.ndarray:
+    """Bisect the threshold until the mass budget is met: a deliberately
+    naive cross-check of ``project_capped_exact``."""
+    v = np.asarray(v, dtype=np.float64)
+    mass = spec.mass_value
+    lo, hi = float(v.min() - 1.0), float(v.max())
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.clip(v - mid, 0.0, 1.0).sum() >= mass:
+            lo = mid
+        else:
+            hi = mid
+    return np.clip(v - 0.5 * (lo + hi), 0.0, 1.0)
+
+
+def project_capped_dykstra_exact(v: np.ndarray, spec: pj.CappedSimplexSpec,
+                                 rounds: int) -> pj.ProjectionResult:
+    """The shipped alternation with exact steps: the clamp into { y <= 1 }
+    and the exact scaled-simplex projection.  It converges to the capped
+    projection as the rounds grow; the budget must be positive."""
+    mass = spec.mass_value
+    y = pj._dykstra(np.asarray(v, dtype=np.float64), rounds, lambda x: np.minimum(x, 1.0),
+                    lambda x: pj.project_simplex_exact(x, mass))
+    return pj.ProjectionResult(y, mass)
+
+
+def project_simplex_soft(v: Var, mass, sharpness: float = pj.DEFAULT_SHARPNESS) -> Var:
+    """The shipped soft simplex surrogate as one tape node.
+
+    ``mass`` is a float or a node on the tape of ``v``, and gradients reach
+    it through the same VJP that soft Dykstra runs each round.
+    """
+    m, mass_node = pj._mass_operand(v.tape, mass)
+    out, saved = pj._simplex_soft_forward(v.value, m, sharpness)
+
+    def bwd(g):
+        pj._simplex_soft_vjp(saved, sharpness, g, v.adjoint,
+                             None if mass_node is None else mass_node.adjoint)
+
+    return Var(v.tape, out, bwd)

@@ -79,6 +79,9 @@ class TestRunConfig:
         assert cfg.seed == 0
         assert cfg.inference.variant == "pc"
         assert cfg.optimizer.epochs == 20
+        assert cfg.optimizer.learning_rate == 0.1
+        assert cfg.inference.momentum == 0.9
+        assert cfg.model.feature_hidden == 150
         assert cfg.data.fractions == (0.8, 0.1, 0.1)
 
     def test_file_values_and_overrides(self, tmp_path):
@@ -94,21 +97,6 @@ class TestRunConfig:
     def test_string_override_needs_no_quotes(self):
         cfg = cli.load_run_config(overrides=["inference.variant=sc"])
         assert cfg.inference.variant == "sc"
-
-    def test_canonical_round_trip(self, tmp_path):
-        first = cli.load_run_config(overrides=["inference.steps=4", "data.modulus=6"])
-        path = tmp_path / "canon.json"
-        path.write_text(cli.serialize_run_config(first))
-        second = cli.load_run_config(path)
-        assert first == second
-        assert cli.serialize_run_config(second) == path.read_text()
-
-    def test_canonical_dict_materializes_defaults(self):
-        doc = cli.canonical_dict(cli.load_run_config())
-        assert doc["optimizer"]["learning_rate"] == 0.1
-        assert doc["inference"]["momentum"] == 0.9
-        assert doc["model"]["feature_hidden"] == 150
-        assert doc["data"]["fractions"] == [0.8, 0.1, 0.1]
 
     @pytest.mark.parametrize(
         "raw, pattern",
@@ -341,6 +329,20 @@ class TestTrainCommand:
             logs.append(metrics.read_text())
         assert logs[0] == logs[1]
 
+    def test_checkpoint_lands_at_the_given_path(self, tmp_path, capsys):
+        # a path without the .npz suffix is written as given, and eval finds it
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(TINY_CONFIG))
+        checkpoint = tmp_path / "x.ckpt"
+        assert cli.main([
+            "train", "--config", str(config), "--checkpoint", str(checkpoint),
+            "--metrics", str(tmp_path / "m.log"), "--set", "optimizer.epochs=1",
+        ]) == 0
+        assert f"checkpoint={checkpoint}\n" in capsys.readouterr().out
+        assert checkpoint.exists()
+        assert not (tmp_path / "x.ckpt.npz").exists()
+        assert cli.main(["eval", "--config", str(config), "--checkpoint", str(checkpoint)]) == 0
+
     def test_zero_epochs_checkpoint_equals_initialization(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(TINY_CONFIG))
@@ -542,6 +544,13 @@ class TestGradcheckCommand:
         # a nan tolerance would let every gradient pass
         assert cli.main(["gradcheck", "--tolerance", "nan"]) == 1
         assert capsys.readouterr().err == "error: --tolerance must be a number >= 0, got nan\n"
+
+    def test_topz_variant_exits_one(self, capsys):
+        assert cli.main(["gradcheck", "--set", "inference.variant=topz"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: topz inference has no relaxed trajectory to differentiate\n")
 
     def test_corrupted_backward_exits_nonzero(self, capsys, monkeypatch):
         original = md.grad_global_score

@@ -522,38 +522,37 @@ class TestEvalF1:
 
 
 class TestEvalCardinalityMse:
+    """The cardinality errors ``cardproj eval`` prints: the head's MSE, taken
+    inline as ``training.evaluate`` takes it, against the two references."""
+
     def test_exact_predictor_is_zero(self):
-        mse_h, _, _ = dt.eval_cardinality_mse([1.0, 3.0], [1, 3])
-        assert mse_h == 0.0
+        counts, targets = np.array([1.0, 3.0]), np.array([1.0, 3.0])
+        assert float(np.mean((counts - targets) ** 2)) == 0.0
 
     def test_constant_baseline_worked_example(self):
-        _, mse_const, _ = dt.eval_cardinality_mse([0.0, 0.0], [1, 3])
+        mse_const, _ = dt.reference_cardinality_mse([1, 3])
         assert mse_const == pytest.approx(1.0)
 
     def test_constant_baseline_is_variance(self):
         rng = np.random.default_rng(3)
         targets = rng.integers(1, 9, size=50).astype(float)
-        _, mse_const, _ = dt.eval_cardinality_mse(np.zeros(50), targets)
+        mse_const, _ = dt.reference_cardinality_mse(targets)
         assert mse_const == pytest.approx(np.var(targets))
 
     def test_random_baseline_seeded(self):
-        a = dt.eval_cardinality_mse([2.0, 2.0], [1, 3], seed=5)
-        b = dt.eval_cardinality_mse([2.0, 2.0], [1, 3], seed=5)
+        a = dt.reference_cardinality_mse([1, 3], seed=5)
+        b = dt.reference_cardinality_mse([1, 3], seed=5)
         assert a == b
 
     def test_random_baseline_uses_reference_range(self):
         # reference range is a single value: random baseline predicts it
-        _, _, mse_rand = dt.eval_cardinality_mse(
-            [0.0, 0.0], [4.0, 4.0], train_targets=[4, 4], seed=0
-        )
+        _, mse_rand = dt.reference_cardinality_mse([4.0, 4.0], train_targets=[4, 4], seed=0)
         assert mse_rand == 0.0
 
     def test_explicit_train_targets_shift_constant(self):
-        _, mse_const, _ = dt.eval_cardinality_mse(
-            [0.0, 0.0], [1.0, 3.0], train_targets=[5, 5]
-        )
+        mse_const, _ = dt.reference_cardinality_mse([1.0, 3.0], train_targets=[5, 5])
         assert mse_const == pytest.approx(((5 - 1) ** 2 + (5 - 3) ** 2) / 2)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="equal-length"):
-            dt.eval_cardinality_mse([1.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="empty reference"):
+            dt.reference_cardinality_mse([1.0, 2.0], train_targets=[])

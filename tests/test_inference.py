@@ -17,6 +17,8 @@ from cardproj import inference as inf
 from cardproj import model as md
 from cardproj.projections import InfeasibleSpecError
 
+import oracles
+
 FD_STEP = 1e-5
 
 
@@ -341,7 +343,7 @@ class TestUnrolledPgd:
             traj = inf.run_inference(tm, idx, vals, icfg)
             c = md.unary_scores(tm, idx, vals)
             scores = [
-                float(np.dot(c.value, y.value)) + float(md.global_score(tm, y).value)
+                float(np.dot(c.value, y.value)) + float(oracles.global_score(tm, y).value)
                 for y in traj.states[1:]
             ]
             for earlier, later in zip(scores, scores[1:]):

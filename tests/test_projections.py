@@ -17,6 +17,8 @@ from cardproj import diffgraph as dg
 from cardproj import projections as pj
 from cardproj.projections import CappedSimplexSpec, InfeasibleSpecError
 
+import oracles
+
 
 def simplex_bisection_oracle(v, mass, iterations=200):
     """Independent simplex oracle: bisect theta until sum(max(v-theta,0)) = mass."""
@@ -97,6 +99,16 @@ class TestCappedExact:
         with pytest.raises(InfeasibleSpecError):
             CappedSimplexSpec(3, -0.5)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_mass_rejected_in_every_form(self, bad):
+        # the one gate in front of every projection a budget reaches: a float,
+        # one mass per row, or a node (a constant, since a leaf is checked)
+        tape = dg.Tape()
+        for mass in (bad, np.array([1.0, bad]), tape.constant(bad),
+                     tape.constant([bad, 1.0])):
+            with pytest.raises(InfeasibleSpecError, match="outside"):
+                CappedSimplexSpec(3, mass)
+
     def test_real_valued_mass_accepted(self):
         out = pj.project_capped_exact(
             np.array([0.9, 0.1, 0.0]), CappedSimplexSpec(3, 1.5)
@@ -144,7 +156,7 @@ class TestCappedExact:
         spec = CappedSimplexSpec(v.size, z)
         np.testing.assert_allclose(
             pj.project_capped_exact(v, spec),
-            pj.project_capped_bisection(v, spec),
+            oracles.project_capped_bisection(v, spec),
             atol=1e-8,
         )
 
@@ -164,7 +176,7 @@ class TestCappedExact:
                     spec = CappedSimplexSpec(L, z)
                     np.testing.assert_allclose(
                         pj.project_capped_exact(v, spec),
-                        pj.project_capped_bisection(v, spec),
+                        oracles.project_capped_bisection(v, spec),
                         atol=1e-8,
                     )
 
@@ -184,23 +196,18 @@ class TestCappedExact:
 class TestSimplexSoft:
     def test_uniform_input_at_high_sharpness(self):
         tape = dg.Tape()
-        out = pj.project_simplex_soft(tape.leaf([0.5, 0.5, 0.5]), 1.0, 1000.0)
+        out = oracles.project_simplex_soft(tape.leaf([0.5, 0.5, 0.5]), 1.0, 1000.0)
         np.testing.assert_allclose(out.value, [1 / 3, 1 / 3, 1 / 3], atol=1e-3)
 
     def test_feasible_interior_point_is_nearly_fixed(self):
         tape = dg.Tape()
-        out = pj.project_simplex_soft(tape.leaf([0.5, 0.3, 0.2]), 1.0, 1000.0)
+        out = oracles.project_simplex_soft(tape.leaf([0.5, 0.3, 0.2]), 1.0, 1000.0)
         np.testing.assert_allclose(out.value, [0.5, 0.3, 0.2], atol=1e-3)
 
     def test_dominant_coordinate_example(self):
         tape = dg.Tape()
-        out = pj.project_simplex_soft(tape.leaf([2.0, 1.0, 0.1]), 1.0, 50.0)
+        out = oracles.project_simplex_soft(tape.leaf([2.0, 1.0, 0.1]), 1.0, 50.0)
         np.testing.assert_allclose(out.value, [1.0, 0.0, 0.0], atol=1e-2)
-
-    def test_rejects_nonpositive_mass(self):
-        tape = dg.Tape()
-        with pytest.raises(InfeasibleSpecError):
-            pj.project_simplex_soft(tape.leaf([1.0, 0.0]), 0.0)
 
     def test_deviation_from_exact_non_increasing_in_sharpness(self):
         rng = np.random.default_rng(4)
@@ -215,7 +222,7 @@ class TestSimplexSoft:
             worst = 0.0
             for v, z in cases:
                 tape = dg.Tape()
-                soft = pj.project_simplex_soft(tape.leaf(v), z, tau).value
+                soft = oracles.project_simplex_soft(tape.leaf(v), z, tau).value
                 worst = max(worst, np.abs(soft - pj.project_simplex_exact(v, z)).max())
             devs.append(worst)
         assert devs[0] >= devs[1] >= devs[2]
@@ -230,7 +237,7 @@ class TestSimplexSoft:
             z = float(rng.integers(1, 6))
             tape = dg.Tape()
             x = tape.leaf(v)
-            out = pj.project_simplex_soft(x, z, 10.0)
+            out = oracles.project_simplex_soft(x, z, 10.0)
             j = int(np.argmax(out.value))
             theta = v[j] - out.value[j]
             if min(np.abs(v - theta).min(), np.abs(np.diff(np.sort(v))).min()) < 5e-3:
@@ -240,7 +247,7 @@ class TestSimplexSoft:
 
             def f(u):
                 t2 = dg.Tape()
-                return float(pj.project_simplex_soft(t2.leaf(u), z, 10.0).value.sum())
+                return float(oracles.project_simplex_soft(t2.leaf(u), z, 10.0).value.sum())
 
             want = np.array(
                 [
@@ -258,30 +265,23 @@ class TestSimplexSoft:
         tape = dg.Tape()
         v = tape.leaf([0.9, 0.4, 0.1])
         mass = tape.leaf(1.0)
-        out = pj.project_simplex_soft(v, mass, 50.0)
+        out = oracles.project_simplex_soft(v, mass, 50.0)
         tape.backward(dg.vsum(out))
         # pushing the budget up must raise the output mass
         assert float(mass.adjoint) > 0.5
 
 
-class TestBoxUpper:
-    def test_array_form(self):
-        np.testing.assert_array_equal(
-            pj.project_box_upper(np.array([0.5, 1.5, -2.0])), [0.5, 1.0, -2.0]
-        )
-
-
 class TestDykstra:
     def test_feasible_point_is_fixed(self):
-        res = pj.project_capped_dykstra(
-            np.array([0.5, 0.5, 1.0]), CappedSimplexSpec(3, 2.0), rounds=2, mode="exact"
+        res = oracles.project_capped_dykstra_exact(
+            np.array([0.5, 0.5, 1.0]), CappedSimplexSpec(3, 2.0), rounds=2
         )
         np.testing.assert_allclose(res.values(), [0.5, 0.5, 1.0], atol=1e-12)
         assert res.residual_sum < 1e-12 and res.residual_box < 1e-12
 
     def test_worked_example_converges(self):
-        res = pj.project_capped_dykstra(
-            np.array([1.5, 0.8, -0.2]), CappedSimplexSpec(3, 2.0), rounds=50, mode="exact"
+        res = oracles.project_capped_dykstra_exact(
+            np.array([1.5, 0.8, -0.2]), CappedSimplexSpec(3, 2.0), rounds=50
         )
         np.testing.assert_allclose(res.values(), [1.0, 1.0, 0.0], atol=1e-6)
 
@@ -290,21 +290,21 @@ class TestDykstra:
         for _ in range(200):
             v = rng.standard_normal(8) * 2.0
             spec = CappedSimplexSpec(8, 3.0)
-            res = pj.project_capped_dykstra(v, spec, rounds=50, mode="exact")
+            res = oracles.project_capped_dykstra_exact(v, spec, rounds=50)
             np.testing.assert_allclose(
                 res.values(), pj.project_capped_exact(v, spec), atol=1e-4
             )
 
     def test_zero_mass_short_circuits(self):
         res = pj.project_capped_dykstra(
-            np.array([0.3, -0.3]), CappedSimplexSpec(2, 0.0), rounds=2, mode="exact"
+            dg.Tape().leaf([0.3, -0.3]), CappedSimplexSpec(2, 0.0), rounds=2
         )
         np.testing.assert_array_equal(res.values(), [0.0, 0.0])
 
     def test_rejects_bad_rounds(self):
         with pytest.raises(ValueError):
             pj.project_capped_dykstra(
-                np.array([0.5, 0.5]), CappedSimplexSpec(2, 1.0), rounds=0, mode="exact"
+                dg.Tape().leaf([0.5, 0.5]), CappedSimplexSpec(2, 1.0), rounds=0
             )
 
     def test_soft_mode_runs_on_tape_and_is_nearly_feasible(self):
@@ -318,7 +318,7 @@ class TestDykstra:
             v = base + rng.standard_normal(10) * 0.1
             tape = dg.Tape()
             res = pj.project_capped_dykstra(
-                tape.leaf(v), spec, rounds=2, sharpness=10.0, mode="soft"
+                tape.leaf(v), spec, rounds=2, sharpness=10.0
             )
             assert res.residual_sum < 0.1
             assert res.residual_box < 0.05
@@ -332,12 +332,12 @@ class TestDykstra:
 
         def f(u):
             tape = dg.Tape()
-            res = pj.project_capped_dykstra(tape.leaf(u), spec, 2, 10.0, "soft")
+            res = pj.project_capped_dykstra(tape.leaf(u), spec, 2, 10.0)
             return float(np.dot(w, res.y.value))
 
         tape = dg.Tape()
         x = tape.leaf(v)
-        res = pj.project_capped_dykstra(x, spec, 2, 10.0, "soft")
+        res = pj.project_capped_dykstra(x, spec, 2, 10.0)
         tape.backward(dg.dot(res.y, tape.constant(w)))
         step = 1e-5
         want = np.array(
@@ -362,8 +362,8 @@ def composed_simplex_soft(v, mass, sharpness):
     if not isinstance(mass, dg.Var):
         mass = tape.constant(float(mass))
     idx = tape.constant(np.arange(1, len(v) + 1, dtype=np.float64))
-    mu, _ = dg.sort_desc(v)
-    cssv = dg.cumsum(mu)
+    mu, _ = oracles.sort_desc(v)
+    cssv = oracles.cumsum(mu)
     margin = dg.sub(dg.mul(mu, idx), dg.sub(cssv, mass))
     sign = softsign(dg.scale(margin, sharpness))
     weights = dg.softmax(dg.scale(dg.mul(sign, idx), sharpness))
@@ -424,12 +424,12 @@ class TestFusedSoftNode:
                 readout = rng.standard_normal(L)
                 self._assert_same(
                     lambda x, m: pj.project_capped_dykstra(
-                        x, CappedSimplexSpec(L, m), rounds, 20.0, "soft").y,
+                        x, CappedSimplexSpec(L, m), rounds, 20.0).y,
                     lambda x, m: composed_dykstra_soft(x, m, rounds, 20.0),
                     v, z, node_mass, readout,
                 )
                 self._assert_same(
-                    lambda x, m: pj.project_simplex_soft(x, m, 50.0),
+                    lambda x, m: oracles.project_simplex_soft(x, m, 50.0),
                     lambda x, m: composed_simplex_soft(x, m, 50.0),
                     v, z, node_mass, readout,
                 )
@@ -439,15 +439,15 @@ class TestFusedSoftNode:
         x = tape.leaf(np.linspace(-1.0, 2.0, 30))
         mass = tape.leaf(4.0)
         before = len(tape)
-        pj.project_capped_dykstra(x, CappedSimplexSpec(30, mass), 3, 20.0, "soft")
-        pj.project_simplex_soft(x, mass)
+        pj.project_capped_dykstra(x, CappedSimplexSpec(30, mass), 3, 20.0)
+        oracles.project_simplex_soft(x, mass)
         assert len(tape) == before + 2
 
     def test_mass_on_another_tape_rejected(self):
         x = dg.Tape().leaf([0.5, 0.2, 0.1])
         mass = dg.Tape().leaf(1.0)
         with pytest.raises(ValueError, match="different tapes"):
-            pj.project_simplex_soft(x, mass)
+            oracles.project_simplex_soft(x, mass)
 
     @pytest.mark.parametrize("L, z", [(159, 10.0), (983, 20.0)])
     def test_gradient_matches_fd_at_paper_label_counts(self, L, z):
@@ -461,13 +461,13 @@ class TestFusedSoftNode:
         def f(u, mass):
             tape = dg.Tape()
             res = pj.project_capped_dykstra(
-                tape.leaf(u), CappedSimplexSpec(L, mass), 2, 20.0, "soft")
+                tape.leaf(u), CappedSimplexSpec(L, mass), 2, 20.0)
             return float(np.dot(readout, res.y.value))
 
         tape = dg.Tape()
         x = tape.leaf(v)
         mass = tape.leaf(z)
-        res = pj.project_capped_dykstra(x, CappedSimplexSpec(L, mass), 2, 20.0, "soft")
+        res = pj.project_capped_dykstra(x, CappedSimplexSpec(L, mass), 2, 20.0)
         tape.backward(dg.dot(res.y, tape.constant(readout)))
         step = 1e-6
         want = np.array(

@@ -194,12 +194,18 @@ class TestSoftF1Loss:
             np.testing.assert_allclose(got, fd, rtol=1e-5, atol=1e-8)
 
     def test_validation(self):
-        tape = Tape()
-        y = tape.leaf(np.array([0.5, 0.5]))
+        # example_loss checks a target once for every loss it feeds; the
+        # losses themselves take it as checked
+        model = md.ScoreModel(tiny_config(seed=3))
+        ds = tiny_dataset(4, seed=1)
+        tm = md.TapedModel(model, Tape())
+        labels = model.config.label_count
         with pytest.raises(ValueError, match="shape"):
-            tr.soft_f1_loss(y, np.ones(3))
+            tr.example_loss(tm, ds.examples[0], np.ones(labels + 1), quick_inference(),
+                            tr.LossConfig())
         with pytest.raises(ValueError, match="binary"):
-            tr.soft_f1_loss(y, np.array([0.5, 0.5]))
+            tr.example_loss(tm, ds.examples[0], np.full(labels, 0.5), quick_inference(),
+                            tr.LossConfig())
 
 
 class TestBinaryCrossEntropy:
@@ -810,6 +816,14 @@ class TestGradCheck:
         monkeypatch.setattr(md, "grad_global_score", corrupted)
         report = tr.gradcheck(model, ds.examples[0], ds.target(0), quick_inference())
         assert report.max_rel_error > 1e-1
+
+    def test_topz_variant_rejected(self):
+        # topz decodes without a relaxed trajectory: most buffers would
+        # compare a zero gradient with a zero difference
+        model = md.ScoreModel(tiny_config(seed=14))
+        ds = tiny_dataset(2, seed=13)
+        with pytest.raises(ValueError, match="topz"):
+            tr.gradcheck(model, ds.examples[0], ds.target(0), quick_inference(variant="topz"))
 
     def test_report_lines_name_every_buffer(self):
         model = md.ScoreModel(tiny_config(seed=17))
