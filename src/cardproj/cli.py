@@ -200,6 +200,8 @@ def _resolve_datasets(cfg: RunConfig) -> dict:
         if not os.path.exists(dc.path):
             raise ConfigError(f"data.path: no such file: {dc.path}")
         full = dt.load_sparse_multilabel(dc.path, dc.label_count, dc.input_dim)
+        if len(full) == 0:
+            raise ConfigError(f"data.path: {dc.path} holds no examples")
     else:
         full = dt.generate_synthetic(
             dc.synthetic_examples,
@@ -440,7 +442,7 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError("data.fractions leave the train split empty")
     model = md.ScoreModel(_model_config(cfg, train_set))
     report = tr.gradcheck(
-        model, train_set.examples[0], train_set.target(0), cfg.inference, cfg.loss
+        model, train_set.batch([0]), train_set.target(0), cfg.inference, cfg.loss
     )
     for line in report.lines():
         print(line)

@@ -3,10 +3,11 @@
 The on-disk corpus format is the svmlight-style multi-label text layout:
 one example per line, a comma-separated label list (possibly empty, marked
 by a leading space) followed by whitespace-separated ``index:value``
-feature pairs.  A corpus is held as CSR arrays, the layout minibatches
-use, and is checked once where it enters the program: by the loader, the
-synthetic generator, or :meth:`Dataset.from_examples`.  Splits and batches
-gather rows of a checked corpus and check nothing again.  The synthetic
+feature pairs.  One container, :class:`Dataset`, holds rows as CSR arrays:
+a corpus, a split, a minibatch and a single example alike.  A corpus is
+checked once where it enters the program, by the loader or the synthetic
+generator; splits, minibatches and examples are rows gathered or viewed
+from a checked corpus and check nothing again.  The synthetic
 generator plants a recoverable cardinality signal: the label-set size is a
 deterministic function of how many distinct words an example activates,
 and the label identities come from a fixed random linear map, so both the
@@ -25,9 +26,7 @@ from . import fields as fl
 
 __all__ = [
     "DataFormatError",
-    "Example",
     "Dataset",
-    "Batch",
     "load_sparse_multilabel",
     "save_sparse_multilabel",
     "generate_synthetic",
@@ -40,47 +39,6 @@ __all__ = [
 
 class DataFormatError(ValueError):
     """A corpus line that cannot be parsed, with its location."""
-
-
-@dataclass
-class Example:
-    """One sparse input with its active label set.
-
-    Feature indices are kept sorted and must be unique; values float64.
-    ``labels`` holds the sorted indices of active labels.
-    """
-
-    feature_indices: np.ndarray
-    feature_values: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.feature_indices, dtype=np.intp)
-        vals = np.asarray(self.feature_values, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.intp)
-        if idx.ndim != 1 or vals.ndim != 1 or labels.ndim != 1:
-            raise ValueError("example fields must be vectors")
-        if idx.shape != vals.shape:
-            raise ValueError("feature indices and values differ in length")
-        order = np.argsort(idx)
-        idx, vals, labels = idx[order], vals[order], np.sort(labels)
-        # the corpus rules, on a corpus of this one row
-        fault = _first_fault(_offsets([idx.size]), idx, vals, _offsets([labels.size]),
-                             labels, None, None)
-        if fault is not None:
-            raise ValueError(fault[1])
-        self.feature_indices, self.feature_values, self.labels = idx, vals, labels
-
-    @classmethod
-    def _view(cls, feature_indices, feature_values, labels) -> "Example":
-        """An example over arrays a dataset has already checked, unchanged."""
-        ex = object.__new__(cls)
-        ex.feature_indices, ex.feature_values, ex.labels = (
-            feature_indices, feature_values, labels)
-        return ex
-
-    def cardinality(self) -> int:
-        return int(self.labels.size)
 
 
 def _offsets(sizes) -> np.ndarray:
@@ -99,15 +57,17 @@ def _gather(indptr: np.ndarray, rows: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """A corpus as CSR arrays, plus the feature/label dimensions it lives in.
+    """Rows as CSR arrays, plus the feature/label dimensions they live in: a
+    corpus, a split, a minibatch or one example.
 
     Row i has features ``feature_indices[indptr[i]:indptr[i + 1]]``, sorted
     and unique, with the matching float64 ``feature_values``, and the sorted,
     unique labels ``labels[label_indptr[i]:label_indptr[i + 1]]``.  Every
     index lies inside its dimension and every value is finite.  The
-    constructor checks only the dimensions: build a dataset with
-    :func:`load_sparse_multilabel`, :func:`generate_synthetic` or
-    :meth:`from_examples`, which check the rest once.  The arrays are made
+    constructor checks only the dimensions: a corpus comes from
+    :func:`load_sparse_multilabel` or :func:`generate_synthetic`, which
+    check the rest once, and every other dataset holds rows of a corpus
+    (:meth:`batch`, :func:`take`, :attr:`examples`).  The arrays are made
     read-only, so rows handed out as views stay valid.
     """
 
@@ -126,37 +86,17 @@ class Dataset:
                     self.label_indptr, self.labels):
             arr.flags.writeable = False
 
-    @classmethod
-    def from_examples(cls, examples, input_dim: int, label_count: int) -> "Dataset":
-        """Stack examples, each checked when built; an index past either
-        dimension is rejected with the example's position."""
-
-        def stacked(field, dtype):
-            return np.concatenate([np.empty(0, dtype)] + [getattr(ex, field) for ex in examples])
-
-        arrays = (
-            _offsets([ex.feature_indices.size for ex in examples]),
-            stacked("feature_indices", np.intp),
-            stacked("feature_values", np.float64),
-            _offsets([ex.labels.size for ex in examples]),
-            stacked("labels", np.intp),
-        )
-        fault = _first_fault(*arrays, input_dim, label_count)
-        if fault is not None:
-            raise ValueError(f"example {fault[0]}: {fault[1]}")
-        return cls(*arrays, input_dim, label_count)
-
     def __len__(self):
         return self.indptr.size - 1
 
     @cached_property
     def examples(self) -> tuple:
-        """Every row as an :class:`Example` of read-only views, built on first use."""
+        """Every row as a one-row dataset of read-only views, built on first use."""
         f, l = self.indptr.tolist(), self.label_indptr.tolist()
         return tuple(
-            Example._view(self.feature_indices[f[i] : f[i + 1]],
-                          self.feature_values[f[i] : f[i + 1]],
-                          self.labels[l[i] : l[i + 1]])
+            Dataset(_offsets([f[i + 1] - f[i]]), self.feature_indices[f[i] : f[i + 1]],
+                    self.feature_values[f[i] : f[i + 1]], _offsets([l[i + 1] - l[i]]),
+                    self.labels[l[i] : l[i + 1]], self.input_dim, self.label_count)
             for i in range(len(self))
         )
 
@@ -166,44 +106,24 @@ class Dataset:
         out[self.labels[self.label_indptr[i] : self.label_indptr[i + 1]]] = 1.0
         return out
 
+    def targets(self) -> np.ndarray:
+        """Dense binary label matrix, one row per example."""
+        out = np.zeros((len(self), self.label_count))
+        out[np.repeat(np.arange(len(self)), np.diff(self.label_indptr)), self.labels] = 1.0
+        return out
+
     def cardinalities(self) -> np.ndarray:
         return np.diff(self.label_indptr).astype(np.float64)
 
-    def _rows(self, rows: np.ndarray) -> "Dataset":
-        """The rows at positions ``rows``, in order, without any check."""
+    def batch(self, rows) -> "Dataset":
+        """The rows at positions ``rows``, in order, without any check: a
+        minibatch for one tape, or a split once :func:`take` has checked it."""
+        rows = np.asarray(rows, dtype=np.intp)
         indptr, at = _gather(self.indptr, rows)
         label_indptr, label_at = _gather(self.label_indptr, rows)
         return Dataset(indptr, self.feature_indices[at], self.feature_values[at],
                        label_indptr, self.labels[label_at], self.input_dim,
                        self.label_count)
-
-    def batch(self, rows) -> "Batch":
-        """The examples at positions ``rows``, stacked for one tape."""
-        rows = np.asarray(rows, dtype=np.intp)
-        part = self._rows(rows)
-        targets = np.zeros((rows.size, self.label_count))
-        targets[np.repeat(np.arange(rows.size), np.diff(part.label_indptr)), part.labels] = 1.0
-        return Batch(rows, part.indptr, part.feature_indices, part.feature_values, targets)
-
-
-@dataclass(frozen=True)
-class Batch:
-    """Examples of one dataset stacked as rows: CSR inputs, dense targets.
-
-    Row r holds the example at dataset position ``rows[r]``: its features
-    are ``feature_indices[indptr[r]:indptr[r + 1]]`` with the matching
-    ``feature_values``, and its binary label vector is ``targets[r]``.  The
-    dataset was checked when it was built, so a batch is not checked again.
-    """
-
-    rows: np.ndarray
-    indptr: np.ndarray
-    feature_indices: np.ndarray
-    feature_values: np.ndarray
-    targets: np.ndarray
-
-    def __len__(self):
-        return self.rows.size
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +158,7 @@ def _first_fault(indptr, feature_indices, feature_values, label_indptr, labels,
 
     Rows must be sorted within themselves.  The rules are tried in a fixed
     order, the dimensions last, which are skipped when None; the earliest
-    row wins, then the earliest rule.  An :class:`Example` checks its one
-    row here too.
+    row wins, then the earliest rule.
     """
     rules = [
         (indptr, feature_indices < 0, lambda row: "negative feature index"),
@@ -467,7 +386,7 @@ def take(dataset: Dataset, indices) -> Dataset:
             )
         if np.unique(indices).size != indices.size:
             raise ValueError("duplicate example indices")
-    return dataset._rows(indices)
+    return dataset.batch(indices)
 
 
 def split_dataset(dataset: Dataset, fractions=(0.8, 0.1, 0.1), seed: int = 0):

@@ -26,15 +26,16 @@ a bound tape is live; training updates them only between tapes.
 Every operation takes one example or a minibatch.  One example's sparse
 input is a pair (indices, values) and gives vectors; a minibatch is the
 same pair in CSR form plus its row pointer ``indptr`` and gives one row per
-example (see ``diffgraph.matvec_sparse``).  Inputs are validated once, where
-they enter the program (``data.load_sparse_multilabel``,
-``data.generate_synthetic``, ``data.Dataset.from_examples`` and
-``data.Example``); here only the index range is checked.
+example (see ``diffgraph.matvec_sparse``); both are the arrays of a
+``data.Dataset``.  Inputs are validated once, where a corpus enters the
+program (``data.load_sparse_multilabel`` and ``data.generate_synthetic``);
+here only the index range is checked.
 """
 
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -335,22 +336,34 @@ def save_model(model: ScoreModel, path) -> None:
 
 
 def load_model(path) -> ScoreModel:
-    with np.load(path, allow_pickle=False) as archive:
-        if "__meta__" not in archive:
-            raise ValueError(f"{path} is not a model checkpoint (missing metadata)")
-        meta = json.loads(str(archive["__meta__"]))
-        if meta.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(
-                f"unsupported checkpoint format {meta.get('format')!r}, "
-                f"expected {CHECKPOINT_FORMAT!r}"
-            )
-        config = ModelConfig(**meta["config"])
-        params = {}
-        for name, (shape, _) in _param_shapes(config).items():
-            if name not in archive:
-                raise ValueError(f"checkpoint missing parameter buffer {name}")
-            buf = np.asarray(archive[name], dtype=np.float64)
-            if buf.shape != shape:
-                raise ValueError(f"buffer {name} has shape {buf.shape}, expected {shape}")
-            params[name] = buf
-    return ScoreModel(config, params)
+    """Read a checkpoint written by :func:`save_model`.
+
+    A file that is not such a checkpoint, or whose metadata or buffers do
+    not make a valid model, raises a ``ValueError`` naming ``path``.
+    """
+    try:
+        # numpy leaves a file it opened itself open when it is not a zip
+        with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
+            if "__meta__" not in archive:
+                raise ValueError("not a model checkpoint (missing metadata)")
+            meta = json.loads(str(archive["__meta__"]))
+            if not isinstance(meta, dict):
+                raise ValueError("metadata is not a JSON object")
+            if meta.get("format") != CHECKPOINT_FORMAT:
+                raise ValueError(
+                    f"unsupported checkpoint format {meta.get('format')!r}, "
+                    f"expected {CHECKPOINT_FORMAT!r}"
+                )
+            # a missing, unknown or non-mapping config field is a TypeError here
+            config = ModelConfig(**meta.get("config"))
+            params = {}
+            for name, (shape, _) in _param_shapes(config).items():
+                if name not in archive:
+                    raise ValueError(f"missing parameter buffer {name}")
+                buf = np.asarray(archive[name], dtype=np.float64)
+                if buf.shape != shape:
+                    raise ValueError(f"buffer {name} has shape {buf.shape}, expected {shape}")
+                params[name] = buf
+        return ScoreModel(config, params)
+    except (ValueError, TypeError, EOFError, zipfile.BadZipFile) as err:
+        raise ValueError(f"checkpoint {path}: {err}") from None

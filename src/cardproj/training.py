@@ -7,9 +7,10 @@ backpropagated through projections, momentum, and the cardinality head in
 one reverse sweep.  An auxiliary cross-entropy on the cardinality buckets
 keeps the counter trained even when the trajectory loss plateaus.
 
-Each minibatch runs on one tape: inference, the per-example losses and
-their mean are recorded row-wise over the batch, so one reverse sweep
-leaves the averaged gradient in the parameter adjoints.  The outer
+Each minibatch, a ``data.Dataset`` of rows gathered from the train split,
+runs on one tape: inference, the per-example losses and their mean are
+recorded row-wise over the batch, so one reverse sweep leaves the averaged
+gradient in the parameter adjoints.  The outer
 optimizer is diagonal AdaGrad.  Training is deterministic for a fixed seed
 (the shuffle is the only randomness).  Evaluation and prediction walk a
 split in fixed-size chunks, one tape each, and a row's decoded labels do
@@ -50,7 +51,6 @@ __all__ = [
     "weighted_trajectory_loss",
     "cardinality_cross_entropy",
     "example_loss",
-    "batch_loss",
     "predict",
     "evaluate",
     "train",
@@ -180,32 +180,34 @@ def cardinality_cross_entropy(logits: Var, true_count) -> Var:
     return dg.sub(dg.logsumexp(logits), dg.pick(logits, k))
 
 
-def example_loss(tm: md.TapedModel, example, target,
+def example_loss(tm: md.TapedModel, batch: dt.Dataset, target,
                  inference_config: inf.InferenceConfig,
                  loss_config: LossConfig):
     """Training loss of each example; returns (loss node, trajectory).
 
-    ``example`` is one ``data.Example`` with a target vector, which gives a
-    0-d loss, or a ``data.Batch`` with its (B, L) targets, which gives one
-    loss per row on one tape.  This is where a target is checked: it must
-    be binary and of the shape the labels give.  With zero ascent steps the single-step loss
-    is applied directly to the initial relaxed state, which turns the model
-    into a plain feedforward label scorer (the unconstrained baseline).
+    With a (B, L) target matrix, ``batch`` holds B examples that run on one
+    tape as CSR rows, and the loss has one entry per row.  A target vector
+    gives the 0-d loss of a one-row dataset.  This is where a target is
+    checked: it must be binary and of the shape the labels give.  With zero
+    ascent steps the single-step loss is applied directly to the initial
+    relaxed state, which turns the model into a plain feedforward label
+    scorer (the unconstrained baseline).
     The top-z variant produces a single decoded state, so it is scored the
     same way (useful for evaluation; it carries no gradient).  The
     auxiliary loss reads the cardinality logits the trajectory returns, so
     the head runs once, for the budget and the loss alike.
     """
-    indptr = example.indptr if isinstance(example, dt.Batch) else None
-    rows = (len(example),) if indptr is not None else ()
     target = np.asarray(target, dtype=np.float64)
-    if target.shape != rows + (tm.config.label_count,):
-        raise ValueError(f"target shape {target.shape} does not match "
-                         f"{rows + (tm.config.label_count,)}")
+    single = target.ndim == 1
+    if single and len(batch) != 1:
+        raise ValueError(f"a target vector scores one example, got {len(batch)}")
+    shape = (tm.config.label_count,) if single else (len(batch), tm.config.label_count)
+    if target.shape != shape:
+        raise ValueError(f"target shape {target.shape} does not match {shape}")
     if not np.all((target == 0.0) | (target == 1.0)):
         raise ValueError("target must be binary")
-    traj = inf.run_inference(tm, example.feature_indices, example.feature_values,
-                             inference_config, indptr=indptr)
+    traj = inf.run_inference(tm, batch.feature_indices, batch.feature_values,
+                             inference_config, indptr=None if single else batch.indptr)
     if inference_config.steps == 0 or inference_config.variant == "topz":
         loss = _STEP_LOSSES[loss_config.single_step](traj.final(), target)
     else:
@@ -215,17 +217,6 @@ def example_loss(tm: md.TapedModel, example, target,
         aux = cardinality_cross_entropy(traj.cardinality_logits, count)
         loss = dg.add(loss, dg.scale(aux, loss_config.aux_cardinality_weight))
     return loss, traj
-
-
-def batch_loss(tm: md.TapedModel, batch: dt.Batch,
-               inference_config: inf.InferenceConfig, loss_config: LossConfig):
-    """Mean training loss of a minibatch on one tape; returns (mean, per-row).
-
-    The mean is what a training step differentiates: one reverse sweep from
-    it leaves the batch-averaged gradient in the parameter adjoints.
-    """
-    losses, _ = example_loss(tm, batch, batch.targets, inference_config, loss_config)
-    return dg.scale(dg.vsum(losses), 1.0 / len(batch)), losses
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +248,11 @@ def _decode_split(model: md.ScoreModel, dataset: dt.Dataset,
     chunks = []
     for start in range(0, len(dataset), EVAL_CHUNK):
         batch = dataset.batch(np.arange(start, min(start + EVAL_CHUNK, len(dataset))))
+        targets = batch.targets()
         tm = md.TapedModel(model, Tape())
-        loss, traj = example_loss(tm, batch, batch.targets, cfg, loss_config)
+        loss, traj = example_loss(tm, batch, targets, cfg, loss_config)
         labels = inf.decode_labels(traj.final_values(), cfg.decode, z=traj.z_used)
-        chunks.append((batch.targets, loss.value, labels,
+        chunks.append((targets, loss.value, labels,
                        md.modal_cardinality(traj.cardinality_logits)))
     return [np.concatenate(parts) for parts in zip(*chunks)]
 
@@ -382,16 +374,18 @@ def train(model: md.ScoreModel, train_set: dt.Dataset,
     for epoch in range(1, train_config.epochs + 1):
         order = rng.permutation(count)
         for number, start in enumerate(range(0, count, train_config.batch_size), 1):
-            batch = train_set.batch(order[start : start + train_config.batch_size])
+            rows = order[start : start + train_config.batch_size]
+            batch = train_set.batch(rows)
             tm = md.TapedModel(model, Tape())
-            loss, losses = batch_loss(tm, batch, inference_config, loss_config)
+            losses, _ = example_loss(tm, batch, batch.targets(), inference_config,
+                                     loss_config)
             bad = np.flatnonzero(~np.isfinite(losses.value))
             if bad.size:
                 raise TrainingDivergedError(
                     f"non-finite loss {losses.value[bad[0]]} at example "
-                    f"{int(batch.rows[bad[0]])} in epoch {epoch}"
+                    f"{int(rows[bad[0]])} in epoch {epoch}"
                 )
-            tm.tape.backward(loss)
+            tm.tape.backward(dg.scale(dg.vsum(losses), 1.0 / len(rows)))
             grads = tm.grads()
             where = f"in epoch {epoch}, batch {number}"
             _check_finite("gradient", grads, where)
@@ -435,7 +429,7 @@ class GradCheckReport:
         ]
 
 
-def gradcheck(model: md.ScoreModel, example: dt.Example, target,
+def gradcheck(model: md.ScoreModel, example: dt.Dataset, target,
               inference_config: inf.InferenceConfig,
               loss_config: LossConfig = LossConfig()) -> GradCheckReport:
     """Compare backward-pass gradients against central finite differences.

@@ -367,6 +367,16 @@ class TestTrainCommand:
         assert code == 1
         assert "data.path" in capsys.readouterr().err
 
+    def test_empty_corpus_names_the_file(self, tmp_path, capsys):
+        corpus = tmp_path / "empty.txt"
+        corpus.write_text("\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "data": {"path": str(corpus)}}))
+        code = cli.main(["train", "--config", str(config),
+                         "--checkpoint", str(tmp_path / "ck.npz")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: data.path: {corpus} holds no examples\n"
+
     def test_diverged_training_exits_two(self, tmp_path, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise tr.TrainingDivergedError("non-finite loss nan at example 3 in epoch 1")
@@ -519,6 +529,37 @@ class TestEvalCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "input_dim=12" in err and "input_dim=9" in err
+
+    @pytest.mark.parametrize("damage", [
+        "empty", "not a zip", "metadata list", "config missing a field",
+        "config with an extra field", "config list",
+    ])
+    def test_bad_checkpoint_exits_one_naming_it(self, trained, tmp_path, capsys, damage):
+        path = tmp_path / "bad.npz"
+        if damage == "empty":
+            path.write_bytes(b"")
+        elif damage == "not a zip":
+            path.write_bytes(b"PK\x03\x04garbage")
+        else:
+            arrays = dict(np.load(trained["checkpoint"], allow_pickle=False))
+            meta = json.loads(str(arrays["__meta__"]))
+            config = meta["config"]
+            if damage == "metadata list":
+                meta = [meta]
+            elif damage == "config missing a field":
+                del config["max_cardinality"]
+            elif damage == "config with an extra field":
+                config["depth"] = 2
+            else:
+                meta["config"] = list(config.values())
+            arrays["__meta__"] = np.array(json.dumps(meta))
+            with open(path, "wb") as handle:
+                np.savez(handle, **arrays)
+        code = cli.main(["eval", "--config", str(trained["config"]),
+                         "--checkpoint", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint {path}: ") and err.count("\n") == 1
 
     def test_missing_checkpoint(self, trained, tmp_path, capsys):
         code = cli.main([

@@ -1,9 +1,12 @@
 """Every name a module lists in ``__all__`` exists, so a deleted function
 cannot stay advertised, and the program calls it, so a public name that only
-the tests use does not stay in ``src/``."""
+the tests use does not stay in ``src/``.  The same holds for the public
+methods and properties of an exported class."""
 
 import ast
+import functools
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -75,4 +78,31 @@ def test_every_exported_name_has_a_program_caller():
         for name in getattr(importlib.import_module(f"cardproj.{module}"), "__all__", ())
         if (module, name) not in found
     ]
+    assert not uncalled
+
+
+def _members(cls) -> list:
+    """Public methods, classmethods and properties a class body defines."""
+    kinds = (classmethod, staticmethod, property, functools.cached_property)
+    return [name for name, member in vars(cls).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(member) or isinstance(member, kinds))]
+
+
+def test_every_exported_method_has_a_program_caller():
+    # any attribute of that name read in src/ or bench/ counts: receivers'
+    # types are not resolved, so a member goes unflagged when another
+    # object's attribute shares its name
+    read = set()
+    for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py")):
+        read |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute)}
+    uncalled = []
+    for module in MODULES:
+        loaded = importlib.import_module(f"cardproj.{module}")
+        for name in getattr(loaded, "__all__", ()):
+            cls = getattr(loaded, name)
+            if inspect.isclass(cls) and cls.__module__ == loaded.__name__:
+                uncalled += [f"{module}.{name}.{member}" for member in _members(cls)
+                             if member not in read]
     assert not uncalled

@@ -12,6 +12,7 @@ from cardproj import inference as inf
 from cardproj import model as md
 from cardproj import training as tr
 from cardproj.diffgraph import Tape
+from test_data import corpus
 from test_diffgraph import eager_backward
 
 
@@ -37,6 +38,13 @@ def tiny_dataset(n=24, seed=0):
         modulus=4,
         min_words=2, max_words=9,
     )
+
+
+def minibatch_loss(tm, batch, icfg, lcfg):
+    """What a training step differentiates: the mean of the per-row losses
+    of one minibatch on one tape; returns (mean, per-row)."""
+    losses, _ = tr.example_loss(tm, batch, batch.targets(), icfg, lcfg)
+    return dg.scale(dg.vsum(losses), 1.0 / len(batch)), losses
 
 
 def quick_inference(**overrides):
@@ -206,6 +214,10 @@ class TestSoftF1Loss:
         with pytest.raises(ValueError, match="binary"):
             tr.example_loss(tm, ds.examples[0], np.full(labels, 0.5), quick_inference(),
                             tr.LossConfig())
+        with pytest.raises(ValueError, match="target vector scores one example, got 4"):
+            tr.example_loss(tm, ds, ds.target(0), quick_inference(), tr.LossConfig())
+        with pytest.raises(ValueError, match=r"shape \(1, 5\) does not match \(4, 5\)"):
+            tr.example_loss(tm, ds, ds.targets()[:1], quick_inference(), tr.LossConfig())
 
 
 class TestBinaryCrossEntropy:
@@ -377,7 +389,7 @@ class TestExampleLoss:
     def test_oversized_label_set_clamps_to_top_bucket(self):
         model = md.ScoreModel(tiny_config(seed=5))
         cfg = quick_inference()
-        ex = dt.Example(np.array([0, 3]), np.array([1.0, 1.0]), np.arange(5))
+        ex = corpus([([0, 3], [1.0, 1.0], range(5))], input_dim=12, label_count=5)
         target = np.ones(5)  # five labels, but only buckets 0..4 exist
         tape = Tape()
         tm = md.TapedModel(model, tape)
@@ -408,8 +420,8 @@ class TestExampleTape:
         ds = tiny_dataset(16, seed=3)
         for size in (1, 16):
             tm = md.TapedModel(model, Tape())
-            tr.batch_loss(tm, ds.batch(np.arange(size)),
-                          quick_inference(variant=variant, steps=5), tr.LossConfig())
+            minibatch_loss(tm, ds.batch(np.arange(size)),
+                           quick_inference(variant=variant, steps=5), tr.LossConfig())
             assert len(tm.tape) == nodes, size
 
     # a run computes the head even when neither the budget nor the loss
@@ -420,9 +432,9 @@ class TestExampleTape:
         model = md.ScoreModel(tiny_config(seed=7, with_sc=variant == "sc"))
         ds = tiny_dataset(16, seed=3)
         tm = md.TapedModel(model, Tape())
-        tr.batch_loss(tm, ds.batch(np.arange(16)),
-                      quick_inference(variant=variant, steps=5, z_source=z_source),
-                      tr.LossConfig(aux_cardinality_weight=0.0))
+        minibatch_loss(tm, ds.batch(np.arange(16)),
+                       quick_inference(variant=variant, steps=5, z_source=z_source),
+                       tr.LossConfig(aux_cardinality_weight=0.0))
         assert len(tm.tape) == nodes
 
     @pytest.mark.parametrize("z_source", ["predictor", 2.0])
@@ -439,9 +451,9 @@ class TestExampleTape:
 
         monkeypatch.setattr(md, "cardinality_logits", counted)
         tm = md.TapedModel(model, Tape())
-        tr.batch_loss(tm, ds.batch(np.arange(4)),
-                      quick_inference(variant=variant, steps=2, z_source=z_source),
-                      tr.LossConfig(aux_cardinality_weight=1.0))
+        minibatch_loss(tm, ds.batch(np.arange(4)),
+                       quick_inference(variant=variant, steps=2, z_source=z_source),
+                       tr.LossConfig(aux_cardinality_weight=1.0))
         assert len(calls) == 1
 
     @pytest.mark.parametrize("variant", ["pc", "sc"])
@@ -474,9 +486,9 @@ def mixed_dataset():
     an empty label set; under the crafted head below both get budget 0."""
     ds = dt.generate_synthetic(9, label_count=12, input_dim=16, seed=5,
                                min_words=3, max_words=8)
-    empty = dt.Example(np.array([], dtype=int), np.array([]), np.array([], dtype=int))
-    bare = dt.Example(np.array([], dtype=int), np.array([]), np.array([3, 7]))
-    return dt.Dataset.from_examples([*ds.examples[:4], empty, *ds.examples[4:], bare], 16, 12)
+    rows = [(ex.feature_indices, ex.feature_values, ex.labels) for ex in ds.examples]
+    return corpus([*rows[:4], ([], [], []), *rows[4:], ([], [], [3, 7])],
+                  input_dim=16, label_count=12)
 
 
 def mixed_model(with_sc):
@@ -515,7 +527,7 @@ class TestBatchEquivalence:
     @staticmethod
     def _step(model, ds, rows, icfg, lcfg):
         tm = md.TapedModel(model, Tape())
-        loss, losses = tr.batch_loss(tm, ds.batch(rows), icfg, lcfg)
+        loss, losses = minibatch_loss(tm, ds.batch(rows), icfg, lcfg)
         tm.tape.backward(loss)
         return float(loss.value), losses.value.copy(), tm.grads()
 
@@ -659,7 +671,7 @@ class TestPredictEvaluate:
     def test_empty_split_is_an_error(self, run):
         model = md.ScoreModel(tiny_config(seed=8))
         with pytest.raises(ValueError, match="empty split"):
-            run(model, dt.Dataset.from_examples([], input_dim=12, label_count=5), quick_inference())
+            run(model, corpus([], input_dim=12, label_count=5), quick_inference())
 
 
 class TestTrain:
@@ -749,12 +761,15 @@ class TestTrain:
         model = md.ScoreModel(tiny_config(seed=12))
         ds = tiny_dataset(6, seed=11)
         original = tr.example_loss
+        marked = ds.examples[2].feature_indices.tobytes()
+        assert [ex.feature_indices.tobytes() for ex in ds.examples].count(marked) == 1
 
         def sabotaged(tm, batch, target, icfg, lcfg):
-            # the row of example 2 loses its finite loss
+            # the row of example 2, known by its features, loses its finite loss
             losses, traj = original(tm, batch, target, icfg, lcfg)
-            spoil = np.where(batch.rows == 2, np.nan, 1.0)
-            return dg.mul(losses, tm.tape.constant(spoil)), traj
+            spoil = [np.nan if ex.feature_indices.tobytes() == marked else 1.0
+                     for ex in batch.examples]
+            return dg.mul(losses, tm.tape.constant(np.array(spoil))), traj
 
         monkeypatch.setattr(tr, "example_loss", sabotaged)
         with pytest.raises(tr.TrainingDivergedError, match=r"example 2 in epoch 1"):
