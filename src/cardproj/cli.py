@@ -155,23 +155,20 @@ def _apply_override(raw: dict, spec: str) -> None:
 
 
 def load_run_config(path=None, overrides=(), base=None) -> RunConfig:
-    """Build a validated RunConfig from a JSON file plus key=value overrides."""
-    raw = copy.deepcopy(base) if base else {}
-    if path is not None:
+    """Build a validated RunConfig from a JSON file, or from a copy of
+    ``base`` when there is none, plus key=value overrides."""
+    if path is None:
+        raw = copy.deepcopy(base) if base else {}
+    else:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
         try:
             with open(path) as handle:
-                loaded = json.load(handle)
+                raw = json.load(handle)
         except json.JSONDecodeError as err:
             raise ConfigError(f"{path}: invalid JSON: {err}") from None
-        if not isinstance(loaded, dict):
+        if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config root must be an object")
-        for key, value in loaded.items():
-            if isinstance(value, dict) and isinstance(raw.get(key), dict):
-                raw[key].update(value)
-            else:
-                raw[key] = value
     for spec in overrides:
         _apply_override(raw, spec)
     section_names = {name for name, _ in _SECTIONS}
@@ -388,9 +385,10 @@ def cmd_project(args) -> int:
         for row in projected:
             print(_format_vector(row))
         if args.diagnostics:
-            row_dev, col_dev = pj.matrix_residuals(projected, col_mass)
-            print(f"residual_rows={row_dev:.3e} residual_cols={col_dev:.3e}",
-                  file=sys.stderr)
+            rows_res = pj.ProjectionResult(projected, 1.0)
+            cols_res = pj.ProjectionResult(projected.T, col_mass)
+            print(f"residual_rows={rows_res.residual_sum:.3e} "
+                  f"residual_cols={cols_res.residual_sum:.3e}", file=sys.stderr)
         return EXIT_OK
 
     if args.z is None:
@@ -434,8 +432,7 @@ _TOY_GRADCHECK = {
 
 def cmd_gradcheck(args) -> int:
     fl.number("--tolerance", args.tolerance, float, ">= 0")
-    base = None if args.config else _TOY_GRADCHECK
-    cfg = load_run_config(args.config, args.set, base=base)
+    cfg = load_run_config(args.config, args.set, base=_TOY_GRADCHECK)
     splits = _resolve_datasets(cfg)
     train_set = splits["train"]
     if len(train_set) == 0:

@@ -99,8 +99,8 @@ class InferenceConfig:
 class Trajectory:
     """All iterates of one inference run, y0 first, plus the budget used.
 
-    ``z_used`` is None for the unconstrained variants; otherwise a float
-    for one example and one value per row for a batch.  States are tape
+    ``z_used`` is None for the unconstrained variants; otherwise a float64
+    array of one value per row, 0-d for one example.  States are tape
     nodes; ``final_values`` is the plain array of the last iterate.
     ``cardinality_logits`` is the cardinality head's output on the same
     tape.  ``run_inference`` computes it once per run, whatever the variant
@@ -125,26 +125,20 @@ def init_labels(c: Var) -> Var:
 
 
 def _resolve_budget(tm: md.TapedModel, logits: Var, rows: tuple, cfg: InferenceConfig):
-    """Projection budget as (graph-or-float mass, numeric value).
+    """Projection budget as (mass node or array, value array).
 
-    ``rows`` is () for one example and (B,) for a batch; the numeric value
-    is a float or one per row.  An expected budget is a differentiable
-    function of the head's ``logits``; a modal budget reads them without a
-    gradient path.
+    ``rows`` is () for one example and (B,) for a batch, the shape of the
+    value.  An expected budget is a differentiable function of the head's
+    ``logits``; a modal budget reads them without a gradient path.
     """
     if cfg.z_source == "predictor":
         if cfg.z_mode == "expected":
             z = dg.clip(md.expected_cardinality(tm, logits), lo=MIN_BUDGET)
-            return z, _numbers(z.value)
-        z = _numbers(np.asarray(md.modal_cardinality(logits), dtype=np.float64))
+            return z, np.asarray(z.value)
+        z = np.asarray(md.modal_cardinality(logits), dtype=np.float64)
         return z, z
-    z = _numbers(np.full(rows, float(cfg.z_source)))
+    z = np.full(rows, float(cfg.z_source))
     return z, z
-
-
-def _numbers(values: np.ndarray):
-    # a float for one example, an array for a batch
-    return float(values) if values.ndim == 0 else values
 
 
 def run_inference(tm: md.TapedModel, feature_indices, feature_values,
@@ -161,7 +155,7 @@ def run_inference(tm: md.TapedModel, feature_indices, feature_values,
     rows = c.shape[:-1]
     if cfg.variant == "topz":
         _, z_value = _resolve_budget(tm, logits, rows, cfg)
-        z = _numbers(np.round(np.asarray(z_value)))
+        z = np.asarray(np.round(z_value))
         return Trajectory([tm.tape.constant(exact_topz(np.array(c.value), z))], z, logits)
 
     y = init_labels(c)

@@ -26,11 +26,12 @@ term in the order that a reverse sweep over the composed graph would, so
 values and gradients agree with it bit for bit; the tests keep that
 composed version as their reference.
 
-``project_simplex_exact`` takes plain numpy arrays; ``project_capped_exact``
-takes arrays or tape nodes, and ``project_capped_dykstra`` tape nodes.  The
-operators on tape nodes project one vector or each row of a minibatch, with
-one budget for every row or one per row; a row whose budget is zero
-projects to the origin and passes no gradient.
+``project_simplex_exact`` takes plain numpy arrays, one vector or a matrix
+whose rows it projects at once; ``project_capped_exact`` takes arrays or tape
+nodes, and ``project_capped_dykstra`` tape nodes.  The operators on tape
+nodes project one vector or each row of a minibatch, with one budget for
+every row or one per row; a row whose budget is zero projects to the origin
+and passes no gradient.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ __all__ = [
     "project_capped_exact",
     "project_capped_dykstra",
     "project_matrix_rows_cols",
-    "matrix_residuals",
     "DEFAULT_SHARPNESS",
     "DEFAULT_ROUNDS",
     "MATRIX_ROUNDS",
@@ -74,9 +74,10 @@ class InfeasibleSpecError(ValueError):
 class CappedSimplexSpec:
     """Feasible-set description: dimension and mass budget.
 
-    The mass may be a float, one float per row of a batch, or a tape node of
-    either shape; a node's current value is validated, and soft projections
-    keep it on the graph so gradients reach whatever predicted the budget.
+    The mass is one value per row of a batch (a number, or a 0-d array, for
+    one vector), or a tape node of that shape; a node's current value is
+    validated, and soft projections keep it on the graph so gradients reach
+    whatever predicted the budget.
     """
 
     dim: int
@@ -85,19 +86,16 @@ class CappedSimplexSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise InfeasibleSpecError(f"dimension must be positive, got {self.dim}")
-        for mass in np.atleast_1d(self.mass_value):
-            if not 0.0 <= mass <= self.dim:
-                raise InfeasibleSpecError(
-                    f"mass budget {mass} outside [0, {self.dim}]"
-                )
+        masses = np.atleast_1d(self.mass_value)
+        outside = masses[~((masses >= 0.0) & (masses <= self.dim))]  # nan too
+        if outside.size:
+            raise InfeasibleSpecError(f"mass budget {outside[0]} outside [0, {self.dim}]")
 
     @property
-    def mass_value(self):
-        """The budget as a float, or as an array of one per row."""
+    def mass_value(self) -> np.ndarray:
+        """The budget as a float64 array, 0-d or one per row."""
         mass = self.mass.value if isinstance(self.mass, Var) else self.mass
-        if isinstance(mass, np.ndarray) and mass.ndim:
-            return mass.astype(np.float64, copy=False)
-        return float(mass)
+        return np.asarray(mass, dtype=np.float64)
 
 
 @dataclass
@@ -110,7 +108,7 @@ class ProjectionResult:
     """
 
     y: object  # a Var, or an ndarray
-    mass: object  # float, or one per row
+    mass: object  # a number, or one per row
 
     def values(self) -> np.ndarray:
         return self.y.value if isinstance(self.y, Var) else self.y
@@ -129,29 +127,32 @@ class ProjectionResult:
 # exact operators
 
 
-def project_simplex_exact(v: np.ndarray, mass: float = 1.0) -> np.ndarray:
-    """Euclidean projection onto { y >= 0, sum y = mass }.
+def project_simplex_exact(v: np.ndarray, mass=1.0) -> np.ndarray:
+    """Euclidean projection onto { y >= 0, sum y = mass }, row by row.
 
-    Sorted-pivot method: with mu the descending sort of v and cumulative
-    sums cssv, the pivot index is the largest rho such that
-    mu_rho - (cssv_rho - mass) / rho > 0, and every coordinate is shifted
-    down by theta = (cssv_rho - mass) / rho, then floored at zero.  The
-    pivot runs on v - max(v), which leaves the projection unchanged and
-    keeps the always-valid candidate rho = 1 positive when the coordinates
-    span many orders of magnitude.
+    ``v`` is one vector, or a matrix whose rows are projected at once, each
+    to the bits it gets alone, with one mass per row (or one for all).
+    Sorted-pivot method (Duchi et al. 2008): with mu the descending sort of
+    a row and cumulative sums cssv, the pivot is the largest rho with
+    mu_rho > theta_rho = (cssv_rho - mass) / rho, and every coordinate is
+    shifted down by theta_rho, then floored at zero.  The pivot runs on
+    v - max(v), which leaves the projection unchanged and keeps rho = 1
+    passing when the coordinates span many orders of magnitude.
     """
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("expected a non-empty vector")
-    if not 0 < mass < np.inf:
+    if v.ndim not in (1, 2) or v.shape[-1] == 0:
+        raise ValueError("expected a non-empty vector or rows")
+    m = np.asarray(mass, dtype=np.float64)
+    if not 0.0 < m.min() <= m.max() < np.inf:  # a nan fails too
         raise InfeasibleSpecError(f"simplex mass must be finite and positive, got {mass}")
-    v = v - v.max()
-    mu = np.sort(v)[::-1]
-    cssv = np.cumsum(mu)
-    idx = np.arange(1, v.size + 1)
-    rho = idx[mu - (cssv - mass) / idx > 0][-1]
-    theta = (cssv[rho - 1] - mass) / rho
-    return np.maximum(v - theta, 0.0)
+    m = m[..., None]
+    v = v - v.max(axis=-1, keepdims=True)
+    mu = np.sort(v, axis=-1)[..., ::-1]
+    cssv = np.cumsum(mu, axis=-1)
+    idx = np.arange(1, v.shape[-1] + 1)
+    theta = (cssv - m) / idx
+    pivot = idx == (idx * (mu > theta)).max(axis=-1, keepdims=True)
+    return np.maximum(v - theta[pivot].reshape(v.shape[:-1] + (1,)), 0.0)
 
 
 def _capped_pivot(v: np.ndarray, mass: float) -> tuple[np.ndarray, float]:
@@ -218,7 +219,7 @@ def project_capped_exact(v, spec: CappedSimplexSpec):
         values = np.asarray(v, dtype=np.float64)
         if values.ndim != 1 or values.size != spec.dim:
             raise ValueError(f"expected a vector of length {spec.dim}")
-        return _capped_pivot(values, spec.mass_value)[0]
+        return _capped_pivot(values, float(spec.mass_value))[0]
     values = v.value
     if values.ndim not in (1, 2) or values.shape[-1] != spec.dim:
         raise ValueError(f"expected rows of length {spec.dim}")
@@ -253,8 +254,8 @@ def _simplex_soft_forward(v: np.ndarray, mass, sharpness: float):
     index-weighted scores.  ``sharpness`` scales both, and the surrogate
     approaches the exact projection as it grows.
 
-    ``v`` is one vector or a batch of rows, and ``mass`` a float or the
-    value of a mass node: 0-d, or one per row.  The expressions are those of
+    ``v`` is one vector or a batch of rows, and ``mass`` the budget's
+    value: 0-d, or one per row.  The expressions are those of
     the surrogate composed node by node (a sort, running sums, the softsign
     x / (1 + |x|), softmax, dot, relu), in the same order, so the values
     agree bit for bit; every reduction runs along the rows.
@@ -395,15 +396,17 @@ def project_matrix_rows_cols(
     """Dykstra alternation between row and column simplex constraints.
 
     Rows are projected onto the unit simplex (each row sums to one) and
-    columns onto nonnegative vectors of prescribed mass ``col_mass[j]``.
-    Consistency requires sum(col_mass) to equal the number of rows, since
-    both constraint sets fix the total mass of the matrix.
+    columns onto nonnegative vectors of prescribed mass ``col_mass[j]``; a
+    column of zero mass is set to zero.  Consistency requires sum(col_mass)
+    to equal the number of rows, since both constraint sets fix the total
+    mass of the matrix.  Each step projects every row, or every column, in
+    one call.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 2:
-        raise ValueError("expected a matrix")
+    if y.ndim != 2 or y.size == 0:
+        raise ValueError("expected a non-empty matrix")
     n_rows, n_cols = y.shape
     col_mass = np.asarray(col_mass, dtype=np.float64)
     if col_mass.shape != (n_cols,):
@@ -414,22 +417,12 @@ def project_matrix_rows_cols(
         raise InfeasibleSpecError(
             f"column masses sum to {col_mass.sum()}, expected {n_rows}"
         )
-    return _dykstra(y, rounds, lambda m: _rows_to_mass(m, np.ones(n_rows)),
-                    lambda m: _rows_to_mass(m.T, col_mass).T)
+    live = col_mass > 0.0
+    live_mass = col_mass[live]
 
+    def columns(m):
+        out = np.zeros_like(m.T)
+        out[live] = project_simplex_exact(m.T[live], live_mass)
+        return out.T
 
-def _rows_to_mass(m: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """Each row of ``m`` projected onto the simplex of its mass; a row of
-    zero mass gives zeros."""
-    out = np.zeros_like(m)
-    for i, mass in enumerate(masses):
-        if mass > 0.0:
-            out[i] = project_simplex_exact(m[i], mass)
-    return out
-
-
-def matrix_residuals(y: np.ndarray, col_mass: np.ndarray) -> tuple[float, float]:
-    """Worst row-sum and column-sum violations of a candidate matrix."""
-    row = float(np.abs(y.sum(axis=1) - 1.0).max())
-    col = float(np.abs(y.sum(axis=0) - np.asarray(col_mass)).max())
-    return row, col
+    return _dykstra(y, rounds, project_simplex_exact, columns)

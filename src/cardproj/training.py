@@ -30,12 +30,10 @@ from . import inference as inf
 from . import model as md
 from .diffgraph import Tape, Var
 
-SINGLE_STEP_LOSSES = ("soft_f1", "cross_entropy")
-
-# examples per tape in evaluate and predict.  A pc-5 chunk of 32 peaks at
-# about 3 MiB of traced memory with 30 labels and 53 MiB with 983, the
-# paper's largest label count; per example it is at most 11% slower than
-# the fastest of the chunk sizes 16, 32, 64 and 128 at either size.
+# examples per tape in evaluate and predict.  A pc-5 chunk of 32 (hidden
+# 150) peaks at about 1.8 MiB of traced memory with 30 labels and 27 MiB
+# with 983, the paper's largest label count; per example it is at most 11%
+# slower than the fastest of the chunk sizes 16, 32, 64 and 128 at either.
 EVAL_CHUNK = 32
 
 __all__ = [
@@ -70,7 +68,7 @@ class LossConfig:
     aux_cardinality_weight: float = 1.0
 
     def __post_init__(self):
-        fl.choice("single_step", self.single_step, SINGLE_STEP_LOSSES)
+        fl.choice("single_step", self.single_step, tuple(_STEP_LOSSES))
         fl.number("aux_cardinality_weight", self.aux_cardinality_weight, float, ">= 0")
 
 
@@ -247,14 +245,20 @@ def _decode_split(model: md.ScoreModel, dataset: dt.Dataset,
     cfg = replace(inference_config, z_mode="argmax")
     chunks = []
     for start in range(0, len(dataset), EVAL_CHUNK):
-        batch = dataset.batch(np.arange(start, min(start + EVAL_CHUNK, len(dataset))))
-        targets = batch.targets()
-        tm = md.TapedModel(model, Tape())
-        loss, traj = example_loss(tm, batch, targets, cfg, loss_config)
-        labels = inf.decode_labels(traj.final_values(), cfg.decode, z=traj.z_used)
-        chunks.append((targets, loss.value, labels,
-                       md.modal_cardinality(traj.cardinality_logits)))
+        rows = np.arange(start, min(start + EVAL_CHUNK, len(dataset)))
+        chunks.append(_decode_chunk(model, dataset.batch(rows), cfg, loss_config))
     return [np.concatenate(parts) for parts in zip(*chunks)]
+
+
+def _decode_chunk(model: md.ScoreModel, batch: dt.Dataset,
+                  cfg: inf.InferenceConfig, loss_config: LossConfig) -> tuple:
+    """Targets, losses, decoded labels and modal counts of one chunk; only
+    arrays come back, so its graph is gone before the next chunk's."""
+    targets = batch.targets()
+    tm = md.TapedModel(model, Tape())
+    loss, traj = example_loss(tm, batch, targets, cfg, loss_config)
+    labels = inf.decode_labels(traj.final_values(), cfg.decode, z=traj.z_used)
+    return targets, loss.value, labels, md.modal_cardinality(traj.cardinality_logits)
 
 
 def predict(model: md.ScoreModel, dataset: dt.Dataset,
@@ -321,6 +325,24 @@ def _check_finite(kind: str, buffers: dict, where: str) -> None:
             )
 
 
+def _batch_grads(model: md.ScoreModel, train_set: dt.Dataset, rows: np.ndarray,
+                 inference_config: inf.InferenceConfig, loss_config: LossConfig,
+                 epoch: int) -> dict:
+    """Gradient of the mean loss over the train rows ``rows``; the batch's
+    graph is gone before the next batch's."""
+    batch = train_set.batch(rows)
+    tm = md.TapedModel(model, Tape())
+    losses, _ = example_loss(tm, batch, batch.targets(), inference_config, loss_config)
+    bad = np.flatnonzero(~np.isfinite(losses.value))
+    if bad.size:
+        raise TrainingDivergedError(
+            f"non-finite loss {losses.value[bad[0]]} at example "
+            f"{int(rows[bad[0]])} in epoch {epoch}"
+        )
+    tm.tape.backward(dg.scale(dg.vsum(losses), 1.0 / len(rows)))
+    return tm.grads()
+
+
 def train(model: md.ScoreModel, train_set: dt.Dataset,
           inference_config: inf.InferenceConfig,
           loss_config: LossConfig = LossConfig(),
@@ -375,18 +397,8 @@ def train(model: md.ScoreModel, train_set: dt.Dataset,
         order = rng.permutation(count)
         for number, start in enumerate(range(0, count, train_config.batch_size), 1):
             rows = order[start : start + train_config.batch_size]
-            batch = train_set.batch(rows)
-            tm = md.TapedModel(model, Tape())
-            losses, _ = example_loss(tm, batch, batch.targets(), inference_config,
-                                     loss_config)
-            bad = np.flatnonzero(~np.isfinite(losses.value))
-            if bad.size:
-                raise TrainingDivergedError(
-                    f"non-finite loss {losses.value[bad[0]]} at example "
-                    f"{int(rows[bad[0]])} in epoch {epoch}"
-                )
-            tm.tape.backward(dg.scale(dg.vsum(losses), 1.0 / len(rows)))
-            grads = tm.grads()
+            grads = _batch_grads(model, train_set, rows, inference_config, loss_config,
+                                 epoch)
             where = f"in epoch {epoch}, batch {number}"
             _check_finite("gradient", grads, where)
             optimizer.step(model.params, grads)

@@ -2,7 +2,9 @@
 
 No program path calls any of these.  Each is either an independent route to
 what a shipped operator computes (a long scalar bisection for the capped
-projection, Dykstra's alternation with exact steps), or the composed form
+projection, Dykstra's alternation with exact steps, the sorted pivot on one
+vector and the matrix alternation one row and one column at a time, which
+the shipped batched forms must match bit for bit), or the composed form
 of a fused node, built from ``diffgraph`` ops node by node, which the fused
 node must match bit for bit (the global potential and the bucket score,
 whose gradients ship as fused nodes, and the sort and running sums of the
@@ -85,11 +87,42 @@ def project_capped_bisection(v: np.ndarray, spec: pj.CappedSimplexSpec) -> np.nd
     return np.clip(v - 0.5 * (lo + hi), 0.0, 1.0)
 
 
+def project_simplex_pivot(v: np.ndarray, mass: float) -> np.ndarray:
+    """The sorted-pivot simplex projection of one vector, written for a
+    vector alone: the pivot is the last candidate that passes."""
+    v = np.asarray(v, dtype=np.float64)
+    v = v - v.max()
+    mu = np.sort(v)[::-1]
+    cssv = np.cumsum(mu)
+    idx = np.arange(1, v.size + 1)
+    rho = idx[mu - (cssv - mass) / idx > 0][-1]
+    theta = (cssv[rho - 1] - mass) / rho
+    return np.maximum(v - theta, 0.0)
+
+
+def project_matrix_rows_cols(y: np.ndarray, col_mass, rounds: int) -> np.ndarray:
+    """The row/column alternation of ``pj.project_matrix_rows_cols`` with one
+    pivot per row and per column; a column of zero mass gives zeros."""
+
+    def rows_to_mass(m, masses):
+        out = np.zeros_like(m)
+        for i, mass in enumerate(masses):
+            if mass > 0.0:
+                out[i] = project_simplex_pivot(m[i], mass)
+        return out
+
+    y = np.asarray(y, dtype=np.float64)
+    col_mass = np.asarray(col_mass, dtype=np.float64)
+    return pj._dykstra(y, rounds, lambda m: rows_to_mass(m, np.ones(len(m))),
+                       lambda m: rows_to_mass(m.T, col_mass).T)
+
+
 def project_capped_dykstra_exact(v: np.ndarray, spec: pj.CappedSimplexSpec,
                                  rounds: int) -> pj.ProjectionResult:
     """The shipped alternation with exact steps: the clamp into { y <= 1 }
-    and the exact scaled-simplex projection.  It converges to the capped
-    projection as the rounds grow; the budget must be positive."""
+    and the exact scaled-simplex projection, on one vector or on each row
+    of a matrix.  It converges to the capped projection as the rounds grow;
+    the budget must be positive."""
     mass = spec.mass_value
     y = pj._dykstra(np.asarray(v, dtype=np.float64), rounds, lambda x: np.minimum(x, 1.0),
                     lambda x: pj.project_simplex_exact(x, mass))

@@ -285,6 +285,14 @@ class TestProject:
         assert captured.err.startswith(f"error: {flag} must be ")
         assert captured.err.count("\n") == 1 and captured.out == ""
 
+    @pytest.mark.parametrize("z", ["0", "-1.5"])
+    def test_simplex_mass_not_positive_exits_one(self, z, capsys, monkeypatch):
+        assert self.run(["simplex", "--z", z], "0.5 0.2\n0.1 0.9\n", monkeypatch) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: line 1: simplex mass must be finite and positive, got {float(z)}\n")
+        assert captured.out == ""
+
     def test_unparseable_col_sums_names_flag_and_token(self, capsys, monkeypatch):
         assert self.run(["matrix", "--col-sums", "abc,1"], "0.5 0.2\n0.1 0.9\n",
                         monkeypatch) == 1

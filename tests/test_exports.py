@@ -1,9 +1,11 @@
 """Every name a module lists in ``__all__`` exists, so a deleted function
 cannot stay advertised, and the program calls it, so a public name that only
 the tests use does not stay in ``src/``.  The same holds for the public
-methods and properties of an exported class."""
+methods and properties of an exported class.  The number of public names and
+of public settable values may shrink but not grow unnoticed."""
 
 import ast
+import dataclasses
 import functools
 import importlib
 import inspect
@@ -106,3 +108,41 @@ def test_every_exported_method_has_a_program_caller():
                 uncalled += [f"{module}.{name}.{member}" for member in _members(cls)
                              if member not in read]
     assert not uncalled
+
+
+# the counts as last recorded: lower them when names or values go; a change
+# that adds one raises them here, where the growth shows
+EXPORTED_NAMES = 85
+SETTABLE_VALUES = 111
+
+
+def _defaulted(fn) -> int:
+    return sum(p.default is not inspect.Parameter.empty
+               for p in inspect.signature(fn).parameters.values())
+
+
+def _settable_values(obj) -> int:
+    """Values a caller can set on one exported name: the defaulted
+    parameters of a function, of a class's public methods and of its own
+    ``__init__``, and every field of a dataclass (whose generated
+    ``__init__`` is not counted again)."""
+    if not inspect.isclass(obj):
+        return _defaulted(obj) if inspect.isfunction(obj) else 0
+    record = dataclasses.is_dataclass(obj)
+    count = len(dataclasses.fields(obj)) if record else 0
+    for name, member in vars(obj).items():
+        if name.startswith("_") and (record or name != "__init__"):
+            continue
+        if isinstance(member, (classmethod, staticmethod)):
+            member = member.__func__
+        if inspect.isfunction(member):
+            count += _defaulted(member)
+    return count
+
+
+def test_public_surface_does_not_grow():
+    exported = [getattr(loaded, name)
+                for loaded in (importlib.import_module(f"cardproj.{m}") for m in MODULES)
+                for name in getattr(loaded, "__all__", ())]
+    assert len(exported) <= EXPORTED_NAMES
+    assert sum(map(_settable_values, exported)) <= SETTABLE_VALUES

@@ -180,6 +180,22 @@ class TestTrajectoryShapes:
         assert traj.z_used == 2.0
         np.testing.assert_array_equal(traj.final_values(), [1, 0, 1])
 
+    @pytest.mark.parametrize("icfg", [
+        inf.InferenceConfig(variant="pc", steps=1),
+        inf.InferenceConfig(variant="pc", steps=1, z_mode="argmax"),
+        inf.InferenceConfig(variant="pc", steps=1, z_source=2.0),
+        inf.InferenceConfig(variant="topz"),
+    ], ids=["expected", "argmax", "fixed", "topz"])
+    def test_budget_is_one_float_array_per_row(self, icfg):
+        # 0-d for one example, one value per row for a batch
+        m = md.ScoreModel(tiny_config(seed=1))
+        one = run(m, icfg)
+        assert isinstance(one.z_used, np.ndarray)
+        assert one.z_used.shape == () and one.z_used.dtype == np.float64
+        tm = md.TapedModel(m, dg.Tape())
+        batch = inf.run_inference(tm, [0, 1, 2], [1.0, 0.5, 1.0], icfg, indptr=[0, 1, 3])
+        assert batch.z_used.shape == (2,) and batch.z_used.dtype == np.float64
+
     def test_budget_variants_record_z_while_free_variants_do_not(self):
         m = md.ScoreModel(tiny_config(seed=1))
         pc = run(m, inf.InferenceConfig(variant="pc", steps=1, z_source=2.0))

@@ -67,6 +67,46 @@ class TestSimplexExact:
                 atol=1e-8,
             )
 
+    @staticmethod
+    def _rows(rng, n, L):
+        scale = 10.0 ** rng.uniform(-6, 8)
+        v = rng.standard_normal((n, L)) * scale
+        if rng.random() < 0.5:
+            # ties: a few distinct values, repeated along each row
+            v = np.round(v / scale, 1) * scale
+        return v
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 7, 30, 159, 983])
+    def test_rows_match_one_vector_calls_bit_for_bit(self, L):
+        rng = np.random.default_rng(L)
+        for _ in range(20):
+            n = int(rng.integers(1, 6))
+            v = self._rows(rng, n, L)
+            masses = rng.choice([0.5, 1.0, float(L), 2.5 * L, 1e-3], size=n)
+            out = pj.project_simplex_exact(v, masses)
+            assert out.shape == v.shape
+            for row, mass, got in zip(v, masses, out):
+                want = pj.project_simplex_exact(row, mass)
+                assert np.array_equal(got, want)
+                assert np.array_equal(want, oracles.project_simplex_pivot(row, mass))
+
+    def test_one_mass_serves_every_row(self):
+        v = np.random.default_rng(3).standard_normal((4, 6))
+        out = pj.project_simplex_exact(v, 2.0)
+        for row, got in zip(v, out):
+            assert np.array_equal(got, pj.project_simplex_exact(row, 2.0))
+
+    def test_bad_mass_in_any_row_rejected(self):
+        with pytest.raises(InfeasibleSpecError, match="finite and positive"):
+            pj.project_simplex_exact(np.ones((3, 2)), np.array([1.0, 0.0, 1.0]))
+        with pytest.raises(InfeasibleSpecError, match="finite and positive"):
+            pj.project_simplex_exact(np.ones((2, 2)), np.array([float("nan"), 1.0]))
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (2, 2, 2), ()])
+    def test_rejects_empty_rows_and_other_ranks(self, shape):
+        with pytest.raises(ValueError, match="non-empty vector or rows"):
+            pj.project_simplex_exact(np.ones(shape), 1.0)
+
     def test_non_expansive(self):
         rng = np.random.default_rng(1)
         for _ in range(1000):
@@ -576,9 +616,15 @@ class TestMatrixExtension:
     def test_worked_4x3(self):
         rng = np.random.default_rng(9)
         y = rng.standard_normal((4, 3))
-        out = pj.project_matrix_rows_cols(y, np.array([2.0, 1.0, 1.0]), rounds=100)
-        row, col = pj.matrix_residuals(out, np.array([2.0, 1.0, 1.0]))
-        assert row < 1e-4 and col < 1e-4
+        col_mass = np.array([2.0, 1.0, 1.0])
+        out = pj.project_matrix_rows_cols(y, col_mass, rounds=100)
+        assert pj.ProjectionResult(out, 1.0).residual_sum < 1e-4
+        assert pj.ProjectionResult(out.T, col_mass).residual_sum < 1e-4
+
+    @pytest.mark.parametrize("y", [np.zeros((0, 2)), np.zeros(3), np.zeros((1, 1, 1))])
+    def test_non_matrix_or_empty_rejected(self, y):
+        with pytest.raises(ValueError, match="expected a non-empty matrix"):
+            pj.project_matrix_rows_cols(y, np.zeros(y.shape[-1]))
 
     def test_inconsistent_totals_rejected(self):
         with pytest.raises(InfeasibleSpecError):
@@ -601,6 +647,21 @@ class TestMatrixExtension:
         col_mass = np.array([2.5, 1.5, 0.0])
         out = pj.project_matrix_rows_cols(y, col_mass, rounds=100)
         np.testing.assert_array_equal(out[:, 2], 0.0)
-        row, col = pj.matrix_residuals(out, col_mass)
-        assert row < 1e-4 and col < 1e-4
+        assert pj.ProjectionResult(out, 1.0).residual_sum < 1e-4
+        assert pj.ProjectionResult(out.T, col_mass).residual_sum < 1e-4
         assert out.min() >= 0.0
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (6, 4), (12, 9), (40, 30)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_matches_per_row_and_column_reference(self, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        for case in range(3):
+            y = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3)
+            col_mass = rng.dirichlet(np.ones(shape[1])) * shape[0]
+            if case and shape[1] > 1:
+                # a column of zero mass, its share moved to another
+                col_mass[0] += col_mass[-1]
+                col_mass[-1] = 0.0
+            rounds = int(rng.integers(1, 30))
+            out = pj.project_matrix_rows_cols(y, col_mass, rounds=rounds)
+            assert np.array_equal(out, oracles.project_matrix_rows_cols(y, col_mass, rounds))

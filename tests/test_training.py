@@ -1,6 +1,7 @@
 import gc
 import io
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -672,6 +673,38 @@ class TestPredictEvaluate:
         model = md.ScoreModel(tiny_config(seed=8))
         with pytest.raises(ValueError, match="empty split"):
             run(model, corpus([], input_dim=12, label_count=5), quick_inference())
+
+
+class TestOneGraphAtATime:
+    """A pass over many chunks or minibatches peaks near one of them: the
+    previous tape is gone before the next one is recorded."""
+
+    CHUNKS = 3
+
+    @staticmethod
+    def peak(run, rows):
+        ds = dt.generate_synthetic(rows, label_count=30, input_dim=40, seed=0,
+                                   modulus=10, min_words=5, max_words=20)
+        model = md.ScoreModel(md.ModelConfig(
+            input_dim=40, label_count=30, max_cardinality=10, feature_hidden=16,
+            feature_dim=16, global_hidden=16, cardinality_hidden=16, seed=0))
+        tracemalloc.start()
+        try:
+            run(model, ds, inf.InferenceConfig(steps=5))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_evaluate_peaks_at_one_chunk(self):
+        one = self.peak(tr.evaluate, tr.EVAL_CHUNK)
+        assert self.peak(tr.evaluate, self.CHUNKS * tr.EVAL_CHUNK) <= 1.25 * one
+
+    def test_training_steps_peak_at_one_minibatch(self):
+        def run(model, ds, cfg):
+            tr.train(model, ds, cfg, train_config=tr.TrainConfig(epochs=1, batch_size=32))
+
+        one = self.peak(run, 32)
+        assert self.peak(run, self.CHUNKS * 32) <= 1.25 * one
 
 
 class TestTrain:
