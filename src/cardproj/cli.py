@@ -327,20 +327,20 @@ def _read_vectors(source) -> list:
 
 
 def _format_vector(values: np.ndarray) -> str:
-    # one format call per line; prints what f"{x:.10g}" prints for each x
-    return " ".join(["{:.10g}"] * len(values)).format(*values.tolist())
+    # one % operation per line; prints what f"{x:.10g}" prints for each x
+    return " ".join(["%.10g"] * len(values)) % tuple(values.tolist())
 
 
-def _project_one(operator: str, v: np.ndarray, z: float, args) -> np.ndarray:
-    if operator == "simplex":
-        # no box caps here, so a mass above the dimension is still feasible
-        return pj.project_simplex_exact(v, z)
-    spec = pj.CappedSimplexSpec(v.size, z)
-    if operator == "capped":
-        return pj.project_capped_exact(v, spec)
-    rounds = args.rounds if args.rounds is not None else pj.DEFAULT_ROUNDS
-    return pj.project_capped_dykstra(dg.Tape().leaf(v), spec, rounds=rounds,
-                                     sharpness=args.sharpness).values()
+def _chunks(rows: list):
+    """(line numbers, stacked vectors) of each run of consecutive lines of
+    one length, cut into chunks of at most ``EVAL_CHUNK`` rows."""
+    start = 0
+    for stop in range(1, len(rows) + 1):
+        if (stop == len(rows) or stop - start == tr.EVAL_CHUNK
+                or rows[stop][1].size != rows[start][1].size):
+            part = rows[start:stop]
+            yield [lineno for lineno, _ in part], np.stack([v for _, v in part])
+            start = stop
 
 
 def cmd_project(args) -> int:
@@ -393,19 +393,41 @@ def cmd_project(args) -> int:
 
     if args.z is None:
         raise ConfigError(f"operator {args.operator!r} requires --z")
-    for lineno, v in rows:
-        try:
-            out = _project_one(args.operator, v, args.z, args)
-        except pj.InfeasibleSpecError as err:
-            raise ConfigError(f"line {lineno}: {err}") from None
-        print(_format_vector(out))
-        if args.diagnostics:
-            res = pj.ProjectionResult(out, args.z)
-            print(
-                f"line {lineno}: residual_sum={res.residual_sum:.3e} "
-                f"residual_box={res.residual_box:.3e}",
-                file=sys.stderr,
-            )
+    # every line's budget is checked before a line prints: the capped set's
+    # once per length, in file order; the simplex's, which no length
+    # changes, by the first chunk
+    specs = {}
+    if args.operator != "simplex":
+        for lineno, v in rows:
+            if v.size not in specs:
+                try:
+                    specs[v.size] = pj.CappedSimplexSpec(v.size, args.z)
+                except pj.InfeasibleSpecError as err:
+                    raise ConfigError(f"line {lineno}: {err}") from None
+    rounds = args.rounds if args.rounds is not None else pj.DEFAULT_ROUNDS
+    # each operator projects every row of a chunk to the bits it gets alone
+    for linenos, block in _chunks(rows):
+        if args.operator == "simplex":
+            try:
+                # no box caps here, so a mass above the dimension is still feasible
+                out = pj.project_simplex_exact(block, args.z)
+            except pj.InfeasibleSpecError as err:
+                raise ConfigError(f"line {linenos[0]}: {err}") from None
+        elif args.operator == "capped":
+            out = pj.project_capped_exact(block, specs[block.shape[1]])
+        else:
+            out = pj.project_capped_dykstra(dg.Tape().leaf(block), specs[block.shape[1]],
+                                            rounds=rounds,
+                                            sharpness=args.sharpness).values()
+        for lineno, y in zip(linenos, out):
+            print(_format_vector(y))
+            if args.diagnostics:
+                res = pj.ProjectionResult(y, args.z)
+                print(
+                    f"line {lineno}: residual_sum={res.residual_sum:.3e} "
+                    f"residual_box={res.residual_box:.3e}",
+                    file=sys.stderr,
+                )
     return EXIT_OK
 
 

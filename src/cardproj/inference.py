@@ -135,7 +135,7 @@ def _resolve_budget(tm: md.TapedModel, logits: Var, rows: tuple, cfg: InferenceC
         if cfg.z_mode == "expected":
             z = dg.clip(md.expected_cardinality(tm, logits), lo=MIN_BUDGET)
             return z, np.asarray(z.value)
-        z = np.asarray(md.modal_cardinality(logits), dtype=np.float64)
+        z = md.modal_cardinality(logits).astype(np.float64)
         return z, z
     z = np.full(rows, float(cfg.z_source))
     return z, z

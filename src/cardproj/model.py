@@ -227,8 +227,8 @@ def predict_cardinality(tm: TapedModel, feature_indices, feature_values, mode="e
     """Predicted label-set size of each example.
 
     ``expected`` returns the distribution mean as a node, so the budget
-    stays differentiable; ``argmax`` returns the modal size as a plain int
-    (an int array for a batch), detached from the graph.
+    stays differentiable; ``argmax`` returns the modal size as an int
+    array (0-d for one example), detached from the graph.
     """
     if mode not in ("expected", "argmax"):
         raise ValueError(f"unknown cardinality mode {mode!r}")
@@ -249,13 +249,12 @@ def expected_cardinality(tm: TapedModel, logits: Var) -> Var:
 def modal_cardinality(logits: Var):
     """The most probable label-set size under the head's logits.
 
-    A plain int for one example, an int array for a batch.  Takes the
-    argmax of the probabilities ``dg.softmax`` computes, from the same
+    An int array, 0-d for one example and one per row for a batch.  Takes
+    the argmax of the probabilities ``dg.softmax`` computes, from the same
     helper, not of the logits, and records nothing on the tape: the count is
     read off, never differentiated.
     """
-    modal = np.argmax(dg._softmax_values(logits.value), axis=-1)
-    return int(modal) if modal.ndim == 0 else modal
+    return np.asarray(np.argmax(dg._softmax_values(logits.value), axis=-1))
 
 
 # ---------------------------------------------------------------------------

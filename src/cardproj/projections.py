@@ -26,12 +26,11 @@ term in the order that a reverse sweep over the composed graph would, so
 values and gradients agree with it bit for bit; the tests keep that
 composed version as their reference.
 
-``project_simplex_exact`` takes plain numpy arrays, one vector or a matrix
-whose rows it projects at once; ``project_capped_exact`` takes arrays or tape
-nodes, and ``project_capped_dykstra`` tape nodes.  The operators on tape
-nodes project one vector or each row of a minibatch, with one budget for
-every row or one per row; a row whose budget is zero projects to the origin
-and passes no gradient.
+Every operator projects one vector or each row of a matrix, with one budget
+for every row or one per row.  ``project_simplex_exact`` takes plain numpy
+arrays, ``project_capped_exact`` arrays or tape nodes, and
+``project_capped_dykstra`` tape nodes; on a tape node a row whose budget is
+zero projects to the origin and passes no gradient.
 """
 
 from __future__ import annotations
@@ -206,27 +205,25 @@ def _capped_pivot(v: np.ndarray, mass: float) -> tuple[np.ndarray, float]:
 def project_capped_exact(v, spec: CappedSimplexSpec):
     """Closed-form Euclidean projection onto the capped simplex.
 
-    Takes an ndarray and returns one, or takes a tape node, one vector or a
-    batch of rows, and records one node, which runs the pivot row by row.
-    That node's backward pass is the closed-form Jacobian of the projection
-    on the free set A = {i : 0 < y_i < 1} of each row, as for sparsemax
-    (Martins & Astudillo 2016): the input's adjoint on A gets
-    ``g[A] - mean(g[A])`` and a mass node's adjoint gets ``mean(g[A])``.
-    Coordinates clamped at zero or one pass no gradient, and when A is
-    empty, as at budgets 0 and ``dim``, nothing passes.
+    Takes one vector or a batch of rows: an ndarray, and returns one, or a
+    tape node, and records one node.  Either way the pivot runs row by row,
+    so each row gets the bits it gets alone.  The node's backward pass is
+    the closed-form Jacobian of the projection on the free set
+    A = {i : 0 < y_i < 1} of each row, as for sparsemax (Martins & Astudillo
+    2016): the input's adjoint on A gets ``g[A] - mean(g[A])`` and a mass
+    node's adjoint gets ``mean(g[A])``.  Coordinates clamped at zero or one
+    pass no gradient, and when A is empty, as at budgets 0 and ``dim``,
+    nothing passes.
     """
-    if not isinstance(v, Var):
-        values = np.asarray(v, dtype=np.float64)
-        if values.ndim != 1 or values.size != spec.dim:
-            raise ValueError(f"expected a vector of length {spec.dim}")
-        return _capped_pivot(values, float(spec.mass_value))[0]
-    values = v.value
-    if values.ndim not in (1, 2) or values.shape[-1] != spec.dim:
-        raise ValueError(f"expected rows of length {spec.dim}")
+    values = v.value if isinstance(v, Var) else np.asarray(v, dtype=np.float64)
+    if values.ndim not in (1, 2) or values.shape[-1] != spec.dim or values.size == 0:
+        raise ValueError(f"expected a vector or rows of length {spec.dim}")
     masses = np.broadcast_to(spec.mass_value, values.shape[:-1])
     point = np.empty_like(values)
     for row in np.ndindex(values.shape[:-1]):
         point[row] = _capped_pivot(values[row], float(masses[row]))[0]
+    if not isinstance(v, Var):
+        return point
     _, mass_node = _mass_operand(v.tape, spec.mass)
     free = (point > 0.0) & (point < 1.0)
     n_free = free.sum(axis=-1, keepdims=True)

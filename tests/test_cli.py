@@ -10,6 +10,7 @@ from cardproj import cli
 from cardproj import diffgraph as dg
 from cardproj import inference as inf
 from cardproj import model as md
+from cardproj import projections as pj
 from cardproj import training as tr
 
 TINY_CONFIG = {
@@ -179,6 +180,71 @@ class TestProject:
         assert code == 1
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("operator, z, err", [
+        ("simplex", "0", "line 2: simplex mass must be finite and positive, got 0.0"),
+        ("capped", "2.5", "line 43: mass budget 2.5 outside [0, 2]"),
+        ("dykstra", "2.5", "line 43: mass budget 2.5 outside [0, 2]"),
+    ])
+    def test_budgets_are_checked_before_any_line_prints(self, operator, z, err, capsys,
+                                                        monkeypatch):
+        # more than a chunk of feasible lines, of two lengths, comes before the
+        # first infeasible one; the simplex budget fails on every line alike
+        stdin = "\n" + "0.5 0.2 0.1\n" * 35 + "0.1 0.9 0.3 0.4\n" * 6 + "0.3 0.1\n1 0 0\n"
+        assert self.run([operator, "--z", z], stdin, monkeypatch) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {err}\n"
+        assert captured.out == ""
+
+    def test_equal_length_runs_project_a_chunk_at_a_time(self, capsys, monkeypatch):
+        shapes = []
+        original = pj.project_capped_exact
+
+        def recorded(v, spec):
+            shapes.append(v.shape)
+            return original(v, spec)
+
+        monkeypatch.setattr(pj, "project_capped_exact", recorded)
+        lengths = [3] * 70 + [2] + [3] * 2
+        stdin = "".join(" ".join(["0.5"] * L) + "\n" for L in lengths)
+        assert self.run(["capped", "--z", "1"], stdin, monkeypatch) == 0
+        assert shapes == [(32, 3), (32, 3), (6, 3), (1, 2), (2, 3)]
+        assert len(capsys.readouterr().out.splitlines()) == len(lengths)
+
+    @pytest.mark.parametrize("operator", ["simplex", "capped", "dykstra"])
+    def test_rows_print_what_each_line_prints_alone(self, operator, capsys, monkeypatch):
+        # runs of one length are projected as rows, a chunk at a time; the
+        # run of 30 is longer than a chunk
+        rng = np.random.default_rng(11)
+        lengths = [30] * 37 + [1, 1, 2, 2, 2] + [159] * 3 + [983] * 2 + [30, 30, 2]
+        vectors = []
+        for i, L in enumerate(lengths):
+            if i % 3 == 0:
+                v = rng.choice([-1.0, 1.0], L) * 10.0 ** rng.uniform(-6, 8, L)
+            elif i % 3 == 1:
+                v = np.round(rng.uniform(-1.0, 2.0, L), 1)  # ties
+            else:
+                v = rng.normal(size=L)
+            vectors.append(v)
+        stdin = "".join(" ".join(map(repr, v.tolist())) + "\n" for v in vectors)
+        z = 0.7
+        assert self.run([operator, "--z", str(z), "--diagnostics"], stdin, monkeypatch) == 0
+        captured = capsys.readouterr()
+        want_out, want_err = [], []
+        for lineno, v in enumerate(vectors, 1):
+            if operator == "simplex":
+                y = pj.project_simplex_exact(v, z)
+            elif operator == "capped":
+                y = pj.project_capped_exact(v, pj.CappedSimplexSpec(v.size, z))
+            else:
+                y = pj.project_capped_dykstra(dg.Tape().leaf(v),
+                                              pj.CappedSimplexSpec(v.size, z)).values()
+            res = pj.ProjectionResult(y, z)
+            want_out.append(cli._format_vector(y))
+            want_err.append(f"line {lineno}: residual_sum={res.residual_sum:.3e} "
+                            f"residual_box={res.residual_box:.3e}")
+        assert captured.out.splitlines() == want_out
+        assert captured.err.splitlines() == want_err
+
     def test_diagnostics_go_to_stderr(self, capsys, monkeypatch):
         code = self.run(
             ["capped", "--z", "2", "--diagnostics"], "1.5 0.8 -0.2\n", monkeypatch
@@ -241,6 +307,8 @@ class TestProject:
         [-0.0, 1e-300, 5e20, 0.5],
         [1.0 / 3.0, -2.5e-7, 123456789012.0, 0.0],
         [np.nan, np.inf, -np.inf, 1e-320],
+        [5e-324, -2.2250738585072e-309, 1e-310, 2.2250738585072014e-308],  # subnormals
+        [0.1 + 0.2, 0.3, 1.0 - 1e-16, 1e16 + 2.0],
     ])
     def test_vectors_format_as_each_scalar_does(self, values):
         arr = np.array(values)

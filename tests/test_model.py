@@ -270,7 +270,7 @@ class TestCardinalityPredictor:
         modal = md.predict_cardinality(tm, [1], [1.0], mode="argmax")
         assert float(expected.value) == pytest.approx(3.0, abs=1e-8)
         assert modal == 3
-        assert isinstance(modal, int)
+        assert modal.shape == () and modal.dtype.kind == "i"
 
     def test_distribution_normalized_for_random_models(self):
         rng = np.random.default_rng(7)
@@ -298,10 +298,7 @@ class TestCardinalityPredictor:
         assert len(tape) == before
         want = np.argmax(dg.softmax(logits).value, axis=-1)
         np.testing.assert_array_equal(modal, want)
-        if rows:
-            assert modal.shape == rows
-        else:
-            assert isinstance(modal, int)
+        assert modal.shape == rows and modal.dtype.kind == "i"
 
     def test_expected_mode_is_differentiable(self):
         m = md.ScoreModel(small_config(seed=6))

@@ -161,6 +161,27 @@ class TestCappedExact:
         out = pj.project_capped_exact(v, CappedSimplexSpec(3, 2.0))
         np.testing.assert_allclose(out, [1.0, 1.0, 0.0], atol=1e-12)
 
+    @pytest.mark.parametrize("L", [1, 2, 30, 159, 983])
+    def test_rows_match_one_vector_calls_bit_for_bit(self, L):
+        rng = np.random.default_rng(L)
+        rows = np.concatenate([
+            rng.choice([-1.0, 1.0], (3, L)) * 10.0 ** rng.uniform(-6, 8, (3, L)),
+            np.round(rng.uniform(-1.0, 2.0, (3, L)), 1),  # ties
+            rng.normal(size=(3, L)),
+        ])
+        per_row = rng.uniform(0, L, len(rows))
+        per_row[:2] = [0.0, L]
+        for mass in (0.5 * L, per_row):
+            got = pj.project_capped_exact(rows, CappedSimplexSpec(L, mass))
+            masses = np.broadcast_to(mass, len(rows))
+            for row, m, y in zip(rows, masses, got):
+                assert np.array_equal(y, pj.project_capped_exact(row, CappedSimplexSpec(L, m)))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 4), (0, 3), (2, 2, 3)])
+    def test_wrong_width_or_empty_rows_rejected(self, shape):
+        with pytest.raises(ValueError, match="expected a vector or rows of length 3"):
+            pj.project_capped_exact(np.zeros(shape), CappedSimplexSpec(3, 1.0))
+
     def test_feasibility_and_idempotence(self):
         rng = np.random.default_rng(2)
         for _ in range(300):
