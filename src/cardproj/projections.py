@@ -8,11 +8,11 @@ the simplex scaled to mass ``z`` and capped at one per coordinate.  Two
 routes onto it are implemented:
 
 * ``project_capped_exact`` solves the Euclidean projection in closed form
-  by scanning the breakpoints of the piecewise-linear mass function
-  g(lam) = sum_i clamp(v_i - lam, 0, 1) over one sort of ``v``.  On a tape
-  node it records one node whose backward pass is the closed-form Jacobian
-  on the free set, which is how the exact replay of unrolled inference is
-  differentiated.
+  by bisecting over the breakpoints of the piecewise-linear mass function
+  g(lam) = sum_i clamp(v_i - lam, 0, 1), after one sort of each row, for
+  every row of a batch at once.  On a tape node it records one node whose
+  backward pass is the closed-form Jacobian on the free set, which is how
+  the exact replay of unrolled inference is differentiated.
 * ``project_capped_dykstra`` alternates between the unit upper box and the
   scaled simplex with Dykstra correction terms, the simplex step being a
   differentiable surrogate of the sorted-pivot projection.  This is what
@@ -154,8 +154,8 @@ def project_simplex_exact(v: np.ndarray, mass=1.0) -> np.ndarray:
     return np.maximum(v - theta[pivot].reshape(v.shape[:-1] + (1,)), 0.0)
 
 
-def _capped_pivot(v: np.ndarray, mass: float) -> tuple[np.ndarray, float]:
-    """Projection onto the capped simplex, returning (point, threshold).
+def _capped_rows(v: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Projection of each row of ``v`` onto the capped simplex of its mass.
 
     The optimal point is clamp(v - lam, 0, 1) where lam solves
     g(lam) = sum_i relu(v_i - lam) - sum_i relu(v_i - 1 - lam) = mass.  g is
@@ -164,64 +164,107 @@ def _capped_pivot(v: np.ndarray, mass: float) -> tuple[np.ndarray, float]:
     linear piece: with n1 coordinates clamped at one and an active set A
     strictly inside (0, 1), lam = (sum_{i in A} v_i - (mass - n1)) / |A|.
 
-    Both relu sums at every breakpoint come from one sort of ``v``, its
-    suffix sums and ``np.searchsorted`` (the sort-and-scan of Wang & Lu,
-    "Projection onto the capped simplex"), so the scan takes O(L log L) time
-    and O(L) memory.
+    Both relu sums at a breakpoint come from one sort of the row, its suffix
+    sums and the count of its entries at or below the breakpoint (the
+    sort-and-scan of Wang & Lu, "Projection onto the capped simplex").  The
+    bracket is the last distinct breakpoint where g >= mass, found by the
+    bisection that ``np.searchsorted`` runs, one step for every row at a
+    time and evaluating g only where it probes: O(L log L) time and O(L)
+    memory per row.  Rounding can leave the computed g a little off
+    monotone; the probe order then decides which crossing a row settles
+    on, and it is the order of a search over that row alone, so a row gets
+    the same bits in any batch.
     """
-    L = v.size
-    if mass <= 0.0:
-        return np.zeros(L), float(v.max())
-    if mass >= L:
-        return np.ones(L), float(v.min() - 1.0)
+    L = v.shape[-1]
+    point = np.zeros_like(v)
+    point[mass >= L] = 1.0
+    live = np.flatnonzero((mass > 0.0) & (mass < L))
+    if live.size == 0:
+        return point
+    v, z = v[live], mass[live]
+    rows = np.arange(len(v))
 
-    ascending = np.sort(v)
-    # suffix[i] is the sum of ascending[i:], with a zero past the end
-    suffix = np.append(np.cumsum(ascending[::-1])[::-1], 0.0)
+    ascending = np.sort(v, axis=-1)
+    # suffix[r, i] is the sum of ascending[r, i:], with a zero past the end
+    suffix = np.zeros((len(v), L + 1))
+    suffix[:, :L] = np.cumsum(ascending[:, ::-1], axis=-1)[:, ::-1]
+    suffix = suffix.ravel()
+    # (row, value) as complex numbers, which numpy orders by real and then
+    # imaginary part, so one searchsorted counts each row's entries <= t
+    keys = np.empty((len(v), L), dtype=np.complex128)
+    keys.real = rows[:, None]
+    keys.imag = ascending
+    keys = keys.ravel()
+    probe = np.empty((2, len(v)), dtype=np.complex128)
+    probe.real = rows
+    t = probe.imag  # a view: one point per row, and the point + 1
+    key_base, suffix_base = rows * L, rows * (L + 1)
 
-    def relu_sums(t):
-        # sum_i relu(v_i - t) for each entry of t
-        above = np.searchsorted(ascending, t, side="right")
-        return suffix[above] - t * (L - above)
+    def g(point):
+        # g at one point per row: the relu sums at t and t + 1
+        t[0] = point
+        np.add(point, 1.0, out=t[1])
+        above = keys.searchsorted(probe, side="right") - key_base
+        relu = suffix[suffix_base + above] - t * (L - above)
+        return relu[0] - relu[1]
 
-    bps = np.unique(np.concatenate([v, v - 1.0]))
-    masses = relu_sums(bps) - relu_sums(bps + 1.0)
-    # masses is non-increasing in lam; locate the last breakpoint still >= mass
-    # (the mass at the top breakpoint, max(v), is 0 < mass, so k + 1 exists)
-    k = int(np.searchsorted(-masses, -mass, side="right")) - 1
-    mid = 0.5 * (bps[k] + bps[k + 1])
-    shifted = v - mid
-    n1 = int((shifted >= 1.0).sum())
+    # every row's distinct breakpoints, ascending, in one flat array:
+    # row r's are bps[start[r]:start[r] + count[r]]
+    merged = np.concatenate([v, v - 1.0], axis=-1)
+    merged.sort(axis=-1)
+    first = np.ones(merged.shape, dtype=bool)
+    first[:, 1:] = merged[:, 1:] != merged[:, :-1]
+    bps = merged[first]
+    count = first.sum(axis=-1)
+    start = np.cumsum(count) - count
+
+    lo, hi = np.zeros_like(count), count
+    for _ in range(int(count.max()).bit_length()):
+        mid = (lo + hi) >> 1
+        step = (g(bps[start + mid]) >= z) & (lo < hi)
+        lo = np.where(step, mid + 1, lo)
+        hi = np.where(step, hi, mid)
+    # g is 0 < mass at the top breakpoint, max(v), so lo < count; a row
+    # whose search ends at lo = 0 takes its top breakpoint as the one below,
+    # as index -1 does in a search over one row
+    below = bps[start + (lo - 1) % count]
+    mid = 0.5 * (below + bps[start + lo])
+    shifted = v - mid[:, None]
+    n1 = (shifted >= 1.0).sum(axis=-1)
     active = (shifted > 0.0) & (shifted < 1.0)
-    na = int(active.sum())
-    if na == 0:
-        # flat piece: any lam on it yields the same point
-        lam = bps[k] if masses[k] == mass else mid
-    else:
-        lam = (v[active].sum() - (mass - n1)) / na
-    return np.clip(v - lam, 0.0, 1.0), float(lam)
+    na = active.sum(axis=-1)
+    # flat piece: any lam on it yields the same point
+    lam = np.where(g(below) == z, below, mid)
+    # each sloped row sums its active entries alone: numpy's pairwise sum
+    # groups a longer, zero-padded row differently
+    sloped = np.flatnonzero(na)
+    ends = np.cumsum(na[sloped])
+    entries = v[active]
+    sums = np.array([entries[a:b].sum() for a, b in zip(ends - na[sloped], ends)])
+    lam[sloped] = (sums - (z[sloped] - n1[sloped])) / na[sloped]
+    point[live] = np.clip(v - lam[:, None], 0.0, 1.0)
+    return point
 
 
 def project_capped_exact(v, spec: CappedSimplexSpec):
     """Closed-form Euclidean projection onto the capped simplex.
 
     Takes one vector or a batch of rows: an ndarray, and returns one, or a
-    tape node, and records one node.  Either way the pivot runs row by row,
-    so each row gets the bits it gets alone.  The node's backward pass is
-    the closed-form Jacobian of the projection on the free set
-    A = {i : 0 < y_i < 1} of each row, as for sparsemax (Martins & Astudillo
-    2016): the input's adjoint on A gets ``g[A] - mean(g[A])`` and a mass
-    node's adjoint gets ``mean(g[A])``.  Coordinates clamped at zero or one
-    pass no gradient, and when A is empty, as at budgets 0 and ``dim``,
-    nothing passes.
+    tape node, and records one node.  Either way one pivot runs on every
+    row at once, and each row gets the bits it gets alone.  The node's
+    backward pass is the closed-form Jacobian of the projection on the free
+    set A = {i : 0 < y_i < 1} of each row, as for sparsemax (Martins &
+    Astudillo 2016): the input's adjoint on A gets ``g[A] - mean(g[A])``
+    and a mass node's adjoint gets ``mean(g[A])``.  Coordinates clamped at
+    zero or one pass no gradient, and when A is empty, as at budgets 0 and
+    ``dim``, nothing passes.
     """
     values = v.value if isinstance(v, Var) else np.asarray(v, dtype=np.float64)
     if values.ndim not in (1, 2) or values.shape[-1] != spec.dim or values.size == 0:
         raise ValueError(f"expected a vector or rows of length {spec.dim}")
     masses = np.broadcast_to(spec.mass_value, values.shape[:-1])
-    point = np.empty_like(values)
-    for row in np.ndindex(values.shape[:-1]):
-        point[row] = _capped_pivot(values[row], float(masses[row]))[0]
+    point = _capped_rows(values.reshape(-1, spec.dim), masses.reshape(-1))
+    point = point.reshape(values.shape)
     if not isinstance(v, Var):
         return point
     _, mass_node = _mass_operand(v.tape, spec.mass)

@@ -2,9 +2,10 @@
 
 No program path calls any of these.  Each is either an independent route to
 what a shipped operator computes (a long scalar bisection for the capped
-projection, Dykstra's alternation with exact steps, the sorted pivot on one
-vector and the matrix alternation one row and one column at a time, which
-the shipped batched forms must match bit for bit), or the composed form
+projection, Dykstra's alternation with exact steps, the capped sort-and-scan
+and the simplex sorted pivot on one vector, and the matrix alternation one
+row and one column at a time, which the shipped batched forms must match
+bit for bit), or the composed form
 of a fused node, built from ``diffgraph`` ops node by node, which the fused
 node must match bit for bit (the global potential and the bucket score,
 whose gradients ship as fused nodes, and the sort and running sums of the
@@ -85,6 +86,54 @@ def project_capped_bisection(v: np.ndarray, spec: pj.CappedSimplexSpec) -> np.nd
         else:
             hi = mid
     return np.clip(v - 0.5 * (lo + hi), 0.0, 1.0)
+
+
+def project_capped_pivot(v: np.ndarray, mass: float) -> tuple[np.ndarray, float]:
+    """Projection onto the capped simplex, returning (point, threshold).
+
+    The optimal point is clamp(v - lam, 0, 1) where lam solves
+    g(lam) = sum_i relu(v_i - lam) - sum_i relu(v_i - 1 - lam) = mass.  g is
+    piecewise linear and non-increasing with breakpoints at v_i and v_i - 1,
+    so the root is found by bracketing over breakpoints and solving the
+    linear piece: with n1 coordinates clamped at one and an active set A
+    strictly inside (0, 1), lam = (sum_{i in A} v_i - (mass - n1)) / |A|.
+
+    Both relu sums at every breakpoint come from one sort of ``v``, its
+    suffix sums and ``np.searchsorted`` (the sort-and-scan of Wang & Lu,
+    "Projection onto the capped simplex"), so the scan takes O(L log L) time
+    and O(L) memory.
+    """
+    L = v.size
+    if mass <= 0.0:
+        return np.zeros(L), float(v.max())
+    if mass >= L:
+        return np.ones(L), float(v.min() - 1.0)
+
+    ascending = np.sort(v)
+    # suffix[i] is the sum of ascending[i:], with a zero past the end
+    suffix = np.append(np.cumsum(ascending[::-1])[::-1], 0.0)
+
+    def relu_sums(t):
+        # sum_i relu(v_i - t) for each entry of t
+        above = np.searchsorted(ascending, t, side="right")
+        return suffix[above] - t * (L - above)
+
+    bps = np.unique(np.concatenate([v, v - 1.0]))
+    masses = relu_sums(bps) - relu_sums(bps + 1.0)
+    # masses is non-increasing in lam; locate the last breakpoint still >= mass
+    # (the mass at the top breakpoint, max(v), is 0 < mass, so k + 1 exists)
+    k = int(np.searchsorted(-masses, -mass, side="right")) - 1
+    mid = 0.5 * (bps[k] + bps[k + 1])
+    shifted = v - mid
+    n1 = int((shifted >= 1.0).sum())
+    active = (shifted > 0.0) & (shifted < 1.0)
+    na = int(active.sum())
+    if na == 0:
+        # flat piece: any lam on it yields the same point
+        lam = bps[k] if masses[k] == mass else mid
+    else:
+        lam = (v[active].sum() - (mass - n1)) / na
+    return np.clip(v - lam, 0.0, 1.0), float(lam)
 
 
 def project_simplex_pivot(v: np.ndarray, mass: float) -> np.ndarray:

@@ -119,9 +119,10 @@ class TestSimplexExact:
 class TestCappedExact:
     def test_worked_example_with_pivot(self):
         v = np.array([1.5, 0.8, -0.2])
-        out, lam = pj._capped_pivot(v, 2.0)
+        out, lam = oracles.project_capped_pivot(v, 2.0)
         np.testing.assert_allclose(out, [1.0, 1.0, 0.0], atol=1e-12)
         assert abs(lam - (-0.2)) < 1e-12
+        assert np.array_equal(pj.project_capped_exact(v, CappedSimplexSpec(3, 2.0)), out)
 
     def test_zero_mass_gives_zeros(self):
         out = pj.project_capped_exact(np.array([0.3, 0.3]), CappedSimplexSpec(2, 0.0))
@@ -176,6 +177,52 @@ class TestCappedExact:
             masses = np.broadcast_to(mass, len(rows))
             for row, m, y in zip(rows, masses, got):
                 assert np.array_equal(y, pj.project_capped_exact(row, CappedSimplexSpec(L, m)))
+
+    @staticmethod
+    def _pivot_rows(rows, masses):
+        masses = np.broadcast_to(masses, len(rows))
+        return np.stack([oracles.project_capped_pivot(row, float(m))[0]
+                         for row, m in zip(rows, masses)])
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 30, 159, 983])
+    def test_rows_match_reference_pivot_bit_for_bit(self, L):
+        # N(0,1), one-decimal ties, magnitudes 1e-6 to 1e8 and half-integers,
+        # plus rows offset by 1e15, where rounding leaves the computed g off
+        # monotone: budgets within 1e-9 of 0 and of L then make it cross the
+        # budget more than once, or end the search below the lowest breakpoint
+        rng = np.random.default_rng(L)
+        rows = np.concatenate([
+            rng.normal(size=(4, L)),
+            np.round(rng.uniform(-1.0, 2.0, (4, L)), 1),  # ties
+            rng.choice([-1.0, 1.0], (4, L)) * 10.0 ** rng.uniform(-6, 8, (4, L)),
+            rng.integers(-4, 6, (4, L)) * 0.5,  # half-integers
+            1e15 + 1e8 * rng.normal(size=(4, L)),
+        ])
+        n = len(rows)
+        budgets = np.concatenate([
+            [0.0, float(L)], rng.integers(0, L + 1, 6).astype(float),
+            rng.uniform(0, L, 6), [1e-9 * L, L - 1e-9 * L] * 3,
+        ])
+        for mass in (rng.permutation(budgets)[:n], 0.5 * L, float(L // 2)):
+            got = pj.project_capped_exact(rows, CappedSimplexSpec(L, mass))
+            want = self._pivot_rows(rows, mass)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_flat_pieces_in_a_batch_match_reference_pivot(self):
+        # rows whose root lies on a flat piece of g (two coordinates pinned
+        # at one, half-integers at integer budgets) among ordinary rows
+        rng = np.random.default_rng(5)
+        rows = np.concatenate([
+            [[5.0, 5.0, -5.0, -5.0, -5.0, -5.0]],
+            rng.integers(-4, 6, (5, 6)) * 0.5,
+            rng.normal(size=(4, 6)),
+            [[5.0, 5.0, -5.0, 0.5, -0.0, 0.0]],
+        ])
+        masses = np.array([2.0, 1.0, 2.0, 3.0, 4.0, 5.0, 1.0, 2.5, 3.0, 4.5, 2.0])
+        got = pj.project_capped_exact(rows, CappedSimplexSpec(6, masses))
+        assert np.array_equal(got, self._pivot_rows(rows, masses))
+        np.testing.assert_array_equal(got[0], [1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("shape", [(4,), (2, 4), (0, 3), (2, 2, 3)])
     def test_wrong_width_or_empty_rows_rejected(self, shape):
@@ -242,16 +289,19 @@ class TestCappedExact:
                     )
 
     def test_pivot_memory_is_linear_in_label_count(self):
-        # measured peak 0.14 MB at L=983; a breakpoint-by-label table of
-        # float64 alone would take 15 MB
-        v = np.random.default_rng(0).standard_normal(983)
-        tracemalloc.start()
-        try:
-            pj._capped_pivot(v, 5.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * v.nbytes
+        # measured peaks 0.11 MB for one row of 983 labels and 3.4 MB for
+        # 32 rows (14 and 13 times the input); a breakpoint-by-label table
+        # of float64 alone would take 15 MB a row
+        spec = CappedSimplexSpec(983, 5.5)
+        for rows, bound in ((1, 64), (32, 32)):
+            v = np.random.default_rng(0).standard_normal((rows, 983))
+            tracemalloc.start()
+            try:
+                pj.project_capped_exact(v, spec)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * v.nbytes, rows
 
 
 class TestSimplexSoft:
@@ -577,7 +627,7 @@ class TestCappedExactNode:
         rng = np.random.default_rng(L)
         v = rng.permutation(np.linspace(-0.2, 1.2, L)) + rng.uniform(-0.01, 0.01, L)
         readout = rng.standard_normal(L)
-        _, lam = pj._capped_pivot(v, z)
+        _, lam = oracles.project_capped_pivot(v, z)
         assert min(np.abs(v - lam).min(), np.abs(v - lam - 1.0).min()) > 1e-4
 
         def f(u, mass):

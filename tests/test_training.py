@@ -865,6 +865,54 @@ class TestGradCheck:
         report = tr.gradcheck(model, ds.examples[0], ds.target(0), quick_inference())
         assert report.max_rel_error > 1e-1
 
+    def test_exact_arm_directional_derivatives_at_159_labels(self):
+        # pc-5 with the exact projection at Bibtex's label count, hidden 8:
+        # per buffer, the analytic derivative along 3 seeded unit directions
+        # against central differences at steps 1e-5 and 1e-6.  Where the two
+        # steps disagree, a relu or clamp crossing lies within a step of the
+        # point along that direction: it is flagged as a kink and gated at
+        # the smaller step alone.  Under these seeds one direction of
+        # global.b1 is a kink at 1e-5 and every other error is below 3e-7
+        data = dt.generate_synthetic(8, label_count=159, input_dim=60, seed=1)
+        model = md.ScoreModel(md.ModelConfig(
+            input_dim=60, label_count=159, max_cardinality=10, feature_hidden=8,
+            feature_dim=8, global_hidden=8, cardinality_hidden=8, seed=1))
+        setup = quick_inference(steps=5, projection="exact")
+
+        def loss():
+            tm = md.TapedModel(model, Tape())
+            return tm, minibatch_loss(tm, data, setup, tr.LossConfig())[0]
+
+        tm, mean = loss()
+        tm.tape.backward(mean)
+        grads = tm.grads()
+        rng = np.random.default_rng(1)
+        kinks = []
+        for name, buf in model.params.items():
+            checks = []
+            for _ in range(3):
+                u = rng.standard_normal(buf.shape)
+                u /= np.linalg.norm(u)
+                fd = []
+                for step in (1e-5, 1e-6):
+                    orig = buf.copy()
+                    buf += step * u
+                    hi = float(loss()[1].value)
+                    buf[...] = orig - step * u
+                    lo = float(loss()[1].value)
+                    buf[...] = orig
+                    fd.append((hi - lo) / (2 * step))
+                checks.append((float((grads[name] * u).sum()), *fd))
+            scale = max(max(abs(f) for _, *fds in checks for f in fds), 1e-8)
+            for analytic, coarse, fine in checks:
+                if abs(coarse - fine) / scale >= 1e-3:
+                    kinks.append(name)
+                    errors = [abs(analytic - fine) / scale]
+                else:
+                    errors = [abs(analytic - coarse) / scale, abs(analytic - fine) / scale]
+                assert max(errors) < 1e-3, (name, analytic, coarse, fine)
+        assert len(kinks) <= 1, kinks
+
     def test_topz_variant_rejected(self):
         # topz decodes without a relaxed trajectory: most buffers would
         # compare a zero gradient with a zero difference
