@@ -416,7 +416,7 @@ def cmd_project(args) -> int:
         elif args.operator == "capped":
             out = pj.project_capped_exact(block, specs[block.shape[1]])
         else:
-            out = pj.project_capped_dykstra(dg.Tape().leaf(block), specs[block.shape[1]],
+            out = pj.project_capped_dykstra(dg.Var(dg.Tape(), block), specs[block.shape[1]],
                                             rounds=rounds,
                                             sharpness=args.sharpness).values()
         for lineno, y in zip(linenos, out):

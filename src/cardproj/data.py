@@ -31,7 +31,6 @@ __all__ = [
     "save_sparse_multilabel",
     "generate_synthetic",
     "split_dataset",
-    "take",
     "eval_f1",
     "reference_cardinality_mse",
 ]
@@ -64,11 +63,11 @@ class Dataset:
     and unique, with the matching float64 ``feature_values``, and the sorted,
     unique labels ``labels[label_indptr[i]:label_indptr[i + 1]]``.  Every
     index lies inside its dimension and every value is finite.  The
-    constructor checks only the dimensions: a corpus comes from
+    constructor checks nothing: a corpus comes from
     :func:`load_sparse_multilabel` or :func:`generate_synthetic`, which
-    check the rest once, and every other dataset holds rows of a corpus
-    (:meth:`batch`, :func:`take`, :attr:`examples`).  The arrays are made
-    read-only, so rows handed out as views stay valid.
+    check it once, and every other dataset holds rows of a corpus
+    (:meth:`batch`, :attr:`examples`).  The arrays are made read-only, so
+    rows handed out as views stay valid.
     """
 
     indptr: np.ndarray
@@ -80,8 +79,6 @@ class Dataset:
     label_count: int
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.label_count < 1:
-            raise ValueError("dimensions must be positive")
         for arr in (self.indptr, self.feature_indices, self.feature_values,
                     self.label_indptr, self.labels):
             arr.flags.writeable = False
@@ -117,7 +114,7 @@ class Dataset:
 
     def batch(self, rows) -> "Dataset":
         """The rows at positions ``rows``, in order, without any check: a
-        minibatch for one tape, or a split once :func:`take` has checked it."""
+        minibatch for one tape, or a split of a shuffled corpus."""
         rows = np.asarray(rows, dtype=np.intp)
         indptr, at = _gather(self.indptr, rows)
         label_indptr, label_at = _gather(self.label_indptr, rows)
@@ -374,21 +371,6 @@ def generate_synthetic(
 # splits
 
 
-def take(dataset: Dataset, indices) -> Dataset:
-    """Sub-dataset at the given example indices (order preserved)."""
-    indices = np.asarray(indices, dtype=np.intp)
-    if indices.ndim != 1:
-        raise ValueError("indices must be a vector")
-    if indices.size:
-        if indices.min() < 0 or indices.max() >= len(dataset):
-            raise ValueError(
-                f"index out of range for dataset of {len(dataset)} examples"
-            )
-        if np.unique(indices).size != indices.size:
-            raise ValueError("duplicate example indices")
-    return dataset.batch(indices)
-
-
 def split_dataset(dataset: Dataset, fractions=(0.8, 0.1, 0.1), seed: int = 0):
     """Shuffle once and cut into train/dev/test; disjoint and covering."""
     fractions = np.asarray(fractions, dtype=np.float64)
@@ -400,20 +382,11 @@ def split_dataset(dataset: Dataset, fractions=(0.8, 0.1, 0.1), seed: int = 0):
     n_train = int(fractions[0] * len(dataset))
     n_dev = int(fractions[1] * len(dataset))
     cuts = (perm[:n_train], perm[n_train : n_train + n_dev], perm[n_train + n_dev :])
-    return tuple(take(dataset, part) for part in cuts)
+    return tuple(dataset.batch(part) for part in cuts)
 
 
 # ---------------------------------------------------------------------------
 # metrics
-
-
-def _as_binary_matrix(rows, what: str) -> np.ndarray:
-    arr = np.asarray(rows, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"{what} must be a list of equal-length vectors")
-    if not np.all((arr == 0.0) | (arr == 1.0)):
-        raise ValueError(f"{what} must be binary")
-    return arr
 
 
 def eval_f1(predictions, targets) -> tuple[float, float]:
@@ -422,12 +395,11 @@ def eval_f1(predictions, targets) -> tuple[float, float]:
     Per example, F1 = 2|pred ∩ true| / (|pred| + |true|), defined as 1 when
     both sets are empty (agreement on absence).  The label-macro variant
     applies the same formula per label column and averages over labels,
-    with the same both-empty convention.
+    with the same both-empty convention.  Both are 0/1 matrices of one
+    shape: decoded labels and a split's targets.
     """
-    pred = _as_binary_matrix(predictions, "predictions")
-    true = _as_binary_matrix(targets, "targets")
-    if pred.shape != true.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {true.shape}")
+    pred = np.asarray(predictions, dtype=np.float64)
+    true = np.asarray(targets, dtype=np.float64)
     inter = (pred * true).sum(axis=1)
     sizes = pred.sum(axis=1) + true.sum(axis=1)
     per_example = np.where(sizes > 0, 2.0 * inter / np.maximum(sizes, 1e-300), 1.0)
@@ -443,12 +415,10 @@ def reference_cardinality_mse(targets, train_targets=None, seed: int = 0):
     The constant baseline predicts the mean cardinality of the training
     split, the random baseline draws uniform integers over the training
     split's observed cardinality range.  ``train_targets`` defaults to
-    ``targets``.
+    ``targets``; both are the counts of non-empty splits.
     """
     targets = np.asarray(targets, dtype=np.float64)
     reference = targets if train_targets is None else np.asarray(train_targets, np.float64)
-    if reference.size == 0:
-        raise ValueError("empty reference cardinalities")
     mse_const = float(np.mean((reference.mean() - targets) ** 2))
     lo, hi = int(reference.min()), int(reference.max())
     draws = np.random.default_rng(seed).integers(lo, hi + 1, size=targets.size)

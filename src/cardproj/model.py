@@ -4,8 +4,8 @@ Four pieces share one parameter store:
 
 * a feature network mapping a sparse input to per-label unary coefficients
   ``c``, so the unary part of the score is the linear form ``c . y``;
-* a global potential, a one-hidden-layer ReLU network over the label vector
-  alone, independent of the input by construction;
+* a global potential, a bias-free one-hidden-layer ReLU network over the
+  label vector alone, independent of the input by construction;
 * a cardinality predictor, a one-hidden-layer ReLU network whose softmax
   output is a distribution over label-set sizes ``{0, ..., Z}``;
 * optional per-bucket weights for the sigmoid-indicator cardinality score
@@ -28,8 +28,9 @@ input is a pair (indices, values) and gives vectors; a minibatch is the
 same pair in CSR form plus its row pointer ``indptr`` and gives one row per
 example (see ``diffgraph.matvec_sparse``); both are the arrays of a
 ``data.Dataset``.  Inputs are validated once, where a corpus enters the
-program (``data.load_sparse_multilabel`` and ``data.generate_synthetic``);
-here only the index range is checked.
+program (``data.load_sparse_multilabel`` and ``data.generate_synthetic``),
+and a model meets only datasets whose dimensions match its own; nothing
+here checks them again.
 """
 
 from __future__ import annotations
@@ -115,9 +116,7 @@ def _param_shapes(config: ModelConfig) -> dict[str, tuple[tuple, float]]:
         "unary.w": ((l, f), 1.0),
         "unary.b": ((l,), 0.0),
         "global.w1": ((h2, l), 2.0),
-        "global.b1": ((h2,), 0.0),
         "global.w2": ((h2,), 1.0),
-        "global.b2": ((), 0.0),
         "cardinality.w1": ((h3, d), 2.0),
         "cardinality.b1": ((h3,), 0.0),
         "cardinality.w2": ((buckets, h3), 1.0),
@@ -170,27 +169,15 @@ class TapedModel:
         return {name: v.adjoint for name, v in self.vars.items()}
 
 
-def _check_sparse_input(tm: TapedModel, indices, values):
-    idx = np.asarray(indices, dtype=np.intp)
-    vals = np.asarray(values, dtype=np.float64)
-    if idx.shape != vals.shape or idx.ndim != 1:
-        raise ValueError("indices and values must be equal-length vectors")
-    if idx.size and (idx.min() < 0 or idx.max() >= tm.config.input_dim):
-        raise ValueError(
-            f"feature index out of range for input_dim {tm.config.input_dim}"
-        )
-    return idx, vals
-
-
 # ---------------------------------------------------------------------------
 # score components
 
 
 def unary_scores(tm: TapedModel, feature_indices, feature_values, indptr=None) -> Var:
     """Per-label unary coefficients c(x): (label_count,) per example."""
-    idx, vals = _check_sparse_input(tm, feature_indices, feature_values)
     p = tm.vars
-    hidden = dg.relu(dg.add(dg.matvec_sparse(p["feature.w1"], idx, vals, indptr),
+    hidden = dg.relu(dg.add(dg.matvec_sparse(p["feature.w1"], feature_indices,
+                                             feature_values, indptr),
                             p["feature.b1"]))
     feats = dg.add(dg.matvec(p["feature.w2"], hidden), p["feature.b2"])
     return dg.add(dg.matvec(p["unary.w"], feats), p["unary.b"])
@@ -199,24 +186,25 @@ def unary_scores(tm: TapedModel, feature_indices, feature_values, indptr=None) -
 def grad_global_score(tm: TapedModel, y: Var) -> Var:
     """Gradient of the global potential with respect to ``y``, on the tape.
 
-    The potential of each row is w2 . relu(W1 y + b1) + b2, and its gradient
-    is W1' (w2 * step(W1 y + b1)).  The step mask enters as a detached
-    constant: the potential's second derivative in ``y`` is zero almost
-    everywhere, so a constant mask is exact away from kinks, while the
-    returned node stays differentiable with respect to the parameters.
+    The potential of each row is w2 . relu(W1 y), the bias-free global
+    energy of a structured prediction energy network, and its gradient is
+    W1' (w2 * step(W1 y)).  The step mask enters as a detached constant:
+    the potential's second derivative in ``y`` is zero almost everywhere, so
+    a constant mask is exact away from kinks, while the returned node stays
+    differentiable with respect to the parameters.
     """
     p = tm.vars
-    pre = dg.rows_times(y.value, p["global.w1"].value.T) + p["global.b1"].value
+    pre = dg.rows_times(y.value, p["global.w1"].value.T)
     mask = tm.tape.constant((pre > 0.0).astype(np.float64))
     return dg.matvec_t(p["global.w1"], dg.mul(p["global.w2"], mask))
 
 
 def cardinality_logits(tm: TapedModel, feature_indices, feature_values, indptr=None) -> Var:
     """Unnormalized scores over label-set sizes {0, ..., max_cardinality}."""
-    idx, vals = _check_sparse_input(tm, feature_indices, feature_values)
     p = tm.vars
     hidden = dg.relu(
-        dg.add(dg.matvec_sparse(p["cardinality.w1"], idx, vals, indptr),
+        dg.add(dg.matvec_sparse(p["cardinality.w1"], feature_indices, feature_values,
+                                indptr),
                p["cardinality.b1"])
     )
     return dg.add(dg.matvec(p["cardinality.w2"], hidden), p["cardinality.b2"])
@@ -338,7 +326,10 @@ def load_model(path) -> ScoreModel:
     """Read a checkpoint written by :func:`save_model`.
 
     A file that is not such a checkpoint, or whose metadata or buffers do
-    not make a valid model, raises a ``ValueError`` naming ``path``.
+    not make a valid model, raises a ``ValueError`` naming ``path``.  Only
+    the buffers the config names are read: a checkpoint that still holds
+    the global potential's former biases ``global.b1`` and ``global.b2``
+    loads as one without them.
     """
     try:
         # numpy leaves a file it opened itself open when it is not a zip

@@ -30,7 +30,10 @@ Every operator projects one vector or each row of a matrix, with one budget
 for every row or one per row.  ``project_simplex_exact`` takes plain numpy
 arrays, ``project_capped_exact`` arrays or tape nodes, and
 ``project_capped_dykstra`` tape nodes; on a tape node a row whose budget is
-zero projects to the origin and passes no gradient.
+zero projects to the origin and passes no gradient.  The operators check
+budgets, not shapes: rows are non-empty and of the spec's length, and
+``rounds`` is at least one, as ``InferenceConfig`` and ``cardproj project``
+check where those values enter the program.
 """
 
 from __future__ import annotations
@@ -139,8 +142,6 @@ def project_simplex_exact(v: np.ndarray, mass=1.0) -> np.ndarray:
     passing when the coordinates span many orders of magnitude.
     """
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim not in (1, 2) or v.shape[-1] == 0:
-        raise ValueError("expected a non-empty vector or rows")
     m = np.asarray(mass, dtype=np.float64)
     if not 0.0 < m.min() <= m.max() < np.inf:  # a nan fails too
         raise InfeasibleSpecError(f"simplex mass must be finite and positive, got {mass}")
@@ -260,8 +261,6 @@ def project_capped_exact(v, spec: CappedSimplexSpec):
     ``dim``, nothing passes.
     """
     values = v.value if isinstance(v, Var) else np.asarray(v, dtype=np.float64)
-    if values.ndim not in (1, 2) or values.shape[-1] != spec.dim or values.size == 0:
-        raise ValueError(f"expected a vector or rows of length {spec.dim}")
     masses = np.broadcast_to(spec.mass_value, values.shape[:-1])
     point = _capped_rows(values.reshape(-1, spec.dim), masses.reshape(-1))
     point = point.reshape(values.shape)
@@ -386,8 +385,6 @@ def project_capped_dykstra(
     as one node, whose backward pass returns the gradients of the whole
     alternation, correction terms included.
     """
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
     sharpness = float(sharpness)
     m, mass_node = _mass_operand(v.tape, spec.mass)
     # a zero budget's only feasible point is the origin: such rows give
@@ -442,11 +439,7 @@ def project_matrix_rows_cols(
     mass of the matrix.  Each step projects every row, or every column, in
     one call.
     """
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
     y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 2 or y.size == 0:
-        raise ValueError("expected a non-empty matrix")
     n_rows, n_cols = y.shape
     col_mass = np.asarray(col_mass, dtype=np.float64)
     if col_mass.shape != (n_cols,):

@@ -108,18 +108,13 @@ class AdaGrad:
     EPSILON = 1e-8
 
     def __init__(self, params: dict, learning_rate: float = 0.1):
-        fl.number("learning_rate", learning_rate, float, "> 0")
         self.learning_rate = float(learning_rate)
         self.accumulators = {name: np.zeros_like(buf) for name, buf in params.items()}
 
     def step(self, params: dict, grads: dict) -> None:
-        for name, grad in grads.items():
-            if name not in self.accumulators:
-                raise ValueError(f"unknown parameter {name!r}")
-            g = np.asarray(grad, dtype=np.float64)
+        """Move ``params`` by ``grads``, the adjoints of the same buffers."""
+        for name, g in grads.items():
             acc = self.accumulators[name]
-            if g.shape != acc.shape:
-                raise ValueError(f"gradient shape {g.shape} != {acc.shape} for {name!r}")
             acc += g * g
             params[name] -= self.learning_rate * g / (np.sqrt(acc) + self.EPSILON)
 
@@ -163,11 +158,9 @@ def weighted_trajectory_loss(trajectory: inf.Trajectory, target: np.ndarray,
 
     State t of T contributes with weight 1 / (T * (T - t + 1)), so the
     final state carries the largest share.  The initialization (state 0)
-    is not scored; a trajectory without ascent states is an error.
+    is not scored, so a trajectory needs at least one ascent state.
     """
     states = trajectory.states[1:]
-    if not states:
-        raise ValueError("trajectory has no ascent states to score")
     step_loss = _STEP_LOSSES[loss_config.single_step]
     horizon = len(states)
     total = None
@@ -181,9 +174,6 @@ def cardinality_cross_entropy(logits: Var, true_count) -> Var:
     """Cross entropy of the bucket distribution against an integer count,
     or of each row's distribution against its own count."""
     k = np.asarray(true_count, dtype=np.intp)
-    buckets = logits.shape[-1]
-    if np.any(k < 0) or np.any(k >= buckets):
-        raise ValueError(f"count {true_count} outside the {buckets} buckets")
     return dg.sub(dg.logsumexp(logits), dg.pick(logits, k))
 
 
@@ -194,25 +184,18 @@ def example_loss(tm: md.TapedModel, batch: dt.Dataset, target,
 
     With a (B, L) target matrix, ``batch`` holds B examples that run on one
     tape as CSR rows, and the loss has one entry per row.  A target vector
-    gives the 0-d loss of a one-row dataset.  This is where a target is
-    checked: it must be binary and of the shape the labels give.  With zero
-    ascent steps the single-step loss is applied directly to the initial
-    relaxed state, which turns the model into a plain feedforward label
-    scorer (the unconstrained baseline).
+    gives the 0-d loss of a one-row dataset.  Targets are the 0/1 rows that
+    ``Dataset.targets`` or ``Dataset.target`` build from a checked corpus,
+    so nothing here checks them again.  With zero ascent steps the
+    single-step loss is applied directly to the initial relaxed state,
+    which turns the model into a plain feedforward label scorer (the
+    unconstrained baseline).
     The top-z variant produces a single decoded state, so it is scored the
     same way (useful for evaluation; it carries no gradient).  The
     auxiliary loss reads the cardinality logits the trajectory returns, so
     the head runs once, for the budget and the loss alike.
     """
-    target = np.asarray(target, dtype=np.float64)
     single = target.ndim == 1
-    if single and len(batch) != 1:
-        raise ValueError(f"a target vector scores one example, got {len(batch)}")
-    shape = (tm.config.label_count,) if single else (len(batch), tm.config.label_count)
-    if target.shape != shape:
-        raise ValueError(f"target shape {target.shape} does not match {shape}")
-    if not np.all((target == 0.0) | (target == 1.0)):
-        raise ValueError("target must be binary")
     traj = inf.run_inference(tm, batch.feature_indices, batch.feature_values,
                              inference_config, indptr=None if single else batch.indptr)
     if inference_config.steps == 0 or inference_config.variant == "topz":

@@ -51,11 +51,10 @@ def cumsum(x: Var) -> Var:
 
 
 def global_score(tm, y: Var) -> Var:
-    """The global potential w2 . relu(W1 y + b1) + b2 of each row, whose
-    gradient ``model.grad_global_score`` computes."""
+    """The global potential w2 . relu(W1 y) of each row, whose gradient
+    ``model.grad_global_score`` computes."""
     p = tm.vars
-    hidden = dg.relu(dg.add(dg.matvec(p["global.w1"], y), p["global.b1"]))
-    return dg.add(dg.dot(p["global.w2"], hidden), p["global.b2"])
+    return dg.dot(p["global.w2"], dg.relu(dg.matvec(p["global.w1"], y)))
 
 
 def sc_cardinality_score(tm, y: Var) -> Var:

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,6 +128,13 @@ class TestRunConfig:
     def test_bad_override_specs(self, spec):
         with pytest.raises(cli.ConfigError):
             cli.load_run_config(overrides=[spec])
+
+    def test_readme_lists_every_key_with_its_default(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("\n## Configuration\n", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        defaults = json.loads(json.dumps(dataclasses.asdict(cli.RunConfig())))
+        assert json.loads(block) == defaults
 
 
 class TestUsageErrors:

@@ -89,7 +89,7 @@ class TestCorpusFormat:
         with pytest.raises(dt.DataFormatError, match=r":2: label index 3"):
             dt.load_sparse_multilabel(path, label_count=2)
         path.write_text("0 1:1\n0 9:1\n")
-        with pytest.raises(dt.DataFormatError, match=r":2: feature index 9"):
+        with pytest.raises(dt.DataFormatError, match=r":2: feature index 9 exceeds input_dim 5"):
             dt.load_sparse_multilabel(path, input_dim=5)
 
     def test_inferred_dims(self, tmp_path):
@@ -434,17 +434,6 @@ class TestSplits:
         with pytest.raises(ValueError, match="nonnegative|three"):
             dt.split_dataset(ds, (1.2, -0.1, -0.1))
 
-    def test_take_validates(self):
-        ds = dt.generate_synthetic(10, label_count=15, input_dim=40, seed=0)
-        with pytest.raises(ValueError, match="out of range"):
-            dt.take(ds, [0, 10])
-        with pytest.raises(ValueError, match="duplicate"):
-            dt.take(ds, [1, 1])
-        sub = dt.take(ds, [3, 0])
-        np.testing.assert_array_equal(
-            sub.examples[0].feature_indices, ds.examples[3].feature_indices
-        )
-
 
 class TestBatch:
     def test_matches_per_example_stacking(self):
@@ -514,12 +503,6 @@ class TestEvalF1:
             assert 0.0 <= f1 <= 1.0
             assert 0.0 <= macro <= 1.0
 
-    def test_validation(self):
-        with pytest.raises(ValueError, match="shape"):
-            dt.eval_f1([[1, 0]], [[1, 0, 0]])
-        with pytest.raises(ValueError, match="binary"):
-            dt.eval_f1([[0.5, 0]], [[1, 0]])
-
 
 class TestEvalCardinalityMse:
     """The cardinality errors ``cardproj eval`` prints: the head's MSE, taken
@@ -552,7 +535,3 @@ class TestEvalCardinalityMse:
     def test_explicit_train_targets_shift_constant(self):
         mse_const, _ = dt.reference_cardinality_mse([1.0, 3.0], train_targets=[5, 5])
         assert mse_const == pytest.approx(((5 - 1) ** 2 + (5 - 3) ** 2) / 2)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="empty reference"):
-            dt.reference_cardinality_mse([1.0, 2.0], train_targets=[])

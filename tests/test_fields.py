@@ -65,7 +65,7 @@ class TestConfigsUseTheRule:
         lambda: inf.InferenceConfig(sharpness=np.inf),
         lambda: inf.InferenceConfig(z_source=np.nan),
         lambda: tr.TrainConfig(epochs=1, seed=-1),
-        lambda: tr.AdaGrad({"w": np.zeros(2)}, learning_rate=True),
+        lambda: tr.TrainConfig(epochs=1, learning_rate=True),
         lambda: md.ModelConfig(input_dim=2, label_count=3, max_cardinality=2, with_sc=1),
     ])
     def test_invalid_fields_fail(self, build):

