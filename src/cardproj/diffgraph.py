@@ -27,6 +27,12 @@ must not change while the tape is live.  An adjoint is zero-filled the first
 time it is touched, and the sweep skips nodes nothing reached.  The tape
 holds its nodes weakly, so reference counting frees a finished graph.
 
+The operands of an op share one tape and have rows of one width, and
+nothing here re-checks that: a program records each computation on one
+tape with one bound model, whose config fixes every operand's shape, and
+an op puts its output on its first operand's tape.  Only a leaf, a value
+from outside, is checked.
+
 All buffers are float64.  Unrolled inference stacks dozens of projection
 layers on a single tape, and anything less than double precision loses too
 much gradient fidelity for finite-difference verification.
@@ -141,8 +147,6 @@ class Tape:
         Adjoint buffers are reset on every call, so repeated sweeps do not
         accumulate across calls.
         """
-        if root.tape is not self:
-            raise ValueError("root lives on a different tape")
         nodes = [ref() for ref in self._nodes]
         for node in nodes:
             if node is not None:
@@ -159,20 +163,10 @@ def _reduce_to(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if grad.shape == shape:
         return grad
     lead = grad.ndim - len(shape)
-    if lead < 0:
-        raise ValueError(f"cannot reduce gradient of shape {grad.shape} to {shape}")
     axes = tuple(range(lead)) + tuple(
         lead + i for i, n in enumerate(shape) if n == 1 and grad.shape[lead + i] != 1
     )
     return np.asarray(grad.sum(axis=axes)).reshape(shape)
-
-
-def _check_same_tape(*vs: Var) -> Tape:
-    t = vs[0].tape
-    for v in vs[1:]:
-        if v.tape is not t:
-            raise ValueError("operands live on different tapes")
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -180,47 +174,43 @@ def _check_same_tape(*vs: Var) -> Tape:
 
 
 def add(a: Var, b: Var) -> Var:
-    t = _check_same_tape(a, b)
     out = a.value + b.value
 
     def bwd(g):
         a.adjoint += _reduce_to(g, a.value.shape)
         b.adjoint += _reduce_to(g, b.value.shape)
 
-    return Var(t, out, bwd)
+    return Var(a.tape, out, bwd)
 
 
 def sub(a: Var, b: Var) -> Var:
-    t = _check_same_tape(a, b)
     out = a.value - b.value
 
     def bwd(g):
         a.adjoint += _reduce_to(g, a.value.shape)
         b.adjoint -= _reduce_to(g, b.value.shape)
 
-    return Var(t, out, bwd)
+    return Var(a.tape, out, bwd)
 
 
 def mul(a: Var, b: Var) -> Var:
-    t = _check_same_tape(a, b)
     out = a.value * b.value
 
     def bwd(g):
         a.adjoint += _reduce_to(g * b.value, a.value.shape)
         b.adjoint += _reduce_to(g * a.value, b.value.shape)
 
-    return Var(t, out, bwd)
+    return Var(a.tape, out, bwd)
 
 
 def div(a: Var, b: Var) -> Var:
-    t = _check_same_tape(a, b)
     out = a.value / b.value
 
     def bwd(g):
         a.adjoint += _reduce_to(g / b.value, a.value.shape)
         b.adjoint -= _reduce_to(g * a.value / b.value**2, b.value.shape)
 
-    return Var(t, out, bwd)
+    return Var(a.tape, out, bwd)
 
 
 def neg(x: Var) -> Var:
@@ -304,9 +294,6 @@ def clip(x: Var, lo=None, hi=None) -> Var:
 
 
 def log(x: Var) -> Var:
-    if np.any(x.value <= 0.0):
-        raise ValueError("log requires strictly positive input")
-
     def bwd(g):
         x.adjoint += g / x.value
 
@@ -341,9 +328,6 @@ def logsumexp(x: Var) -> Var:
 
 def dot(a: Var, b: Var) -> Var:
     """Inner product of matching rows; a single vector operand serves every row."""
-    t = _check_same_tape(a, b)
-    if a.value.ndim == 0 or b.value.ndim == 0 or a.value.shape[-1] != b.value.shape[-1]:
-        raise ValueError("dot requires rows of equal length")
     out = np.asarray((a.value * b.value).sum(axis=-1))
 
     def bwd(g):
@@ -351,7 +335,7 @@ def dot(a: Var, b: Var) -> Var:
         a.adjoint += _reduce_to(g * b.value, a.value.shape)
         b.adjoint += _reduce_to(g * a.value, b.value.shape)
 
-    return Var(t, out, bwd)
+    return Var(a.tape, out, bwd)
 
 
 def vsum(x: Var) -> Var:
@@ -394,32 +378,22 @@ def rows_times(x: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 def matvec(w: Var, x: Var) -> Var:
     """``w @ row`` for each row of ``x``: ``x @ w.T``."""
-    t = _check_same_tape(w, x)
-    if w.value.ndim != 2 or x.value.ndim not in (1, 2) or w.value.shape[1] != x.value.shape[-1]:
-        raise ValueError(
-            f"matvec shape mismatch: {w.value.shape} @ {x.value.shape}"
-        )
 
     def bwd(g):
         w.adjoint += np.atleast_2d(g).T @ np.atleast_2d(x.value)
         x.adjoint += g @ w.value
 
-    return Var(t, rows_times(x.value, w.value.T), bwd)
+    return Var(w.tape, rows_times(x.value, w.value.T), bwd)
 
 
 def matvec_t(w: Var, x: Var) -> Var:
     """``w.T @ row`` for each row of ``x``: ``x @ w``, with no transpose made."""
-    t = _check_same_tape(w, x)
-    if w.value.ndim != 2 or x.value.ndim not in (1, 2) or w.value.shape[0] != x.value.shape[-1]:
-        raise ValueError(
-            f"matvec_t shape mismatch: {w.value.shape}.T @ {x.value.shape}"
-        )
 
     def bwd(g):
         w.adjoint += np.atleast_2d(x.value).T @ np.atleast_2d(g)
         x.adjoint += g @ w.value.T
 
-    return Var(t, rows_times(x.value, w.value), bwd)
+    return Var(w.tape, rows_times(x.value, w.value), bwd)
 
 
 def matvec_sparse(w: Var, indices, values, indptr=None) -> Var:
@@ -435,8 +409,6 @@ def matvec_sparse(w: Var, indices, values, indptr=None) -> Var:
     """
     idx = np.asarray(indices, dtype=np.intp)
     vals = np.asarray(values, dtype=np.float64)
-    if w.value.ndim != 2:
-        raise ValueError("matvec_sparse requires a matrix")
     single = indptr is None
     ptr = np.array([0, idx.size]) if single else np.asarray(indptr, dtype=np.intp)
     nonempty = np.diff(ptr) > 0

@@ -31,9 +31,10 @@ for every row or one per row.  ``project_simplex_exact`` takes plain numpy
 arrays, ``project_capped_exact`` arrays or tape nodes, and
 ``project_capped_dykstra`` tape nodes; on a tape node a row whose budget is
 zero projects to the origin and passes no gradient.  The operators check
-budgets, not shapes: rows are non-empty and of the spec's length, and
-``rounds`` is at least one, as ``InferenceConfig`` and ``cardproj project``
-check where those values enter the program.
+budgets, not shapes or tapes: rows are non-empty and of the spec's length,
+a mass node lives on the tape of the rows it budgets, and ``rounds`` is at
+least one, as ``InferenceConfig`` and ``cardproj project`` check where
+those values enter the program.
 """
 
 from __future__ import annotations
@@ -86,8 +87,6 @@ class CappedSimplexSpec:
     mass: object
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise InfeasibleSpecError(f"dimension must be positive, got {self.dim}")
         masses = np.atleast_1d(self.mass_value)
         outside = masses[~((masses >= 0.0) & (masses <= self.dim))]  # nan too
         if outside.size:
@@ -266,7 +265,7 @@ def project_capped_exact(v, spec: CappedSimplexSpec):
     point = point.reshape(values.shape)
     if not isinstance(v, Var):
         return point
-    _, mass_node = _mass_operand(v.tape, spec.mass)
+    _, mass_node = _mass_operand(spec.mass)
     free = (point > 0.0) & (point < 1.0)
     n_free = free.sum(axis=-1, keepdims=True)
 
@@ -348,11 +347,9 @@ def _simplex_soft_vjp(saved, sharpness: float, g, g_in, g_mass) -> None:
     g_in += back
 
 
-def _mass_operand(tape, mass):
+def _mass_operand(mass):
     """The mass as the forward pass reads it, and its node (None otherwise)."""
     if isinstance(mass, Var):
-        if mass.tape is not tape:
-            raise ValueError("operands live on different tapes")
         return mass.value, mass
     return np.asarray(mass, dtype=np.float64), None
 
@@ -386,7 +383,7 @@ def project_capped_dykstra(
     alternation, correction terms included.
     """
     sharpness = float(sharpness)
-    m, mass_node = _mass_operand(v.tape, spec.mass)
+    m, mass_node = _mass_operand(spec.mass)
     # a zero budget's only feasible point is the origin: such rows give
     # zeros and pass no gradient
     live = (m > 0.0)[..., None]

@@ -224,7 +224,8 @@ def _check_dims(model: md.ScoreModel, dataset: dt.Dataset) -> None:
 
 def _decode_split(model: md.ScoreModel, dataset: dt.Dataset,
                   inference_config: inf.InferenceConfig, loss_config: LossConfig):
-    """Targets, losses, decoded labels and modal counts of a whole split.
+    """Targets, losses, decoded labels and modal counts of a whole split,
+    which is not empty: ``cardproj eval`` and ``train`` refuse empty splits.
 
     Runs chunks of up to ``EVAL_CHUNK`` consecutive examples, one tape each,
     and decodes with the modal budget.  The budget, the auxiliary loss and
@@ -232,8 +233,6 @@ def _decode_split(model: md.ScoreModel, dataset: dt.Dataset,
     returns.
     """
     _check_dims(model, dataset)
-    if len(dataset) == 0:
-        raise ValueError("cannot decode an empty split")
     cfg = replace(inference_config, z_mode="argmax")
     chunks = []
     for start in range(0, len(dataset), EVAL_CHUNK):

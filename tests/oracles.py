@@ -183,7 +183,7 @@ def project_simplex_soft(v: Var, mass, sharpness: float = pj.DEFAULT_SHARPNESS) 
     ``mass`` is a float or a node on the tape of ``v``, and gradients reach
     it through the same VJP that soft Dykstra runs each round.
     """
-    m, mass_node = pj._mass_operand(v.tape, mass)
+    m, mass_node = pj._mass_operand(mass)
     out, saved = pj._simplex_soft_forward(v.value, m, sharpness)
 
     def bwd(g):

@@ -376,6 +376,25 @@ class TestProject:
         assert captured.err == "error: argument --col-sums: invalid float value: 'abc'\n"
         assert captured.out == ""
 
+    def test_missing_input_file_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "absent.txt"
+        assert cli.main(["project", "capped", "--z", "1", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: input file not found: {path}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("col_sums, err", [
+        ("1,1,0", "expected 2 column masses"),
+        ("1.5,1", "column masses sum to 2.5, expected 2"),
+        ("3,-1", "column masses must be nonnegative"),
+    ], ids=["count", "total", "sign"])
+    def test_col_sums_that_do_not_fit_exit_one(self, col_sums, err, capsys, monkeypatch):
+        assert self.run(["matrix", "--col-sums", col_sums], "0.5 0.2\n0.1 0.9\n",
+                        monkeypatch) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {err}\n"
+        assert captured.out == ""
+
     def test_matrix_requires_col_sums(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("0.5 0.5\n"))
         assert cli.main(["project", "matrix"]) == 1
@@ -509,6 +528,29 @@ class TestTrainCommand:
         raw = {**TINY_CONFIG, "inference": {"steps": 2, "variant": "sc"}}
         self.assert_config_error("inference.decode=topz", tmp_path, capsys, raw)
 
+    @pytest.mark.parametrize("overrides, err", [
+        (["data.fractions=[0.5,0.5]"],
+         "data: fractions must be three numbers, got [0.5, 0.5]"),
+        (["seed=3", "seed.x=1"], "override 'seed.x=1' indexes into a non-section"),
+    ], ids=["fractions", "non-section"])
+    def test_unusable_override_exits_one(self, overrides, err, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(TINY_CONFIG))
+        sets = [arg for spec in overrides for arg in ("--set", spec)]
+        code = cli.main(["train", "--config", str(config),
+                         "--checkpoint", str(tmp_path / "ck.npz"), *sets])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not (tmp_path / "ck.npz").exists()
+
+    def test_config_root_not_an_object_exits_one(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[1, 2]")
+        code = cli.main(["train", "--config", str(config),
+                         "--checkpoint", str(tmp_path / "ck.npz")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {config}: config root must be an object\n"
+
     @pytest.mark.parametrize("command", ["train", "gradcheck"])
     def test_empty_train_split_exits_one(self, command, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -600,6 +642,27 @@ class TestEvalCommand:
         assert code == 1
         assert "--z expects" in capsys.readouterr().err
 
+    def test_fixed_budget_must_be_a_number(self, trained, capsys):
+        code = cli.main([
+            "eval", "--config", str(trained["config"]),
+            "--checkpoint", str(trained["checkpoint"]), "--z", "fixed:abc",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --z expects 'predictor' or 'fixed:<number>', got 'fixed:abc'\n")
+
+    def test_non_finite_metrics_exit_two(self, trained, capsys, monkeypatch):
+        def nan_loss(*args, **kwargs):
+            return {"loss": float("nan"), "f1": 0.5, "f1_label": 0.5, "card_mse": 1.0}
+
+        monkeypatch.setattr(tr, "evaluate", nan_loss)
+        code = cli.main(["eval", "--config", str(trained["config"]),
+                         "--checkpoint", str(trained["checkpoint"]), "--split", "train"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: non-finite metrics\n"
+        assert "loss=nan" in captured.out
+
     def test_dimension_mismatch_names_expected_and_found(self, trained, tmp_path, capsys):
         doc = json.loads(json.dumps(TINY_CONFIG))
         doc["data"]["input_dim"] = 9
@@ -644,6 +707,26 @@ class TestEvalCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: checkpoint {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("damage, err", [
+        ("nan", "parameter buffer unary.w contains non-finite values"),
+        ("missing", "missing parameter buffer unary.w"),
+    ], ids=["nan", "missing"])
+    def test_bad_buffer_exits_one_naming_file_and_buffer(self, trained, tmp_path, capsys,
+                                                         damage, err):
+        with np.load(trained["checkpoint"], allow_pickle=False) as archive:
+            arrays = dict(archive)
+        if damage == "nan":
+            arrays["unary.w"][1, 0] = np.nan
+        else:
+            del arrays["unary.w"]
+        path = tmp_path / "bad.npz"
+        with open(path, "wb") as handle:
+            np.savez(handle, **arrays)
+        code = cli.main(["eval", "--config", str(trained["config"]),
+                         "--checkpoint", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: checkpoint {path}: {err}\n"
 
     def test_missing_checkpoint(self, trained, tmp_path, capsys):
         code = cli.main([

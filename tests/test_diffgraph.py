@@ -105,12 +105,6 @@ class TestElementwise:
         v = rng.uniform(0.1, 2.0, size=5)
         check_unary(dg.log, np.log, v)
 
-    def test_log_rejects_nonpositive(self):
-        tape = dg.Tape()
-        x = tape.leaf([1.0, 0.0])
-        with pytest.raises(ValueError):
-            dg.log(x)
-
 
 class TestArithmetic:
     def test_binary_ops_with_broadcast(self):
@@ -337,13 +331,6 @@ class TestBackwardSemantics:
         out = dg.add(x, x)
         tape.backward(dg.vsum(out))
         np.testing.assert_allclose(x.adjoint, [2.0])
-
-    def test_cross_tape_operands_rejected(self):
-        t1, t2 = dg.Tape(), dg.Tape()
-        a = t1.leaf([1.0])
-        b = t2.leaf([1.0])
-        with pytest.raises(ValueError):
-            dg.add(a, b)
 
     def test_nonfinite_leaf_rejected(self):
         tape = dg.Tape()

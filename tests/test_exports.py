@@ -1,8 +1,10 @@
 """Every name a module lists in ``__all__`` exists, so a deleted function
 cannot stay advertised, and the program calls it, so a public name that only
 the tests use does not stay in ``src/``.  The same holds for the public
-methods and properties of an exported class.  The number of public names and
-of public settable values may shrink but not grow unnoticed."""
+methods and properties of an exported class.  The number of public names, of
+public settable values and of ``raise`` statements may shrink but not grow
+unnoticed: inputs are checked once, where they enter the program, so a new
+check below that boundary shows up here."""
 
 import ast
 import dataclasses
@@ -114,6 +116,7 @@ def test_every_exported_method_has_a_program_caller():
 # that adds one raises them here, where the growth shows
 EXPORTED_NAMES = 84
 SETTABLE_VALUES = 111
+RAISE_SITES = 64
 
 
 def _defaulted(fn) -> int:
@@ -146,3 +149,9 @@ def test_public_surface_does_not_grow():
                 for name in getattr(loaded, "__all__", ())]
     assert len(exported) <= EXPORTED_NAMES
     assert sum(map(_settable_values, exported)) <= SETTABLE_VALUES
+
+
+def test_raise_sites_do_not_grow():
+    count = sum(isinstance(node, ast.Raise)
+                for path in SRC.glob("*.py") for node in ast.walk(ast.parse(path.read_text())))
+    assert count <= RAISE_SITES

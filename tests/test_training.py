@@ -628,12 +628,6 @@ class TestPredictEvaluate:
         with pytest.raises(ValueError, match="input_dim=12.*input_dim=9"):
             tr.predict(model, wrong, quick_inference())
 
-    @pytest.mark.parametrize("run", [tr.predict, tr.evaluate])
-    def test_empty_split_is_an_error(self, run):
-        model = md.ScoreModel(tiny_config(seed=8))
-        with pytest.raises(ValueError, match="empty split"):
-            run(model, corpus([], input_dim=12, label_count=5), quick_inference())
-
 
 class TestOneGraphAtATime:
     """A pass over many chunks or minibatches peaks near one of them: the
