@@ -24,7 +24,10 @@ a mass node.  The forward pass uses the same expressions as the alternation
 composed from ``diffgraph`` ops, and the VJP adds up every floating-point
 term in the order that a reverse sweep over the composed graph would, so
 values and gradients agree with it bit for bit; the tests keep that
-composed version as their reference.
+composed version as their reference.  The forward pass sorts each row's
+values only; the stable order of the sort, which only the VJP's scatter
+reads, is found by the VJP, so a projection that is never swept backward
+never runs an ``argsort``.
 
 Every operator projects one vector or each row of a matrix, with one budget
 for every row or one per row.  ``project_simplex_exact`` takes plain numpy
@@ -297,13 +300,16 @@ def _simplex_soft_forward(v: np.ndarray, mass, sharpness: float):
     the surrogate composed node by node (a sort, running sums, the softsign
     x / (1 + |x|), softmax, dot, relu), in the same order, so the values
     agree bit for bit; every reduction runs along the rows.
+
+    The sort is of values, not of indices: tied values are equal in every
+    bit except that a 0.0 and a -0.0 may come out in either order, and on
+    a positive budget that moves no value; on a zero budget the caller
+    zeroes the row.  The VJP state keeps ``v``, from which
+    :func:`_simplex_soft_vjp` finds the stable order.
     """
     m = np.asarray(mass, dtype=np.float64)[..., None]
     L = v.shape[-1]
-    # each row's stable descending order, as an index into v
-    perm = np.argsort(-v, axis=-1, kind="stable")
-    perm = (perm,) if v.ndim == 1 else (np.arange(len(v))[:, None], perm)
-    mu = v[perm]
+    mu = -np.sort(-v, axis=-1)
     cssv = np.cumsum(mu, axis=-1)
     idx = np.arange(1, L + 1, dtype=np.float64)
     margin = mu * idx - (cssv - m)
@@ -316,7 +322,7 @@ def _simplex_soft_forward(v: np.ndarray, mass, sharpness: float):
     count = (idx * weights).sum(axis=-1, keepdims=True)
     diff = v - num / count
     mask = (diff > 0.0).astype(np.float64)
-    return np.maximum(diff, 0.0), (perm, idx, cssv, denom, weights, num, count, mask)
+    return np.maximum(diff, 0.0), (v, idx, cssv, denom, weights, num, count, mask)
 
 
 def _simplex_soft_vjp(saved, sharpness: float, g, g_in, g_mass) -> None:
@@ -328,8 +334,14 @@ def _simplex_soft_vjp(saved, sharpness: float, g, g_in, g_mass) -> None:
     composed surrogate would accumulate it, so the adjoints agree with that
     sweep bit for bit: ``g_in`` gets the relu term and then the scattered
     sort term, and ``g_mass`` the numerator term and then the margin term.
+    The scatter follows each row's stable descending order, ties by index,
+    which is found here from the saved input rather than in the forward
+    pass.  A tied 0.0 and -0.0 that the forward sort put the other way
+    round can flip only the sign of zero terms here; an accumulator that
+    starts at 0.0 never holds -0.0, and adding a zero of either sign to it
+    changes nothing.
     """
-    perm, idx, cssv, denom, weights, num, count, mask = saved
+    v, idx, cssv, denom, weights, num, count, mask = saved
     g_diff = g * mask
     g_in += g_diff
     g_theta = -g_diff.sum(axis=-1, keepdims=True)
@@ -342,6 +354,9 @@ def _simplex_soft_vjp(saved, sharpness: float, g, g_in, g_mass) -> None:
         g_mass -= g_num[..., 0]
         g_mass -= (-g_margin).sum(axis=-1)
     g_mu = g_margin * idx + np.cumsum((g_num * weights - g_margin)[..., ::-1], axis=-1)[..., ::-1]
+    # each row's stable descending order, as an index into v
+    perm = np.argsort(-v, axis=-1, kind="stable")
+    perm = (perm,) if v.ndim == 1 else (np.arange(len(v))[:, None], perm)
     back = np.empty_like(g_mu)
     back[perm] = g_mu
     g_in += back

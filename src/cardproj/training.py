@@ -36,13 +36,14 @@ from .diffgraph import Tape, Var
 # slower than the fastest of the chunk sizes 16, 32, 64 and 128 at either.
 # `cardproj project` cuts its runs of equal-length lines at this size too,
 # untuned for that path, where a chunk only shares per-call overhead: on
-# N(0,1) files at z=4 (medians of 15 interleaved runs on 2 CPUs), dykstra at
-# 159 labels is 1.55x faster at 32 rows than a line at a time and within 5%
-# of 8, 16 and 64; at 983 labels 8 rows was 10-20% faster than 32, and the
-# command's traced peak is 2.1 MiB at 8 rows and 6.6 MiB at 32.  capped
-# costs 51, 32, 22 and 24 us a row at 159 labels in chunks of 8, 16, 32 and
-# 64 rows, and 92, 72, 98 and 98 at 983 (288 and 430 us for one row alone;
-# medians of 15 interleaved runs at z=4).
+# N(0,1) files at z=4 (medians of 15 interleaved runs on 2 CPUs, in each of
+# three processes), dykstra at 159 labels is 1.7-1.8x faster at 32 rows than
+# a line at a time and within 8% of 8, 16 and 64; at 983 labels 8 rows was
+# 1-10% faster than 32, and the command's traced peak on a 64-line file is
+# 2.2 MiB at 8 rows and 6.6 MiB at 32.  capped costs 51, 32, 22 and 24 us a
+# row at 159 labels in chunks of 8, 16, 32 and 64 rows, and 92, 72, 98 and
+# 98 at 983 (288 and 430 us for one row alone; medians of 15 interleaved
+# runs at z=4).
 EVAL_CHUNK = 32
 
 __all__ = [

@@ -504,10 +504,7 @@ class TestFusedSoftNode:
     def _assert_same(self, fused, composed, v, z, node_mass, readout):
         got = self._run(fused, v, z, node_mass, readout)
         want = self._run(composed, v, z, node_mass, readout)
-        np.testing.assert_array_equal(got[0], want[0])
-        np.testing.assert_array_equal(got[1], want[1])
-        if node_mass:
-            np.testing.assert_array_equal(got[2], want[2])
+        self._assert_bits(got[: 2 + node_mass], want[: 2 + node_mass])
 
     @pytest.mark.parametrize("L", [3, 30, 159, 983])
     def test_bit_identical_to_composed_surrogate(self, L):
@@ -528,6 +525,97 @@ class TestFusedSoftNode:
                     lambda x, m: composed_simplex_soft(x, m, 50.0),
                     v, z, node_mass, readout,
                 )
+
+    @staticmethod
+    def _tie_heavy_rows(rng, L, count):
+        # drawn from 0.0, -0.0 and a few values, two of which the box clamps
+        # to 1.0; every fourth row is one value repeated
+        pool = np.array([0.0, -0.0, 0.25, -0.5, 1.0, 1.5, 2.0])
+        for i in range(count):
+            if i % 4 == 0:
+                yield np.full(L, pool[i // 4 % len(pool)])
+            else:
+                yield rng.choice(pool[: rng.integers(3, len(pool) + 1)], size=L)
+
+    @staticmethod
+    def _run_alone(project, v, z, node_mass, readout):
+        # nothing else feeds the adjoints of x and the mass, so a zero of the
+        # wrong sign in what the projection adds would show
+        tape = dg.Tape()
+        x = tape.leaf(v)
+        mass = tape.leaf(z) if node_mass else z
+        y = project(x, mass)
+        tape.backward(dg.dot(y, tape.constant(readout)))
+        return y.value, x.adjoint, mass.adjoint if node_mass else np.zeros(())
+
+    @staticmethod
+    def _assert_bits(got, want):
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(
+                np.atleast_1d(g).view(np.int64), np.atleast_1d(w).view(np.int64))
+
+    @pytest.mark.parametrize("L", [3, 8, 30])
+    def test_ties_and_signed_zeros_bit_identical_to_composed(self, L):
+        # ties decide the order of the sort, which the values and the VJP
+        # must both follow; assert_array_equal would let -0.0 pass for 0.0
+        rng = np.random.default_rng(L)
+        for v in self._tie_heavy_rows(rng, L, 16):
+            z = float(rng.choice([0.5, 1.0, L / 2, L - 0.5]))
+            sparse = rng.choice([0.0, -0.0, 0.5, -1.0], size=L)
+            for readout in (sparse, rng.standard_normal(L)):
+                for rounds in (1, 2, 3):
+                    pairs = [
+                        (lambda x, m: pj.project_capped_dykstra(
+                            x, CappedSimplexSpec(L, m), rounds, 20.0).y,
+                         lambda x, m: composed_dykstra_soft(x, m, rounds, 20.0)),
+                        (lambda x, m: oracles.project_simplex_soft(x, m, 50.0),
+                         lambda x, m: composed_simplex_soft(x, m, 50.0)),
+                    ]
+                    for fused, composed in pairs:
+                        for node_mass in (False, True):
+                            self._assert_bits(
+                                self._run_alone(fused, v, z, node_mass, readout),
+                                self._run_alone(composed, v, z, node_mass, readout))
+
+    @pytest.mark.parametrize("L", [3, 30])
+    def test_batch_with_zero_budgets_matches_rows_alone(self, L):
+        # tie-heavy rows and N(0,1) rows, some of each on a zero budget
+        rng = np.random.default_rng(L)
+        v = np.vstack([list(self._tie_heavy_rows(rng, L, 6)), rng.standard_normal((2, L))])
+        z = rng.choice([0.0, 1.0, L / 2], size=len(v))
+        z[[0, 1, -1]] = 0.0
+        readout = rng.standard_normal(v.shape)
+        for rounds in (1, 2, 3):
+            for node_mass in (False, True):
+                def project(x, m):
+                    return pj.project_capped_dykstra(
+                        x, CappedSimplexSpec(L, m), rounds, 20.0).y
+
+                batch = self._run_alone(project, v, z, node_mass, readout)
+                for i in range(len(v)):
+                    alone = self._run_alone(project, v[i], z[i], node_mass, readout[i])
+                    self._assert_bits([part[i] if part.ndim else part for part in batch], alone)
+
+    @pytest.mark.parametrize("rounds", [1, 2, 3])
+    def test_only_the_reverse_sweep_argsorts(self, monkeypatch, rounds):
+        # the forward pass sorts values; the stable order is found once per
+        # round, by the VJP, so evaluation never pays for it
+        calls = []
+        argsort = np.argsort
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counted)
+        rng = np.random.default_rng(rounds)
+        tape = dg.Tape()
+        x = tape.leaf(rng.standard_normal((4, 30)))
+        spec = CappedSimplexSpec(30, tape.leaf(np.array([0.0, 1.0, 3.0, 7.5])))
+        y = pj.project_capped_dykstra(x, spec, rounds, 20.0).y
+        assert calls == []
+        tape.backward(dg.dot(y, tape.constant(rng.standard_normal((4, 30)))))
+        assert len(calls) == rounds
 
     def test_one_node_per_projection(self):
         tape = dg.Tape()
