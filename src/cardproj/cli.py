@@ -344,8 +344,8 @@ def _chunks(rows: list):
 
 
 def cmd_project(args) -> int:
-    # each number flag obeys the config rule; the operators check the ranges
-    # that depend on the vectors
+    # each number flag obeys the config rule; the ranges that depend on the
+    # vectors are checked once they are read, and the operators check nothing
     if args.z is not None:
         fl.number("--z", args.z)
     if args.rounds is not None:
@@ -376,12 +376,18 @@ def cmd_project(args) -> int:
         for lineno, row in rows:
             if row.size != width:
                 raise ConfigError(f"line {lineno}: expected {width} columns, got {row.size}")
+        # both constraint sets fix the matrix's total mass, so the column
+        # masses must add up to the number of rows
+        if len(col_mass) != width:
+            raise ConfigError(f"expected {width} column masses")
+        if min(col_mass) < 0:
+            raise ConfigError("column masses must be nonnegative")
+        total = np.asarray(col_mass).sum()
+        if abs(total - len(rows)) > 1e-8:
+            raise ConfigError(f"column masses sum to {total}, expected {len(rows)}")
         matrix = np.stack([row for _, row in rows])
         rounds = args.rounds if args.rounds is not None else pj.MATRIX_ROUNDS
-        try:
-            projected = pj.project_matrix_rows_cols(matrix, col_mass, rounds=rounds)
-        except (ValueError, pj.InfeasibleSpecError) as err:
-            raise ConfigError(str(err)) from None
+        projected = pj.project_matrix_rows_cols(matrix, col_mass, rounds=rounds)
         for row in projected:
             print(_format_vector(row))
         if args.diagnostics:
@@ -395,28 +401,30 @@ def cmd_project(args) -> int:
         raise ConfigError(f"operator {args.operator!r} requires --z")
     # every line's budget is checked before a line prints: the capped set's
     # once per length, in file order; the simplex's, which no length
-    # changes, by the first chunk
-    specs = {}
-    if args.operator != "simplex":
+    # changes, against the first line
+    if args.operator == "simplex":
+        if args.z <= 0.0:
+            # no box caps here, so a mass above the dimension is still feasible
+            raise ConfigError(f"line {rows[0][0]}: simplex mass must be finite and "
+                              f"positive, got {args.z}")
+    else:
+        checked = set()
         for lineno, v in rows:
-            if v.size not in specs:
+            if v.size not in checked:
+                checked.add(v.size)
                 try:
-                    specs[v.size] = pj.CappedSimplexSpec(v.size, args.z)
+                    pj.check_budget(args.z, v.size)
                 except pj.InfeasibleSpecError as err:
                     raise ConfigError(f"line {lineno}: {err}") from None
     rounds = args.rounds if args.rounds is not None else pj.DEFAULT_ROUNDS
     # each operator projects every row of a chunk to the bits it gets alone
     for linenos, block in _chunks(rows):
         if args.operator == "simplex":
-            try:
-                # no box caps here, so a mass above the dimension is still feasible
-                out = pj.project_simplex_exact(block, args.z)
-            except pj.InfeasibleSpecError as err:
-                raise ConfigError(f"line {linenos[0]}: {err}") from None
+            out = pj.project_simplex_exact(block, args.z)
         elif args.operator == "capped":
-            out = pj.project_capped_exact(block, specs[block.shape[1]])
+            out = pj.project_capped_exact(block, args.z)
         else:
-            out = pj.project_capped_dykstra(dg.Var(dg.Tape(), block), specs[block.shape[1]],
+            out = pj.project_capped_dykstra(dg.Var(dg.Tape(), block), args.z,
                                             rounds=rounds,
                                             sharpness=args.sharpness).values()
         for lineno, y in zip(linenos, out):

@@ -19,19 +19,21 @@ seed the root adjoint and sweep the node list in reverse, letting each node
 push its adjoint into its parents through a closure captured at
 construction time.
 
-A value enters a tape as a leaf (:meth:`Tape.leaf`, a checked float64 copy
-of a value from outside), as a constant (:meth:`Tape.constant`, shared as it
-is, never given an adjoint) or bound as ``Var(tape, buffer)``, which shares a
-float64 buffer the caller owns, as a model's parameters do.  Shared arrays
-must not change while the tape is live.  An adjoint is zero-filled the first
-time it is touched, and the sweep skips nodes nothing reached.  The tape
-holds its nodes weakly, so reference counting frees a finished graph.
+A program's value enters a tape as a constant (:meth:`Tape.constant`,
+shared as it is, never given an adjoint) or bound as ``Var(tape, buffer)``,
+which shares a float64 buffer the caller owns, as a model's parameters and
+the vectors ``cardproj project`` has read do.  Shared arrays must not
+change while the tape is live.  :meth:`Tape.leaf` records a checked float64
+copy of a value; the tests build their inputs with it, and no program path
+does.  An adjoint is zero-filled the first time it is touched, and the
+sweep skips nodes nothing reached.  The tape holds its nodes weakly, so
+reference counting frees a finished graph.
 
 The operands of an op share one tape and have rows of one width, and
 nothing here re-checks that: a program records each computation on one
 tape with one bound model, whose config fixes every operand's shape, and
-an op puts its output on its first operand's tape.  Only a leaf, a value
-from outside, is checked.
+an op puts its output on its first operand's tape.  Every value a program
+records was checked where it entered the program.
 
 All buffers are float64.  Unrolled inference stacks dozens of projection
 layers on a single tape, and anything less than double precision loses too

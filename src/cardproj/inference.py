@@ -160,10 +160,13 @@ def run_inference(tm: md.TapedModel, feature_indices, feature_values,
 
     y = init_labels(c)
     states = [y]
-    z_used = spec = None
+    mass = z_used = None
     if cfg.variant == "pc":
         mass, z_used = _resolve_budget(tm, logits, rows, cfg)
-        spec = pj.CappedSimplexSpec(tm.config.label_count, mass)
+        if cfg.z_source != "predictor":
+            # a predicted budget lies in [MIN_BUDGET, max_cardinality] up to
+            # rounding, which may put it a rounding step above the label count
+            pj.check_budget(z_used, tm.config.label_count)
     velocity = None
 
     for _ in range(cfg.steps):
@@ -177,21 +180,21 @@ def run_inference(tm: md.TapedModel, feature_indices, feature_values,
         )
         trial = dg.add(y, dg.scale(velocity, cfg.step_size))
         if cfg.variant == "pc":
-            y = _project_state(trial, spec, cfg)
+            y = _project_state(trial, mass, cfg)
         else:
             y = dg.clip(trial, 0.0, 1.0)
         states.append(y)
     return Trajectory(states, z_used, logits)
 
 
-def _project_state(trial: Var, spec: pj.CappedSimplexSpec, cfg: InferenceConfig) -> Var:
+def _project_state(trial: Var, mass, cfg: InferenceConfig) -> Var:
     if cfg.projection == "soft":
         return pj.project_capped_dykstra(
-            trial, spec, rounds=cfg.proj_rounds, sharpness=cfg.sharpness
+            trial, mass, rounds=cfg.proj_rounds, sharpness=cfg.sharpness
         ).y
     # exact replay: closed-form projection of the same trial point, one node
     # whose Jacobian carries the gradient on to the trial point and the budget
-    return pj.project_capped_exact(trial, spec)
+    return pj.project_capped_exact(trial, mass)
 
 
 def exact_topz(c: np.ndarray, z) -> np.ndarray:

@@ -30,14 +30,15 @@ reads, is found by the VJP, so a projection that is never swept backward
 never runs an ``argsort``.
 
 Every operator projects one vector or each row of a matrix, with one budget
-for every row or one per row.  ``project_simplex_exact`` takes plain numpy
-arrays, ``project_capped_exact`` arrays or tape nodes, and
-``project_capped_dykstra`` tape nodes; on a tape node a row whose budget is
-zero projects to the origin and passes no gradient.  The operators check
-budgets, not shapes or tapes: rows are non-empty and of the spec's length,
-a mass node lives on the tape of the rows it budgets, and ``rounds`` is at
-least one, as ``InferenceConfig`` and ``cardproj project`` check where
-those values enter the program.
+for every row or one per row: a float64 array (0-d, or one value per row)
+or, for the capped operators, a tape node of that shape.
+``project_simplex_exact`` takes its rows as an array,
+``project_capped_dykstra`` as a tape node and ``project_capped_exact`` as
+either; on a tape node a row whose budget is zero projects to the origin
+and passes no gradient.  The operators read the label count from the rows'
+width and check nothing, as the ``diffgraph`` ops do: budgets, ``rounds``
+and tapes are checked where they enter the program (``check_budget``,
+``InferenceConfig``, ``cardproj project``).
 """
 
 from __future__ import annotations
@@ -59,9 +60,9 @@ DEFAULT_ROUNDS = 2
 MATRIX_ROUNDS = 100
 
 __all__ = [
-    "CappedSimplexSpec",
     "ProjectionResult",
     "InfeasibleSpecError",
+    "check_budget",
     "project_simplex_exact",
     "project_capped_exact",
     "project_capped_dykstra",
@@ -76,30 +77,15 @@ class InfeasibleSpecError(ValueError):
     """The requested mass budget cannot be met inside the unit box."""
 
 
-@dataclass(frozen=True)
-class CappedSimplexSpec:
-    """Feasible-set description: dimension and mass budget.
+def check_budget(mass, dim: int) -> None:
+    """Refuse a capped-simplex budget outside [0, dim], nan included.
 
-    The mass is one value per row of a batch (a number, or a 0-d array, for
-    one vector), or a tape node of that shape; a node's current value is
-    validated, and soft projections keep it on the graph so gradients reach
-    whatever predicted the budget.
+    ``mass`` is one value or one per row; the first value outside is named.
     """
-
-    dim: int
-    mass: object
-
-    def __post_init__(self):
-        masses = np.atleast_1d(self.mass_value)
-        outside = masses[~((masses >= 0.0) & (masses <= self.dim))]  # nan too
-        if outside.size:
-            raise InfeasibleSpecError(f"mass budget {outside[0]} outside [0, {self.dim}]")
-
-    @property
-    def mass_value(self) -> np.ndarray:
-        """The budget as a float64 array, 0-d or one per row."""
-        mass = self.mass.value if isinstance(self.mass, Var) else self.mass
-        return np.asarray(mass, dtype=np.float64)
+    masses = np.atleast_1d(np.asarray(mass, dtype=np.float64))
+    outside = masses[~((masses >= 0.0) & (masses <= dim))]  # nan too
+    if outside.size:
+        raise InfeasibleSpecError(f"mass budget {outside[0]} outside [0, {dim}]")
 
 
 @dataclass
@@ -144,10 +130,7 @@ def project_simplex_exact(v: np.ndarray, mass=1.0) -> np.ndarray:
     passing when the coordinates span many orders of magnitude.
     """
     v = np.asarray(v, dtype=np.float64)
-    m = np.asarray(mass, dtype=np.float64)
-    if not 0.0 < m.min() <= m.max() < np.inf:  # a nan fails too
-        raise InfeasibleSpecError(f"simplex mass must be finite and positive, got {mass}")
-    m = m[..., None]
+    m = np.asarray(mass, dtype=np.float64)[..., None]
     v = v - v.max(axis=-1, keepdims=True)
     mu = np.sort(v, axis=-1)[..., ::-1]
     cssv = np.cumsum(mu, axis=-1)
@@ -249,7 +232,7 @@ def _capped_rows(v: np.ndarray, mass: np.ndarray) -> np.ndarray:
     return point
 
 
-def project_capped_exact(v, spec: CappedSimplexSpec):
+def project_capped_exact(v, mass):
     """Closed-form Euclidean projection onto the capped simplex.
 
     Takes one vector or a batch of rows: an ndarray, and returns one, or a
@@ -260,15 +243,15 @@ def project_capped_exact(v, spec: CappedSimplexSpec):
     Astudillo 2016): the input's adjoint on A gets ``g[A] - mean(g[A])``
     and a mass node's adjoint gets ``mean(g[A])``.  Coordinates clamped at
     zero or one pass no gradient, and when A is empty, as at budgets 0 and
-    ``dim``, nothing passes.
+    the label count, nothing passes.
     """
     values = v.value if isinstance(v, Var) else np.asarray(v, dtype=np.float64)
-    masses = np.broadcast_to(spec.mass_value, values.shape[:-1])
-    point = _capped_rows(values.reshape(-1, spec.dim), masses.reshape(-1))
+    m, mass_node = _mass_operand(mass)
+    masses = np.broadcast_to(m, values.shape[:-1])
+    point = _capped_rows(values.reshape(-1, values.shape[-1]), masses.reshape(-1))
     point = point.reshape(values.shape)
     if not isinstance(v, Var):
         return point
-    _, mass_node = _mass_operand(spec.mass)
     free = (point > 0.0) & (point < 1.0)
     n_free = free.sum(axis=-1, keepdims=True)
 
@@ -375,16 +358,18 @@ def _dykstra(y: np.ndarray, rounds: int, first, second) -> np.ndarray:
     left in the previous round (p and q)."""
     p = q = np.zeros_like(y)
     for _ in range(rounds):
-        t = first(y + p)
-        p = y + p - t
-        y = second(t + q)
-        q = t + q - y
+        yp = y + p
+        t = first(yp)
+        p = yp - t
+        tq = t + q
+        y = second(tq)
+        q = tq - y
     return y
 
 
 def project_capped_dykstra(
     v: Var,
-    spec: CappedSimplexSpec,
+    mass,
     rounds: int = DEFAULT_ROUNDS,
     sharpness: float = DEFAULT_SHARPNESS,
 ) -> ProjectionResult:
@@ -398,7 +383,7 @@ def project_capped_dykstra(
     alternation, correction terms included.
     """
     sharpness = float(sharpness)
-    m, mass_node = _mass_operand(spec.mass)
+    m, mass_node = _mass_operand(mass)
     # a zero budget's only feasible point is the origin: such rows give
     # zeros and pass no gradient
     live = (m > 0.0)[..., None]
@@ -432,7 +417,7 @@ def project_capped_dykstra(
             g_p = g_yp
         v.adjoint += g_p
 
-    return ProjectionResult(Var(v.tape, y, bwd), spec.mass_value)
+    return ProjectionResult(Var(v.tape, y, bwd), m)
 
 
 # ---------------------------------------------------------------------------
@@ -448,20 +433,12 @@ def project_matrix_rows_cols(
     columns onto nonnegative vectors of prescribed mass ``col_mass[j]``; a
     column of zero mass is set to zero.  Consistency requires sum(col_mass)
     to equal the number of rows, since both constraint sets fix the total
-    mass of the matrix.  Each step projects every row, or every column, in
+    mass of the matrix; ``cardproj project`` checks that, the count and the
+    signs of the masses.  Each step projects every row, or every column, in
     one call.
     """
     y = np.asarray(y, dtype=np.float64)
-    n_rows, n_cols = y.shape
     col_mass = np.asarray(col_mass, dtype=np.float64)
-    if col_mass.shape != (n_cols,):
-        raise ValueError(f"expected {n_cols} column masses")
-    if np.any(col_mass < 0):
-        raise InfeasibleSpecError("column masses must be nonnegative")
-    if abs(col_mass.sum() - n_rows) > 1e-8:
-        raise InfeasibleSpecError(
-            f"column masses sum to {col_mass.sum()}, expected {n_rows}"
-        )
     live = col_mass > 0.0
     live_mass = col_mass[live]
 

@@ -72,11 +72,10 @@ def sc_cardinality_score(tm, y: Var) -> Var:
     return score
 
 
-def project_capped_bisection(v: np.ndarray, spec: pj.CappedSimplexSpec) -> np.ndarray:
+def project_capped_bisection(v: np.ndarray, mass: float) -> np.ndarray:
     """Bisect the threshold until the mass budget is met: a deliberately
     naive cross-check of ``project_capped_exact``."""
     v = np.asarray(v, dtype=np.float64)
-    mass = spec.mass_value
     lo, hi = float(v.min() - 1.0), float(v.max())
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -165,13 +164,11 @@ def project_matrix_rows_cols(y: np.ndarray, col_mass, rounds: int) -> np.ndarray
                        lambda m: rows_to_mass(m.T, col_mass).T)
 
 
-def project_capped_dykstra_exact(v: np.ndarray, spec: pj.CappedSimplexSpec,
-                                 rounds: int) -> pj.ProjectionResult:
+def project_capped_dykstra_exact(v: np.ndarray, mass, rounds: int) -> pj.ProjectionResult:
     """The shipped alternation with exact steps: the clamp into { y <= 1 }
     and the exact scaled-simplex projection, on one vector or on each row
     of a matrix.  It converges to the capped projection as the rounds grow;
-    the budget must be positive."""
-    mass = spec.mass_value
+    the budget must be positive, one value or one per row."""
     y = pj._dykstra(np.asarray(v, dtype=np.float64), rounds, lambda x: np.minimum(x, 1.0),
                     lambda x: pj.project_simplex_exact(x, mass))
     return pj.ProjectionResult(y, mass)

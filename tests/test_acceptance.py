@@ -22,7 +22,6 @@ from cardproj import inference as inf
 from cardproj import model as md
 from cardproj import projections as pj
 from cardproj import training as tr
-from cardproj.projections import CappedSimplexSpec
 
 import oracles
 
@@ -54,7 +53,7 @@ class TestCappedProjectionOracle:
             raw = rng.normal(0.0, 2.0, size=(count, dim))
             masses = rng.integers(0, dim + 1, size=count).astype(np.float64)
             ref = capped_bisection_batch(raw, masses)
-            got = pj.project_capped_exact(raw, CappedSimplexSpec(dim, masses))
+            got = pj.project_capped_exact(raw, masses)
             worst = max(worst, float(np.abs(got - ref).max()))
         assert worst <= 1e-8
         assert time.time() - start < 10.0
@@ -68,16 +67,15 @@ class TestAlternatingProjectionConvergence:
         zs, vs, refs = [], [], []
         for _ in range(1000):
             z = float(rng.integers(1, 11))
-            spec = CappedSimplexSpec(20, z)
-            feasible = pj.project_capped_exact(rng.normal(0.0, 2.0, 20), spec)
+            feasible = pj.project_capped_exact(rng.normal(0.0, 2.0, 20), z)
             v = feasible + rng.normal(0.0, 0.1, 20)
             zs.append(z)
             vs.append(v)
-            refs.append(pj.project_capped_exact(v, spec))
+            refs.append(pj.project_capped_exact(v, z))
         # all instances at once: each row alternates as it would alone
-        spec = CappedSimplexSpec(20, np.array(zs))
-        slow = oracles.project_capped_dykstra_exact(np.array(vs), spec, rounds=50)
-        fast = oracles.project_capped_dykstra_exact(np.array(vs), spec, rounds=2)
+        zs = np.array(zs)
+        slow = oracles.project_capped_dykstra_exact(np.array(vs), zs, rounds=50)
+        fast = oracles.project_capped_dykstra_exact(np.array(vs), zs, rounds=2)
         assert np.abs(slow.y - np.array(refs)).max() <= 1e-4
         assert np.abs(fast.y - np.array(refs)).max() <= 0.1
 

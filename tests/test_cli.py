@@ -207,9 +207,9 @@ class TestProject:
         shapes = []
         original = pj.project_capped_exact
 
-        def recorded(v, spec):
+        def recorded(v, mass):
             shapes.append(v.shape)
-            return original(v, spec)
+            return original(v, mass)
 
         monkeypatch.setattr(pj, "project_capped_exact", recorded)
         lengths = [3] * 70 + [2] + [3] * 2
@@ -242,10 +242,9 @@ class TestProject:
             if operator == "simplex":
                 y = pj.project_simplex_exact(v, z)
             elif operator == "capped":
-                y = pj.project_capped_exact(v, pj.CappedSimplexSpec(v.size, z))
+                y = pj.project_capped_exact(v, z)
             else:
-                y = pj.project_capped_dykstra(dg.Tape().leaf(v),
-                                              pj.CappedSimplexSpec(v.size, z)).values()
+                y = pj.project_capped_dykstra(dg.Tape().leaf(v), z).values()
             res = pj.ProjectionResult(y, z)
             want_out.append(cli._format_vector(y))
             want_err.append(f"line {lineno}: residual_sum={res.residual_sum:.3e} "

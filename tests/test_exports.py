@@ -115,8 +115,8 @@ def test_every_exported_method_has_a_program_caller():
 # the counts as last recorded: lower them when names or values go; a change
 # that adds one raises them here, where the growth shows
 EXPORTED_NAMES = 84
-SETTABLE_VALUES = 111
-RAISE_SITES = 64
+SETTABLE_VALUES = 109
+RAISE_SITES = 62
 
 
 def _defaulted(fn) -> int:

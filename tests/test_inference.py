@@ -267,6 +267,32 @@ class TestUnrolledPgd:
         for state in traj.states[1:]:
             np.testing.assert_array_equal(state.value, np.zeros(5))
 
+    # head logits, found by random search, whose expected count over sizes
+    # 0..10 rounds to 10.000000000000002
+    ABOVE_L_LOGITS = [
+        -17.520925154662006, -13.808584980385826, -12.591874063797363,
+        -11.155018104635086, -46.79530206577194, -7.16416854808167,
+        -5.966656553734302, -24.984670599697598, -6.755226131363006,
+        -2.8694906109453626, 32.90212898995094,
+    ]
+
+    @pytest.mark.parametrize("projection", ["soft", "exact"])
+    def test_predicted_budget_a_rounding_step_above_label_count(self, projection):
+        # with max_cardinality == label_count, a predicted budget may exceed
+        # the label count by rounding; it projects like a budget of L
+        m = md.ScoreModel(tiny_config(L=10, Z=10, seed=2))
+        for name in ("cardinality.w1", "cardinality.b1", "cardinality.w2"):
+            m.params[name][...] = 0.0
+        m.params["cardinality.b2"][:] = self.ABOVE_L_LOGITS
+        traj = run(m, inf.InferenceConfig(variant="pc", steps=2, projection=projection))
+        assert traj.z_used > 10.0
+        for state in traj.states:
+            assert np.isfinite(state.value).all()
+        decoded = inf.decode_labels(traj.final_values(), "topz", traj.z_used)
+        np.testing.assert_array_equal(decoded, np.ones(10))
+        topz = run(m, inf.InferenceConfig(variant="topz"))
+        np.testing.assert_array_equal(topz.final_values(), np.ones(10))
+
     def test_feasibility_in_calibrated_regime(self):
         # projected states must track the budget: |sum - z| < 0.05 and no
         # coordinate outside [-0.02, 1.02].  Holds at default sharpness and
