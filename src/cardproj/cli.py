@@ -468,18 +468,15 @@ def cmd_gradcheck(args) -> int:
     if len(train_set) == 0:
         raise ConfigError("data.fractions leave the train split empty")
     model = md.ScoreModel(_model_config(cfg, train_set))
-    report = tr.gradcheck(
-        model, train_set.batch([0]), train_set.target(0), cfg.inference, cfg.loss
-    )
-    for line in report.lines():
-        print(line)
-    print(f"max_rel_error={report.max_rel_error:.3e}")
-    if report.max_rel_error > args.tolerance:
-        print(
-            f"error: gradient mismatch {report.max_rel_error:.3e} "
-            f"exceeds {args.tolerance:.1e}",
-            file=sys.stderr,
-        )
+    errors = tr.gradcheck(model, train_set.batch([0]), cfg.inference, cfg.loss)
+    width = max(map(len, errors))
+    for name, err in sorted(errors.items()):
+        print(f"{name:<{width}}  rel_err={err:.3e}")
+    worst = np.max(list(errors.values()))  # nan if any error is nan
+    print(f"max_rel_error={worst:.3e}")
+    if not worst <= args.tolerance:
+        print(f"error: gradient mismatch {worst:.3e} exceeds {args.tolerance:.1e}",
+              file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK
 
@@ -552,8 +549,7 @@ def main(argv=None) -> int:
     except tr.TrainingDivergedError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, dt.DataFormatError, pj.InfeasibleSpecError,
-            ValueError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -56,7 +56,6 @@ __all__ = [
     "sub",
     "mul",
     "div",
-    "neg",
     "scale",
     "shift",
     "relu",
@@ -213,13 +212,6 @@ def div(a: Var, b: Var) -> Var:
         b.adjoint -= _reduce_to(g * a.value / b.value**2, b.value.shape)
 
     return Var(a.tape, out, bwd)
-
-
-def neg(x: Var) -> Var:
-    def bwd(g):
-        x.adjoint -= g
-
-    return Var(x.tape, -x.value, bwd)
 
 
 def scale(x: Var, k: float) -> Var:

@@ -156,6 +156,9 @@ def run_inference(tm: md.TapedModel, feature_indices, feature_values,
     if cfg.variant == "topz":
         _, z_value = _resolve_budget(tm, logits, rows, cfg)
         z = np.asarray(np.round(z_value))
+        if cfg.z_source != "predictor":
+            # a predicted budget rounds into [0, label_count]
+            pj.check_budget(z, tm.config.label_count)
         return Trajectory([tm.tape.constant(exact_topz(np.array(c.value), z))], z, logits)
 
     y = init_labels(c)
@@ -203,15 +206,11 @@ def exact_topz(c: np.ndarray, z) -> np.ndarray:
     This solves max_y c . y over binary y with exactly z ones, the
     cardinality-constrained decoding that needs only a sort.  ``c`` is one
     vector with an integer budget, or a batch of rows with one budget per
-    row.  Ties go to the lower index.  Both callers round the budget; its
-    range is checked here, since under ``variant="topz"`` a fixed
-    ``z_source`` reaches it with no other check.
+    row.  Ties go to the lower index.  Both callers round the budget, which
+    ``run_inference`` has checked or a predictor has bounded to [0, L].
     """
     c = np.asarray(c, dtype=np.float64)
-    z = np.asarray(z)
-    k = z.astype(np.intp)
-    if np.any(k < 0) or np.any(k > c.shape[-1]):
-        raise ValueError(f"budget {z} out of range [0, {c.shape[-1]}]")
+    k = np.asarray(z).astype(np.intp)
     order = np.argsort(-c, axis=-1, kind="stable")
     chosen = (np.arange(c.shape[-1]) < k[..., None]).astype(np.float64)
     out = np.empty_like(c)

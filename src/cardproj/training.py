@@ -10,7 +10,8 @@ keeps the counter trained even when the trajectory loss plateaus.
 Each minibatch, a ``data.Dataset`` of rows gathered from the train split,
 runs on one tape: inference, the per-example losses and their mean are
 recorded row-wise over the batch, so one reverse sweep leaves the averaged
-gradient in the parameter adjoints.  The outer
+gradient in the parameter adjoints.  ``_minibatch_loss`` is that objective,
+and ``gradcheck`` differentiates it as a training step does.  The outer
 optimizer is diagonal AdaGrad.  Training is deterministic for a fixed seed
 (the shuffle is the only randomness).  Evaluation and prediction walk a
 split in fixed-size chunks, one tape each, and a row's decoded labels do
@@ -53,7 +54,6 @@ __all__ = [
     "TrainingDivergedError",
     "MetricsRecord",
     "TrainResult",
-    "GradCheckReport",
     "soft_f1_loss",
     "binary_cross_entropy",
     "weighted_trajectory_loss",
@@ -146,7 +146,7 @@ def binary_cross_entropy(y: Var, target: np.ndarray) -> Var:
     eps = 1e-7
     p = dg.clip(y, lo=eps, hi=1.0 - eps)
     pos = dg.mul(y.tape.constant(target), dg.log(p))
-    neg = dg.mul(y.tape.constant(1.0 - target), dg.log(dg.shift(dg.neg(p), 1.0)))
+    neg = dg.mul(y.tape.constant(1.0 - target), dg.log(dg.shift(dg.scale(p, -1.0), 1.0)))
     return dg.scale(dg.vsum(dg.add(pos, neg)), -1.0 / target.shape[-1])
 
 
@@ -185,7 +185,8 @@ def example_loss(tm: md.TapedModel, batch: dt.Dataset, target,
 
     With a (B, L) target matrix, ``batch`` holds B examples that run on one
     tape as CSR rows, and the loss has one entry per row.  A target vector
-    gives the 0-d loss of a one-row dataset.  Targets are the 0/1 rows that
+    gives the 0-d loss of a one-row dataset, a path only the benchmark's
+    replay in ``bench/workloads.py`` takes.  Targets are the 0/1 rows that
     ``Dataset.targets`` or ``Dataset.target`` build from a checked corpus,
     so nothing here checks them again.  With zero ascent steps the
     single-step loss is applied directly to the initial relaxed state,
@@ -317,21 +318,33 @@ def _check_finite(kind: str, buffers: dict, where: str) -> None:
             )
 
 
-def _batch_grads(model: md.ScoreModel, train_set: dt.Dataset, rows: np.ndarray,
-                 inference_config: inf.InferenceConfig, loss_config: LossConfig,
-                 epoch: int) -> dict:
-    """Gradient of the mean loss over the train rows ``rows``; the batch's
-    graph is gone before the next batch's."""
-    batch = train_set.batch(rows)
+def _minibatch_loss(model: md.ScoreModel, batch: dt.Dataset,
+                    inference_config: inf.InferenceConfig, loss_config: LossConfig,
+                    where="example {}".format) -> tuple:
+    """The training objective: the mean loss over the rows of ``batch``,
+    recorded on a fresh tape; returns (taped model, mean node).
+
+    A non-finite row loss raises :class:`TrainingDivergedError`, which
+    names the first such row ``i`` by ``where(i)``, by default as example
+    ``i`` of ``batch``.
+    """
     tm = md.TapedModel(model, Tape())
     losses, _ = example_loss(tm, batch, batch.targets(), inference_config, loss_config)
     bad = np.flatnonzero(~np.isfinite(losses.value))
     if bad.size:
         raise TrainingDivergedError(
-            f"non-finite loss {losses.value[bad[0]]} at example "
-            f"{int(rows[bad[0]])} in epoch {epoch}"
+            f"non-finite loss {losses.value[bad[0]]} at {where(bad[0])}"
         )
-    tm.tape.backward(dg.scale(dg.vsum(losses), 1.0 / len(rows)))
+    return tm, dg.scale(dg.vsum(losses), 1.0 / len(batch))
+
+
+def _batch_grads(model: md.ScoreModel, batch: dt.Dataset,
+                 inference_config: inf.InferenceConfig, loss_config: LossConfig,
+                 where="example {}".format) -> dict:
+    """Gradient of the training objective on ``batch``; the batch's graph is
+    gone before the next batch's."""
+    tm, mean = _minibatch_loss(model, batch, inference_config, loss_config, where)
+    tm.tape.backward(mean)
     return tm.grads()
 
 
@@ -389,8 +402,9 @@ def train(model: md.ScoreModel, train_set: dt.Dataset,
         order = rng.permutation(count)
         for number, start in enumerate(range(0, count, train_config.batch_size), 1):
             rows = order[start : start + train_config.batch_size]
-            grads = _batch_grads(model, train_set, rows, inference_config, loss_config,
-                                 epoch)
+            grads = _batch_grads(
+                model, train_set.batch(rows), inference_config, loss_config,
+                lambda i: f"example {int(rows[i])} in epoch {epoch}")
             where = f"in epoch {epoch}, batch {number}"
             _check_finite("gradient", grads, where)
             optimizer.step(model.params, grads)
@@ -417,31 +431,19 @@ def train(model: md.ScoreModel, train_set: dt.Dataset,
 # gradient checking
 
 
-@dataclass(frozen=True)
-class GradCheckReport:
-    per_buffer: dict
-
-    @property
-    def max_rel_error(self) -> float:
-        return max(self.per_buffer.values())
-
-    def lines(self):
-        width = max(len(name) for name in self.per_buffer)
-        return [
-            f"{name:<{width}}  rel_err={err:.3e}"
-            for name, err in sorted(self.per_buffer.items())
-        ]
-
-
-def gradcheck(model: md.ScoreModel, example: dt.Dataset, target,
+def gradcheck(model: md.ScoreModel, batch: dt.Dataset,
               inference_config: inf.InferenceConfig,
-              loss_config: LossConfig = LossConfig()) -> GradCheckReport:
-    """Compare backward-pass gradients against central finite differences.
+              loss_config: LossConfig = LossConfig()) -> dict:
+    """Relative error of each buffer's training gradient on ``batch``
+    against central finite differences of the same objective.
 
-    Each parameter moves by 1e-5 either way.  The per-buffer metric is
+    The gradient is the one a training step applies to ``batch``, and
+    each parameter moves by 1e-5 either way.  The per-buffer metric is
     max|analytic - fd| / max(max|fd|, 1e-8), so buffers with vanishing
-    gradients are compared at absolute scale.  ``topz`` decodes without a
-    relaxed trajectory, so nothing it returns has a gradient to check.
+    gradients are compared at absolute scale.  A non-finite row loss
+    raises as in training, naming the row as an example of ``batch``.
+    ``topz`` decodes without a relaxed trajectory, so nothing it returns
+    has a gradient to check.
     """
     if inference_config.variant == "topz":
         raise ValueError("topz inference has no relaxed trajectory to differentiate")
@@ -449,18 +451,11 @@ def gradcheck(model: md.ScoreModel, example: dt.Dataset, target,
     model = model.copy()
 
     def loss_value() -> float:
-        tape = Tape()
-        tm = md.TapedModel(model, tape)
-        loss, _ = example_loss(tm, example, target, inference_config, loss_config)
-        return float(loss.value)
+        _, mean = _minibatch_loss(model, batch, inference_config, loss_config)
+        return float(mean.value)
 
-    tape = Tape()
-    tm = md.TapedModel(model, tape)
-    loss, _ = example_loss(tm, example, target, inference_config, loss_config)
-    tape.backward(loss)
-    analytic = tm.grads()
-
-    report = {}
+    analytic = _batch_grads(model, batch, inference_config, loss_config)
+    errors = {}
     for name, buf in model.params.items():
         fd = np.zeros_like(buf)
         it = np.nditer(buf, flags=["multi_index"])
@@ -474,5 +469,5 @@ def gradcheck(model: md.ScoreModel, example: dt.Dataset, target,
             buf[at] = orig
             fd[at] = (hi - lo) / (2.0 * step)
         scale = max(float(np.abs(fd).max(initial=0.0)), 1e-8)
-        report[name] = float(np.abs(analytic[name] - fd).max(initial=0.0)) / scale
-    return GradCheckReport(report)
+        errors[name] = float(np.abs(analytic[name] - fd).max(initial=0.0)) / scale
+    return errors

@@ -67,7 +67,8 @@ def sc_cardinality_score(tm, y: Var) -> Var:
     ind = [dg.sigmoid(dg.shift(total, -float(k))) for k in range(1, z + 2)]
     score = None
     for k in range(1, z + 1):
-        term = dg.mul(dg.mul(dg.pick(w, k - 1), ind[k - 1]), dg.shift(dg.neg(ind[k]), 1.0))
+        term = dg.mul(dg.mul(dg.pick(w, k - 1), ind[k - 1]),
+                      dg.shift(dg.scale(ind[k], -1.0), 1.0))
         score = term if score is None else dg.add(score, term)
     return score
 

@@ -650,6 +650,16 @@ class TestEvalCommand:
         assert capsys.readouterr().err == (
             "error: --z expects 'predictor' or 'fixed:<number>', got 'fixed:abc'\n")
 
+    def test_topz_budget_out_of_range_exits_one(self, trained, capsys):
+        # a fixed topz budget is checked once, rounded, with one value named
+        code = cli.main(["eval", "--config", str(trained["config"]),
+                         "--checkpoint", str(trained["checkpoint"]), "--split", "train",
+                         "--variant", "topz", "--z", "fixed:7"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: mass budget 7.0 outside [0, 6]\n"
+
     def test_non_finite_metrics_exit_two(self, trained, capsys, monkeypatch):
         def nan_loss(*args, **kwargs):
             return {"loss": float("nan"), "f1": 0.5, "f1_label": 0.5, "card_mse": 1.0}
@@ -758,6 +768,47 @@ class TestGradcheckCommand:
         assert captured.out == ""
         assert captured.err == (
             "error: topz inference has no relaxed trajectory to differentiate\n")
+
+    def test_prints_one_line_per_buffer_then_the_max(self, capsys):
+        assert cli.main(["gradcheck", "--set", "inference.steps=1"]) == 0
+        *lines, last = capsys.readouterr().out.splitlines()
+        names = [line.split()[0] for line in lines]
+        assert names == sorted(names)
+        assert len(names) == 12 and "unary.w" in names
+        width = max(map(len, names))
+        errors = []
+        for name, line in zip(names, lines):
+            prefix = f"{name:<{width}}  rel_err="
+            assert line.startswith(prefix), line
+            errors.append(float(line[len(prefix):]))
+            assert line == f"{prefix}{errors[-1]:.3e}"
+        assert last == f"max_rel_error={max(errors):.3e}"
+
+    def test_non_finite_loss_exits_two(self, capsys):
+        # the first ascent step overflows; the loss is refused as in training
+        with np.errstate(all="ignore"):
+            code = cli.main(["gradcheck", "--set", "inference.step_size=1e308",
+                             "--tolerance", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: non-finite loss nan at example 0\n"
+
+    def test_nan_error_in_a_later_buffer_fails(self, capsys, monkeypatch):
+        # Python's max would skip a nan that is not its first value
+        original = md.TapedModel.grads
+
+        def spoiled(tm):
+            grads = original(tm)
+            grads["global.w1"][0, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(md.TapedModel, "grads", spoiled)
+        assert cli.main(["gradcheck"]) == 1
+        captured = capsys.readouterr()
+        assert "global.w1       rel_err=nan\n" in captured.out
+        assert captured.out.endswith("\nmax_rel_error=nan\n")
+        assert captured.err == "error: gradient mismatch nan exceeds 1.0e-02\n"
 
     def test_corrupted_backward_exits_nonzero(self, capsys, monkeypatch):
         original = md.grad_global_score

@@ -114,9 +114,9 @@ def test_every_exported_method_has_a_program_caller():
 
 # the counts as last recorded: lower them when names or values go; a change
 # that adds one raises them here, where the growth shows
-EXPORTED_NAMES = 84
-SETTABLE_VALUES = 109
-RAISE_SITES = 62
+EXPORTED_NAMES = 82
+SETTABLE_VALUES = 108
+RAISE_SITES = 61
 
 
 def _defaulted(fn) -> int:

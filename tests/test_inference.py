@@ -112,10 +112,20 @@ class TestExactTopz:
     def test_ties_break_toward_lower_index(self):
         np.testing.assert_array_equal(inf.exact_topz([1.0, 1.0, 0.0], 1), [1, 0, 0])
 
+    # a fixed budget is checked where it enters, in run_inference, once
+    # rounded; a predicted one rounds into [0, L] and is not checked
     @pytest.mark.parametrize("z", [-1, 4])
     def test_rejects_out_of_range_budgets(self, z):
-        with pytest.raises(ValueError):
-            inf.exact_topz([1.0, 2.0, 3.0], z)
+        m = bias_model([3.0, 1.0, 2.0])
+        with pytest.raises(InfeasibleSpecError) as err:
+            run(m, inf.InferenceConfig(variant="topz", z_source=z + 0.4))
+        assert str(err.value) == f"mass budget {float(z)} outside [0, 3]"
+
+    @pytest.mark.parametrize("z, want", [(-0.4, [0, 0, 0]), (3.4, [1, 1, 1])])
+    def test_accepts_budgets_that_round_into_range(self, z, want):
+        m = bias_model([3.0, 1.0, 2.0])
+        traj = run(m, inf.InferenceConfig(variant="topz", z_source=z))
+        np.testing.assert_array_equal(traj.final_values(), want)
 
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(0)

@@ -405,11 +405,11 @@ def composed_grad_sc_score(tm, y):
     slope = None
     for k in range(1, z + 1):
         ik, ik1 = ind[k - 1], ind[k]
-        dik = dg.mul(ik, dg.shift(dg.neg(ik), 1.0))
-        dik1 = dg.mul(ik1, dg.shift(dg.neg(ik1), 1.0))
+        dik = dg.mul(ik, dg.shift(dg.scale(ik, -1.0), 1.0))
+        dik1 = dg.mul(ik1, dg.shift(dg.scale(ik1, -1.0), 1.0))
         term = dg.mul(
             dg.pick(w, k - 1),
-            dg.sub(dg.mul(dik, dg.shift(dg.neg(ik1), 1.0)), dg.mul(ik, dik1)),
+            dg.sub(dg.mul(dik, dg.shift(dg.scale(ik1, -1.0), 1.0)), dg.mul(ik, dik1)),
         )
         slope = term if slope is None else dg.add(slope, term)
     ones = y.tape.constant(np.ones(len(y)))
