@@ -545,7 +545,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # a non-finite result fails through the program's own checks, with
+        # its exit code, so numpy's warnings would only say it twice
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except tr.TrainingDivergedError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -55,7 +55,6 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "div",
     "scale",
     "shift",
     "relu",
@@ -68,7 +67,6 @@ __all__ = [
     "vsum",
     "pick",
     "matvec",
-    "matvec_t",
     "matvec_sparse",
     "rows_times",
 ]
@@ -200,16 +198,6 @@ def mul(a: Var, b: Var) -> Var:
     def bwd(g):
         a.adjoint += _reduce_to(g * b.value, a.value.shape)
         b.adjoint += _reduce_to(g * a.value, b.value.shape)
-
-    return Var(a.tape, out, bwd)
-
-
-def div(a: Var, b: Var) -> Var:
-    out = a.value / b.value
-
-    def bwd(g):
-        a.adjoint += _reduce_to(g / b.value, a.value.shape)
-        b.adjoint -= _reduce_to(g * a.value / b.value**2, b.value.shape)
 
     return Var(a.tape, out, bwd)
 
@@ -380,16 +368,6 @@ def matvec(w: Var, x: Var) -> Var:
     return Var(w.tape, rows_times(x.value, w.value.T), bwd)
 
 
-def matvec_t(w: Var, x: Var) -> Var:
-    """``w.T @ row`` for each row of ``x``: ``x @ w``, with no transpose made."""
-
-    def bwd(g):
-        w.adjoint += np.atleast_2d(x.value).T @ np.atleast_2d(g)
-        x.adjoint += g @ w.value.T
-
-    return Var(w.tape, rows_times(x.value, w.value), bwd)
-
-
 def matvec_sparse(w: Var, indices, values, indptr=None) -> Var:
     """``w @ x`` for sparse inputs: one vector, or a CSR batch of rows.
 
@@ -397,24 +375,37 @@ def matvec_sparse(w: Var, indices, values, indptr=None) -> Var:
     and the output a vector.  With it the input is a batch in CSR form: row
     r holds ``indices[indptr[r]:indptr[r + 1]]`` and the matching values,
     and the output has one row per input row.  The forward pass gathers the
-    columns it needs and sums each row's terms in index order; the backward
-    pass adds into only the columns that appear, so the adjoint of a wide
-    input layer costs what the batch's nonzeros cost.
+    columns it needs and sums each row's terms in index order.
+
+    The backward pass sums the nonzeros' contributions with one
+    ``np.bincount`` over the flat indices ``arange(H) * D + idx`` of the
+    (H, D) weight, each bin from zero in nonzero order, as a scatter-add
+    into a fresh adjoint does.  When nothing else has reached the weight's
+    adjoint, the sums become it, so a wide input layer's backward makes one
+    (H, D) array and no other pass over it.
     """
     idx = np.asarray(indices, dtype=np.intp)
     vals = np.asarray(values, dtype=np.float64)
     single = indptr is None
     ptr = np.array([0, idx.size]) if single else np.asarray(indptr, dtype=np.intp)
-    nonempty = np.diff(ptr) > 0
+    counts = np.diff(ptr)
     terms = w.value.T[idx] * vals[:, None]
     out = np.zeros((ptr.size - 1, w.value.shape[0]))
     if idx.size:
+        nonempty = counts > 0
         out[nonempty] = np.add.reduceat(terms, ptr[:-1][nonempty], axis=0)
-    row_of = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
 
     def bwd(g):
         if idx.size:
-            g_rows = np.atleast_2d(g)
-            np.add.at(w.adjoint.T, idx, g_rows[row_of] * vals[:, None])
+            hidden, inputs = w.value.shape
+            row_of = np.repeat(np.arange(counts.size), counts)
+            contrib = np.atleast_2d(g)[row_of] * vals[:, None]
+            flat = np.arange(hidden)[:, None] * inputs + idx
+            sums = np.bincount(flat.ravel(), weights=contrib.T.ravel(),
+                               minlength=hidden * inputs).reshape(hidden, inputs)
+            if w._adjoint is None:
+                w.adjoint = sums  # an empty bin holds +0.0, as a fresh adjoint does
+            else:
+                w.adjoint += sums
 
     return Var(w.tape, out[0] if single else out, bwd)

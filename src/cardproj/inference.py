@@ -15,7 +15,9 @@ the trajectory backpropagates into all model parameters:
 
 The ascent direction is assembled from analytic gradient nodes
 (``grad_global_score`` and friends), not by differentiating the tape, so a
-single reverse sweep through the unrolled graph suffices for training.
+single reverse sweep through the unrolled graph suffices for training.  A
+step records the score gradients, one velocity node, one trial-point node
+and the projection or clamp, each with a hand-written VJP.
 
 One run covers one example or a minibatch (a CSR input with its row
 pointer, see ``model``): every state is then a batch of rows on one tape,
@@ -173,21 +175,51 @@ def run_inference(tm: md.TapedModel, feature_indices, feature_values,
     velocity = None
 
     for _ in range(cfg.steps):
-        grad = dg.add(c, md.grad_global_score(tm, y))
+        score_grads = [md.grad_global_score(tm, y)]
         if cfg.variant == "sc":
-            grad = dg.add(grad, md.grad_sc_score(tm, y))
-        velocity = (
-            grad
-            if velocity is None
-            else dg.add(dg.scale(velocity, cfg.momentum), grad)
-        )
-        trial = dg.add(y, dg.scale(velocity, cfg.step_size))
+            score_grads.append(md.grad_sc_score(tm, y))
+        velocity = _velocity(c, score_grads, velocity, cfg.momentum)
+        trial = _trial(y, velocity, cfg.step_size)
         if cfg.variant == "pc":
             y = _project_state(trial, mass, cfg)
         else:
             y = dg.clip(trial, 0.0, 1.0)
         states.append(y)
     return Trajectory(states, z_used, logits)
+
+
+def _velocity(c: Var, score_grads: list, previous: Var | None, momentum: float) -> Var:
+    """One step's velocity as one node: ``c`` plus the score gradients, left
+    to right, plus ``momentum`` times the previous velocity if there is
+    one.  Value and adjoints are bit-identical to the composed ``add`` and
+    ``scale`` nodes in ``tests/oracles.py``."""
+    out = c.value
+    for grad in score_grads:
+        out = out + grad.value
+    k = float(momentum)
+    if previous is not None:
+        out = k * previous.value + out
+
+    def bwd(g):
+        if previous is not None:
+            previous.adjoint += k * g
+        c.adjoint += g
+        for grad in score_grads:
+            grad.adjoint += g
+
+    return Var(c.tape, out, bwd)
+
+
+def _trial(y: Var, velocity: Var, step_size: float) -> Var:
+    """The trial point ``y + step_size * velocity`` as one node, bit-identical
+    to the composed ``scale`` and ``add``."""
+    k = float(step_size)
+
+    def bwd(g):
+        y.adjoint += g
+        velocity.adjoint += k * g
+
+    return Var(y.tape, y.value + k * velocity.value, bwd)
 
 
 def _project_state(trial: Var, mass, cfg: InferenceConfig) -> Var:

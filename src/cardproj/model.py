@@ -182,19 +182,26 @@ def unary_scores(tm: TapedModel, feature_indices, feature_values, indptr=None) -
 
 
 def grad_global_score(tm: TapedModel, y: Var) -> Var:
-    """Gradient of the global potential with respect to ``y``, on the tape.
+    """Gradient of the global potential with respect to ``y``, as one tape node.
 
     The potential of each row is w2 . relu(W1 y), the bias-free global
     energy of a structured prediction energy network, and its gradient is
-    W1' (w2 * step(W1 y)).  The step mask enters as a detached constant:
-    the potential's second derivative in ``y`` is zero almost everywhere, so
-    a constant mask is exact away from kinks, while the returned node stays
-    differentiable with respect to the parameters.
+    W1' (w2 * step(W1 y)).  The step mask is held fixed: the potential's
+    second derivative in ``y`` is zero almost everywhere, so a constant mask
+    is exact away from kinks, and the node passes no adjoint to ``y``.  It
+    stays differentiable with respect to the parameters.  Value and
+    adjoints are bit-identical to the composed graph of a mask constant, a
+    ``mul`` and a transposed product in ``tests/oracles.py``.
     """
-    p = tm.vars
-    pre = dg.rows_times(y.value, p["global.w1"].value.T)
-    mask = tm.tape.constant((pre > 0.0).astype(np.float64))
-    return dg.matvec_t(p["global.w1"], dg.mul(p["global.w2"], mask))
+    w1, w2 = tm.vars["global.w1"], tm.vars["global.w2"]
+    mask = (dg.rows_times(y.value, w1.value.T) > 0.0).astype(np.float64)
+    gated = w2.value * mask
+
+    def bwd(g):
+        w1.adjoint += np.atleast_2d(gated).T @ np.atleast_2d(g)
+        w2.adjoint += dg._reduce_to((g @ w1.value.T) * mask, w2.value.shape)
+
+    return Var(y.tape, dg.rows_times(gated, w1.value), bwd)
 
 
 def cardinality_logits(tm: TapedModel, feature_indices, feature_values, indptr=None) -> Var:

@@ -125,19 +125,27 @@ class AdaGrad:
 
 
 def soft_f1_loss(y: Var, target: np.ndarray) -> Var:
-    """Negative soft overlap score -2 y.t / sum(y + t), in [-1, 0], per row.
+    """Negative soft overlap score -2 y.t / sum(y + t), in [-1, 0], per row,
+    as one tape node.
 
     ``target`` is a binary array of the shape of ``y``.  Reaches -1 exactly
     when y equals a nonempty binary target.  When both the relaxed state and
     the target are identically zero the loss is the constant 0 (agreement on
-    the empty set, no gradient).
+    the empty set, no gradient).  Value and adjoint are bit-identical to the
+    composed graph in ``tests/oracles.py``, whose sweep adds the
+    denominator's term into ``y``'s adjoint before the overlap's.
     """
     t_sum = target.sum(axis=-1)
     # a row where both are empty divides its zero overlap by one
     empty = (t_sum == 0.0) & ~np.any(y.value, axis=-1)
-    overlap = dg.dot(y, y.tape.constant(target))
-    total = dg.shift(dg.vsum(y), t_sum + empty)
-    return dg.div(dg.scale(overlap, -2.0), total)
+    scaled = -2.0 * (y.value * target).sum(axis=-1)
+    total = y.value.sum(axis=-1) + (t_sum + empty)
+
+    def bwd(g):
+        y.adjoint += (-(g * scaled / total**2))[..., None]
+        y.adjoint += (-2.0 * (g / total))[..., None] * target
+
+    return Var(y.tape, scaled / total, bwd)
 
 
 def binary_cross_entropy(y: Var, target: np.ndarray) -> Var:
@@ -394,7 +402,8 @@ def train(model: md.ScoreModel, train_set: dt.Dataset,
         return dev_f1
 
     best_f1 = emit(0)
-    best_params = model.copy()
+    if dev_set is not None:
+        best_params = model.copy()
     best_epoch = 0
     stale = 0
     count = len(train_set)

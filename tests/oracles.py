@@ -1,17 +1,22 @@
 """Reference implementations that the tests check shipped code against.
 
-No program path calls any of these.  Each is either an independent route to
-what a shipped operator computes (a long scalar bisection for the capped
-projection, Dykstra's alternation with exact steps, the capped sort-and-scan
-and the simplex sorted pivot on one vector, and the matrix alternation one
-row and one column at a time, which the shipped batched forms must match
-bit for bit), or the composed form
-of a fused node, built from ``diffgraph`` ops node by node, which the fused
-node must match bit for bit (the global potential and the bucket score,
-whose gradients ship as fused nodes, and the sort and running sums of the
-soft simplex surrogate).  ``project_simplex_soft`` alone wraps shipped
-code: the soft simplex step of ``project_capped_dykstra`` as a node of its
-own, so that step can be tested apart from the alternation.
+No program path calls any of these.  Each is one of three things:
+
+* an independent route to what a shipped operator computes: a long scalar
+  bisection for the capped projection, Dykstra's alternation with exact
+  steps, the capped sort-and-scan and the simplex sorted pivot on one
+  vector, and the matrix alternation one row and one column at a time,
+  which the shipped batched forms must match bit for bit;
+* the composed form of a fused node, built from ``diffgraph`` ops node by
+  node, which the fused node must match bit for bit in its value and in
+  every adjoint: the global potential's gradient, the bucket score, the
+  soft-F1 loss, an ascent step's velocity and trial point, the sort and
+  running sums of the soft simplex surrogate, and the sparse input layer
+  with a scatter-add backward.  ``div`` and ``matvec_t`` are ops only these
+  composed forms use;
+* ``project_simplex_soft``, which wraps shipped code: the soft simplex
+  step of ``project_capped_dykstra`` as a node of its own, so that step
+  can be tested apart from the alternation.
 """
 
 import numpy as np
@@ -48,6 +53,80 @@ def cumsum(x: Var) -> Var:
         x.adjoint += np.cumsum(g[..., ::-1], axis=-1)[..., ::-1]
 
     return Var(x.tape, np.cumsum(x.value, axis=-1), bwd)
+
+
+def div(a: Var, b: Var) -> Var:
+    out = a.value / b.value
+
+    def bwd(g):
+        a.adjoint += dg._reduce_to(g / b.value, a.value.shape)
+        b.adjoint -= dg._reduce_to(g * a.value / b.value**2, b.value.shape)
+
+    return Var(a.tape, out, bwd)
+
+
+def matvec_t(w: Var, x: Var) -> Var:
+    """``w.T @ row`` for each row of ``x``: ``x @ w``, with no transpose made."""
+
+    def bwd(g):
+        w.adjoint += np.atleast_2d(x.value).T @ np.atleast_2d(g)
+        x.adjoint += g @ w.value.T
+
+    return Var(w.tape, dg.rows_times(x.value, w.value), bwd)
+
+
+def matvec_sparse(w: Var, indices, values, indptr=None) -> Var:
+    """``dg.matvec_sparse`` with its backward as a scatter-add of every
+    nonzero's contribution into the transposed adjoint, in nonzero order."""
+    idx = np.asarray(indices, dtype=np.intp)
+    vals = np.asarray(values, dtype=np.float64)
+    single = indptr is None
+    ptr = np.array([0, idx.size]) if single else np.asarray(indptr, dtype=np.intp)
+    nonempty = np.diff(ptr) > 0
+    out = np.zeros((ptr.size - 1, w.value.shape[0]))
+    if idx.size:
+        terms = w.value.T[idx] * vals[:, None]
+        out[nonempty] = np.add.reduceat(terms, ptr[:-1][nonempty], axis=0)
+    row_of = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
+
+    def bwd(g):
+        if idx.size:
+            np.add.at(w.adjoint.T, idx, np.atleast_2d(g)[row_of] * vals[:, None])
+
+    return Var(w.tape, out[0] if single else out, bwd)
+
+
+def grad_global_score(tm, y: Var) -> Var:
+    """The gradient of the global potential as composed nodes: a detached
+    step mask, a ``mul`` and a transposed product."""
+    p = tm.vars
+    pre = dg.rows_times(y.value, p["global.w1"].value.T)
+    mask = tm.tape.constant((pre > 0.0).astype(np.float64))
+    return matvec_t(p["global.w1"], dg.mul(p["global.w2"], mask))
+
+
+def velocity(c: Var, score_grads: list, previous, momentum: float) -> Var:
+    """An ascent step's velocity as composed ``add`` and ``scale`` nodes."""
+    grad = c
+    for score_grad in score_grads:
+        grad = dg.add(grad, score_grad)
+    if previous is None:
+        return grad
+    return dg.add(dg.scale(previous, momentum), grad)
+
+
+def trial(y: Var, velocity: Var, step_size: float) -> Var:
+    """An ascent step's trial point as a composed ``scale`` and ``add``."""
+    return dg.add(y, dg.scale(velocity, step_size))
+
+
+def soft_f1_loss(y: Var, target: np.ndarray) -> Var:
+    """The soft-F1 loss of ``training.soft_f1_loss`` as composed nodes."""
+    t_sum = target.sum(axis=-1)
+    empty = (t_sum == 0.0) & ~np.any(y.value, axis=-1)
+    overlap = dg.dot(y, y.tape.constant(target))
+    total = dg.shift(dg.vsum(y), t_sum + empty)
+    return div(dg.scale(overlap, -2.0), total)
 
 
 def global_score(tm, y: Var) -> Var:

@@ -50,6 +50,15 @@ def eager_backward(tape, root):
             node._backward(node.adjoint)
 
 
+def assert_bits(got, want):
+    """Arrays equal bit for bit: -0.0 differs from 0.0, as a nan from itself does not."""
+    for g, w in zip(got, want, strict=True):
+        g, w = np.asarray(g), np.asarray(w)
+        assert g.shape == w.shape
+        np.testing.assert_array_equal(np.atleast_1d(g).view(np.int64),
+                                      np.atleast_1d(w).view(np.int64))
+
+
 def check_unary(op, np_op, v):
     """Compare tape gradient of sum(op(v)) against finite differences."""
     tape = dg.Tape()
@@ -114,7 +123,7 @@ class TestArithmetic:
         np.testing.assert_array_equal(dg.add(v, s).value, [3.0, 4.0, 5.0])
         np.testing.assert_array_equal(dg.sub(v, s).value, [-1.0, 0.0, 1.0])
         np.testing.assert_array_equal(dg.mul(v, s).value, [2.0, 4.0, 6.0])
-        np.testing.assert_array_equal(dg.div(v, s).value, [0.5, 1.0, 1.5])
+        np.testing.assert_array_equal(oracles.div(v, s).value, [0.5, 1.0, 1.5])
 
     def test_broadcast_backward_sums_over_vector(self):
         tape = dg.Tape()
@@ -144,7 +153,7 @@ class TestArithmetic:
 
         tape = dg.Tape()
         va, vb = tape.leaf(a), tape.leaf(b)
-        tape.backward(dg.vsum(dg.div(va, vb)))
+        tape.backward(dg.vsum(oracles.div(va, vb)))
         np.testing.assert_allclose(
             va.adjoint, fd_grad(lambda u: (u / b).sum(), a), atol=FD_TOL
         )
@@ -187,7 +196,7 @@ class TestLinearMaps:
         x = rng.standard_normal(3)
         tape = dg.Tape()
         vw, vx = tape.leaf(w), tape.leaf(x)
-        out = dg.matvec_t(vw, vx)
+        out = oracles.matvec_t(vw, vx)
         np.testing.assert_allclose(out.value, w.T @ x)
         tape.backward(dg.vsum(out))
         np.testing.assert_allclose(
@@ -214,6 +223,64 @@ class TestLinearMaps:
         vw2 = tape2.leaf(w)
         tape2.backward(dg.vsum(dg.matvec(vw2, tape2.leaf(dense))))
         np.testing.assert_allclose(vw.adjoint, vw2.adjoint)
+
+
+class TestSparseAdjoint:
+    """The bincount backward of matvec_sparse against the scatter-add one."""
+
+    @staticmethod
+    def _sweep(layer, w0, idx, vals, indptr, readout, extra=False):
+        # with ``extra``, a second product of the weight recorded after the
+        # layer reaches the weight's adjoint first in the sweep
+        tape = dg.Tape()
+        w = tape.leaf(w0)
+        out = layer(w, idx, vals, indptr)
+        root = dg.vsum(dg.mul(dg.relu(out), tape.constant(readout)))
+        if extra:
+            x = tape.leaf(np.linspace(-1.0, 1.0, w0.shape[1]))
+            root = dg.add(root, dg.vsum(dg.matvec(w, x)))
+        tape.backward(root)
+        return out.value, w.adjoint
+
+    @staticmethod
+    def _batch(rng, rows, dim):
+        # every third row has no features, and some values are zero
+        counts = [0 if r % 3 == 1 else int(rng.integers(1, dim)) for r in range(rows)]
+        idx = np.concatenate([np.sort(rng.choice(dim, c, replace=False)) for c in counts]
+                             + [np.zeros(0, dtype=int)])
+        vals = rng.choice([0.0, -0.0, 1.0, -2.5, 0.3], size=idx.size)
+        return idx, vals, np.concatenate([[0], np.cumsum(counts)])
+
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_bit_identical_to_scatter_add(self, rows):
+        rng = np.random.default_rng(rows)
+        for case in range(6):
+            w0 = rng.standard_normal((5, 9))
+            idx, vals, ptr = self._batch(rng, rows, 9)
+            # zeros in the readout send signed zeros into the sums
+            readout = rng.choice([0.0, -0.0, 1.0, -1.5], size=(rows, 5))
+            assert_bits(self._sweep(dg.matvec_sparse, w0, idx, vals, ptr, readout),
+                        self._sweep(oracles.matvec_sparse, w0, idx, vals, ptr, readout))
+
+    def test_one_vector_and_empty_inputs(self):
+        rng = np.random.default_rng(3)
+        w0 = rng.standard_normal((4, 6))
+        readout = rng.standard_normal(4)
+        for idx, vals, ptr in [([1, 4], [2.0, -0.5], None), ([], [], None),
+                               ([], [], [0, 0, 0]), ([2], [1.5], [0, 0, 1])]:
+            out = readout if ptr is None else np.tile(readout, (len(ptr) - 1, 1))
+            assert_bits(self._sweep(dg.matvec_sparse, w0, idx, vals, ptr, out),
+                        self._sweep(oracles.matvec_sparse, w0, idx, vals, ptr, out))
+
+    def test_adds_onto_what_another_consumer_left(self):
+        rng = np.random.default_rng(5)
+        w0 = rng.standard_normal((5, 9))
+        idx, vals, ptr = self._batch(rng, 6, 9)
+        readout = rng.standard_normal((6, 5))
+        got = self._sweep(dg.matvec_sparse, w0, idx, vals, ptr, readout, extra=True)
+        want = self._sweep(oracles.matvec_sparse, w0, idx, vals, ptr, readout, extra=True)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=1e-12)
 
 
 class TestRearrangements:
@@ -355,7 +422,7 @@ class TestBackwardSemantics:
                 p = dg.softmax(c)
                 r = dg.relu(x)
                 # r >= 0, so r / (1 + r) is the softsign r / (1 + |r|)
-                return tape, x, dg.dot(p, dg.div(r, dg.shift(r, 1.0)))
+                return tape, x, dg.dot(p, oracles.div(r, dg.shift(r, 1.0)))
             h = 1 / (1 + np.exp(-(w @ values)))
             c = np.cumsum(np.sort(h)[::-1])
             p = np.exp(c) / np.exp(c).sum()

@@ -114,7 +114,7 @@ def test_every_exported_method_has_a_program_caller():
 
 # the counts as last recorded: lower them when names or values go; a change
 # that adds one raises them here, where the growth shows
-EXPORTED_NAMES = 82
+EXPORTED_NAMES = 80
 SETTABLE_VALUES = 108
 RAISE_SITES = 61
 

@@ -18,6 +18,7 @@ from cardproj import model as md
 from cardproj.projections import InfeasibleSpecError
 
 import oracles
+from test_diffgraph import assert_bits
 
 FD_STEP = 1e-5
 
@@ -462,6 +463,52 @@ class TestUnrolledSc:
         m = md.ScoreModel(tiny_config(seed=1, with_sc=False))
         with pytest.raises(ValueError, match="sc weights"):
             run(m, inf.InferenceConfig(variant="sc", steps=1))
+
+
+class TestFusedStepNodes:
+    """One ascent step's velocity and trial nodes against the composed adds
+    and scales they replace."""
+
+    @staticmethod
+    def _sweep(velocity_fn, trial_fn, arrays, momentum, first, with_sc, seed):
+        # every input also feeds a node before the step and the velocity one
+        # after it, as the next step's velocity does
+        rng = np.random.default_rng(seed)
+        tape = dg.Tape()
+        c, grad, sc_grad, previous, y = (tape.leaf(a) for a in arrays)
+        before = dg.mul(dg.add(c, previous), dg.add(y, dg.scale(sc_grad, 0.5)))
+        velocity = velocity_fn(c, [grad, sc_grad] if with_sc else [grad],
+                               None if first else previous, momentum)
+        trial = trial_fn(y, velocity, 0.3)
+        readout = tape.constant(rng.choice([0.0, -0.0, 1.0, -2.0], size=y.shape))
+        after = dg.add(dg.mul(dg.relu(trial), readout),
+                       dg.mul(dg.scale(velocity, 0.7), dg.add(y, grad)))
+        root = dg.add(after, before)
+        while root.value.ndim:
+            root = dg.vsum(root)
+        tape.backward(root)
+        return (velocity.value, trial.value, c.adjoint, grad.adjoint, sc_grad.adjoint,
+                previous.adjoint, y.adjoint)
+
+    @pytest.mark.parametrize("rows", [(), (1,), (5,)])
+    def test_bit_identical_to_composed_step(self, rows):
+        rng = np.random.default_rng(sum(rows))
+        pool = np.array([0.0, -0.0, 0.25, -1.5, 3.0, 1e-300])
+        for case, (momentum, first, with_sc) in enumerate(
+                itertools.product([0.9, 0.0], [True, False], [False, True])):
+            arrays = [rng.choice(pool, size=rows + (6,)) for _ in range(5)]
+            assert_bits(
+                self._sweep(inf._velocity, inf._trial, arrays, momentum, first, with_sc, case),
+                self._sweep(oracles.velocity, oracles.trial, arrays, momentum, first, with_sc,
+                            case))
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_records_one_node_each(self, first):
+        tape = dg.Tape()
+        c, grad, previous, y = (tape.leaf(np.full((2, 3), 0.5)) for _ in range(4))
+        before = len(tape)
+        inf._trial(y, inf._velocity(c, [grad], None if first else previous, 0.9), 0.1)
+        assert len(tape) == before + 2
 
 
 class TestGradientsThroughUnroll:

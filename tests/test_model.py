@@ -12,6 +12,7 @@ from cardproj import diffgraph as dg
 from cardproj import model as md
 
 import oracles
+from test_diffgraph import assert_bits
 
 FD_STEP = 1e-5
 FD_TOL = 1e-4
@@ -228,6 +229,47 @@ class TestGlobalScore:
         tape.backward(dg.pick(md.grad_global_score(tm, tape.leaf(y0)), 0))
         want = fd_param_grad(forward, m, "global.w2")
         np.testing.assert_allclose(tm.grads()["global.w2"], want, rtol=FD_TOL, atol=FD_TOL)
+
+
+class TestFusedGlobalGradNode:
+    @staticmethod
+    def _sweep(grad_fn, model, y0, seed):
+        # y and both weights also feed nodes before and after the gradient
+        # node, so the adjoints it adds land between other contributions
+        rng = np.random.default_rng(seed)
+        tape = dg.Tape()
+        tm = md.TapedModel(model, tape)
+        w1, w2 = tm.vars["global.w1"], tm.vars["global.w2"]
+        y = tape.leaf(y0)
+        before = dg.add(dg.matvec(w1, y), dg.scale(w2, 0.5))
+        grad = grad_fn(tm, y)
+        after = dg.mul(dg.add(grad, y), y)
+        readout = tape.constant(rng.choice([0.0, -0.0, 1.5, -1.0], size=y0.shape))
+        root = dg.add(dg.vsum(dg.mul(after, readout)), dg.dot(w2, dg.relu(before)))
+        while root.value.ndim:
+            root = dg.vsum(root)
+        tape.backward(root)
+        return grad.value, y.adjoint, w1.adjoint, w2.adjoint
+
+    @pytest.mark.parametrize("rows", [(), (1,), (6,)])
+    def test_value_and_adjoints_bit_identical_to_composed_graph(self, rows):
+        rng = np.random.default_rng(sum(rows))
+        for case in range(8):
+            m = md.ScoreModel(small_config(label_count=9, global_hidden=7, seed=case))
+            # zero weights and zero labels send signed zeros through the mask
+            m.params["global.w2"][::3] = 0.0
+            y0 = rng.choice([0.0, -0.0, 0.3, 1.0, -0.4], size=rows + (9,))
+            y0[..., 0] = 0.0
+            assert_bits(self._sweep(md.grad_global_score, m, y0, case),
+                        self._sweep(oracles.grad_global_score, m, y0, case))
+
+    def test_records_exactly_one_node(self):
+        tape = dg.Tape()
+        tm = md.TapedModel(md.ScoreModel(small_config()), tape)
+        y = tape.leaf(np.full((3, 4), 0.4))
+        before = len(tape)
+        md.grad_global_score(tm, y)
+        assert len(tape) == before + 1
 
 
 class TestCardinalityPredictor:

@@ -426,7 +426,7 @@ def composed_simplex_soft(v, mass, sharpness):
     margin = dg.sub(dg.mul(mu, idx), dg.sub(cssv, mass))
     sign = softsign(dg.scale(margin, sharpness))
     weights = dg.softmax(dg.scale(dg.mul(sign, idx), sharpness))
-    theta = dg.div(dg.sub(dg.dot(cssv, weights), mass), dg.dot(idx, weights))
+    theta = oracles.div(dg.sub(dg.dot(cssv, weights), mass), dg.dot(idx, weights))
     return dg.relu(dg.sub(v, theta))
 
 

@@ -14,7 +14,9 @@ from cardproj import model as md
 from cardproj import training as tr
 from cardproj.diffgraph import Tape
 from test_data import corpus
-from test_diffgraph import eager_backward
+from test_diffgraph import assert_bits, eager_backward
+
+import oracles
 
 
 def tiny_config(**overrides):
@@ -184,6 +186,44 @@ class TestSoftF1Loss:
                     )
                 fd[j] /= 2.0 * h
             np.testing.assert_allclose(got, fd, rtol=1e-5, atol=1e-8)
+
+
+class TestFusedSoftF1Node:
+    @staticmethod
+    def _sweep(loss_fn, y0, target, seed):
+        # y feeds nodes before and after the loss, so the adjoints the loss
+        # adds land between other contributions
+        rng = np.random.default_rng(seed)
+        tape = Tape()
+        y = tape.leaf(y0)
+        before = dg.vsum(dg.mul(y, y))
+        loss = loss_fn(y, target)
+        after = dg.dot(dg.scale(y, -0.5), tape.constant(rng.standard_normal(y0.shape)))
+        root = dg.add(dg.add(dg.scale(loss, 0.3), after), before)
+        while root.value.ndim:
+            root = dg.vsum(root)
+        tape.backward(root)
+        return loss.value, y.adjoint
+
+    @pytest.mark.parametrize("rows", [(), (1,), (6,)])
+    def test_value_and_adjoint_bit_identical_to_composed_graph(self, rows):
+        rng = np.random.default_rng(sum(rows))
+        for case in range(12):
+            y0 = rng.choice([0.0, -0.0, 0.2, 0.7, 1.0], size=rows + (5,))
+            target = (rng.random(rows + (5,)) < 0.4).astype(np.float64)
+            if case % 3 == 0:
+                # a row whose target and state are both empty scores 0
+                y0.reshape(-1, 5)[0] = [0.0, -0.0, 0.0, 0.0, -0.0]
+                target.reshape(-1, 5)[0] = 0.0
+            assert_bits(self._sweep(tr.soft_f1_loss, y0, target, case),
+                        self._sweep(oracles.soft_f1_loss, y0, target, case))
+
+    def test_records_exactly_one_node(self):
+        tape = Tape()
+        y = tape.leaf(np.full((3, 4), 0.5))
+        before = len(tape)
+        tr.soft_f1_loss(y, np.eye(3, 4))
+        assert len(tape) == before + 1
 
 
 class TestBinaryCrossEntropy:
@@ -365,10 +405,11 @@ class TestExampleTape:
                                   tr.LossConfig())
         return tape, tm, loss
 
-    # one node per fused projection, score gradient and loss term, whatever
-    # the batch size: a test fails here when a fused node is split into its
-    # composed graph again or an op stops working on whole batches
-    @pytest.mark.parametrize("variant, nodes", [("pc", 118), ("sc", 125)])
+    # one node per fused projection, score gradient, velocity, trial point
+    # and soft-F1 term, whatever the batch size: a test fails here when a
+    # fused node is split into its composed graph again or an op stops
+    # working on whole batches
+    @pytest.mark.parametrize("variant, nodes", [("pc", 70), ("sc", 72)])
     def test_node_count_of_a_five_step_minibatch(self, variant, nodes):
         model = md.ScoreModel(tiny_config(seed=7, with_sc=variant == "sc"))
         ds = tiny_dataset(16, seed=3)
@@ -381,7 +422,7 @@ class TestExampleTape:
     # a run computes the head even when neither the budget nor the loss
     # reads it: five forward-only nodes more than these counts had before
     @pytest.mark.parametrize("variant, z_source, nodes",
-                             [("pc", 2.0, 109), ("sc", "predictor", 120)])
+                             [("pc", 2.0, 61), ("sc", "predictor", 67)])
     def test_node_count_without_the_auxiliary_loss(self, variant, z_source, nodes):
         model = md.ScoreModel(tiny_config(seed=7, with_sc=variant == "sc"))
         ds = tiny_dataset(16, seed=3)
@@ -528,6 +569,63 @@ class TestBatchEquivalence:
             assert one.final_values().tobytes() == traj.final_values()[r].tobytes()
             if one.z_used is not None:
                 assert one.z_used == traj.z_used[r]
+
+
+def composed_nodes(monkeypatch):
+    """Record every fused node of a training step as its composed graph."""
+    monkeypatch.setattr(dg, "matvec_sparse", oracles.matvec_sparse)
+    monkeypatch.setattr(md, "grad_global_score", oracles.grad_global_score)
+    monkeypatch.setattr(inf, "_velocity", oracles.velocity)
+    monkeypatch.setattr(inf, "_trial", oracles.trial)
+    monkeypatch.setitem(tr._STEP_LOSSES, "soft_f1", oracles.soft_f1_loss)
+
+
+class TestFusedTrainingStep:
+    """A training step with the fused nodes against the same step composed
+    node by node: same loss and gradients, bit for bit, on fewer nodes."""
+
+    @staticmethod
+    def _step(model, batch, icfg, lcfg):
+        tm, mean = tr._minibatch_loss(model, batch, icfg, lcfg)
+        tm.tape.backward(mean)
+        return len(tm.tape), [mean.value, *tm.grads().values()]
+
+    @pytest.mark.parametrize("name", [*BATCH_CONFIGS, "pc-momentum0"])
+    def test_bit_identical_to_the_composed_step(self, name, monkeypatch):
+        ikw, lkw = BATCH_CONFIGS.get(name, (dict(variant="pc", steps=5, momentum=0.0), {}))
+        icfg, lcfg = inf.InferenceConfig(**ikw), tr.LossConfig(**lkw)
+        model = mixed_model(icfg.variant == "sc")
+        ds = mixed_dataset()
+        # the whole split, with its featureless rows and its empty target,
+        # then one-row batches
+        for rows in (np.arange(len(ds)), [4], [len(ds) - 1], [0]):
+            nodes, got = self._step(model, ds.batch(rows), icfg, lcfg)
+            with monkeypatch.context() as patch:
+                composed_nodes(patch)
+                composed, want = self._step(model, ds.batch(rows), icfg, lcfg)
+            assert_bits(got, want)
+            assert nodes < composed or icfg.steps == 0
+
+    @pytest.mark.parametrize("variant, nodes, composed", [("pc", 68, 116), ("sc", 70, 123)])
+    def test_one_example_path(self, variant, nodes, composed, monkeypatch):
+        # the one-vector path of bench/workloads.py's replay: a target vector
+        # and no batch mean
+        model = md.ScoreModel(tiny_config(seed=7, with_sc=variant == "sc"))
+        ds = tiny_dataset(4, seed=3)
+        icfg = quick_inference(variant=variant, steps=5)
+
+        def sweep():
+            tm = md.TapedModel(model, Tape())
+            loss, _ = tr.example_loss(tm, ds.examples[1], ds.target(1), icfg, tr.LossConfig())
+            tm.tape.backward(loss)
+            return len(tm.tape), [loss.value, *tm.grads().values()]
+
+        got = sweep()
+        with monkeypatch.context() as patch:
+            composed_nodes(patch)
+            want = sweep()
+        assert (got[0], want[0]) == (nodes, composed)
+        assert_bits(got[1], want[1])
 
 
 class TestPredictEvaluate:
@@ -683,6 +781,16 @@ class TestTrain:
                  train_config=tr.TrainConfig(epochs=1, batch_size=6))
         for name, buf in model.params.items():
             np.testing.assert_array_equal(buf, before[name])
+
+    def test_without_a_dev_set_the_model_is_copied_once(self, monkeypatch):
+        # the caller's model is copied; with no best epoch to keep, nothing else is
+        copies = []
+        original = md.ScoreModel.copy
+        monkeypatch.setattr(md.ScoreModel, "copy",
+                            lambda model: copies.append(None) or original(model))
+        tr.train(md.ScoreModel(tiny_config(seed=9)), tiny_dataset(12, seed=5),
+                 quick_inference(), train_config=tr.TrainConfig(epochs=2, batch_size=6))
+        assert len(copies) == 1
 
     def test_metrics_log_schema(self):
         _, result, text = self.run_small(epochs=2)
