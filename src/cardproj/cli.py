@@ -72,6 +72,7 @@ class DataConfig:
             raise ValueError(f"fractions must be three numbers, got {self.fractions!r}")
         for i, fraction in enumerate(self.fractions):
             fl.number(f"fractions[{i}]", fraction, float, ">= 0")
+        dt._check_fractions(self.fractions)
         object.__setattr__(self, "fractions", tuple(float(f) for f in self.fractions))
 
 

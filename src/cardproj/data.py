@@ -371,13 +371,20 @@ def generate_synthetic(
 # splits
 
 
-def split_dataset(dataset: Dataset, fractions=(0.8, 0.1, 0.1), seed: int = 0):
-    """Shuffle once and cut into train/dev/test; disjoint and covering."""
+def _check_fractions(fractions) -> np.ndarray:
+    """Three nonnegative split fractions summing to 1, as a float array: the
+    check of ``split_dataset`` and of the ``data.fractions`` config key."""
     fractions = np.asarray(fractions, dtype=np.float64)
     if fractions.shape != (3,) or np.any(fractions < 0):
         raise ValueError("need three nonnegative fractions")
     if abs(fractions.sum() - 1.0) > 1e-9:
         raise ValueError(f"fractions sum to {fractions.sum()}, expected 1")
+    return fractions
+
+
+def split_dataset(dataset: Dataset, fractions=(0.8, 0.1, 0.1), seed: int = 0):
+    """Shuffle once and cut into train/dev/test; disjoint and covering."""
+    fractions = _check_fractions(fractions)
     perm = np.random.default_rng(seed).permutation(len(dataset))
     n_train = int(fractions[0] * len(dataset))
     n_dev = int(fractions[1] * len(dataset))

@@ -13,9 +13,10 @@ recorded row-wise over the batch, so one reverse sweep leaves the averaged
 gradient in the parameter adjoints.  ``_minibatch_loss`` is that objective,
 and ``gradcheck`` differentiates it as a training step does.  The outer
 optimizer is diagonal AdaGrad.  Training is deterministic for a fixed seed
-(the shuffle is the only randomness).  Evaluation and prediction walk a
-split in fixed-size chunks, one tape each, and a row's decoded labels do
-not depend on the chunk it ran in.
+(the shuffle is the only randomness).  ``predict`` is the one decode pass:
+it walks a split in fixed-size chunks, one tape each, and a row's decoded
+labels do not depend on the chunk it ran in.  ``evaluate``, and through it
+the per-epoch metrics log, scores what ``predict`` returns.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from . import inference as inf
 from . import model as md
 from .diffgraph import Tape, Var
 
-# examples per tape in evaluate and predict.  A pc-5 chunk of 32 (hidden
-# 150) peaks at about 1.8 MiB of traced memory with 30 labels and 27 MiB
+# examples per tape in predict.  A pc-5 chunk of 32 (hidden 150) peaks
+# at about 1.8 MiB of traced memory with 30 labels and 27 MiB
 # with 983, the paper's largest label count; per example it is at most 11%
 # slower than the fastest of the chunk sizes 16, 32, 64 and 128 at either.
 # `cardproj project` cuts its runs of equal-length lines at this size too,
@@ -232,9 +233,9 @@ def _check_dims(model: md.ScoreModel, dataset: dt.Dataset) -> None:
         )
 
 
-def _decode_split(model: md.ScoreModel, dataset: dt.Dataset,
-                  inference_config: inf.InferenceConfig, loss_config: LossConfig):
-    """Targets, losses, decoded labels and modal counts of a whole split,
+def predict(model: md.ScoreModel, dataset: dt.Dataset,
+            inference_config: inf.InferenceConfig, loss_config: LossConfig):
+    """Decoded label matrix, modal counts and per-example losses of a split,
     which is not empty: ``cardproj eval`` and ``train`` refuse empty splits.
 
     Runs chunks of up to ``EVAL_CHUNK`` consecutive examples, one tape each,
@@ -248,41 +249,30 @@ def _decode_split(model: md.ScoreModel, dataset: dt.Dataset,
     for start in range(0, len(dataset), EVAL_CHUNK):
         rows = np.arange(start, min(start + EVAL_CHUNK, len(dataset)))
         chunks.append(_decode_chunk(model, dataset.batch(rows), cfg, loss_config))
-    return [np.concatenate(parts) for parts in zip(*chunks)]
+    return tuple(np.concatenate(parts) for parts in zip(*chunks))
 
 
 def _decode_chunk(model: md.ScoreModel, batch: dt.Dataset,
                   cfg: inf.InferenceConfig, loss_config: LossConfig) -> tuple:
-    """Targets, losses, decoded labels and modal counts of one chunk; only
-    arrays come back, so its graph is gone before the next chunk's."""
-    targets = batch.targets()
+    """Decoded labels, modal counts and losses of one chunk; only arrays come
+    back, so its graph is gone before the next chunk's."""
     tm = md.TapedModel(model, Tape())
-    loss, traj = example_loss(tm, batch, targets, cfg, loss_config)
+    loss, traj = example_loss(tm, batch, batch.targets(), cfg, loss_config)
     labels = inf.decode_labels(traj.final_values(), cfg.decode, z=traj.z_used)
-    return targets, loss.value, labels, md.modal_cardinality(traj.cardinality_logits)
-
-
-def predict(model: md.ScoreModel, dataset: dt.Dataset,
-            inference_config: inf.InferenceConfig):
-    """Decoded label matrix and argmax cardinality predictions: the labels
-    and counts that ``evaluate`` scores."""
-    _, _, labels, counts = _decode_split(model, dataset, inference_config, LossConfig())
-    return labels, counts.astype(np.float64)
+    return labels, md.modal_cardinality(traj.cardinality_logits), loss.value
 
 
 def evaluate(model: md.ScoreModel, dataset: dt.Dataset,
              inference_config: inf.InferenceConfig,
              loss_config: LossConfig = LossConfig()) -> dict:
-    """Mean loss plus decoded metrics; the budget uses the argmax bucket."""
-    truth, losses, labels, counts = _decode_split(model, dataset, inference_config,
-                                                  loss_config)
-    f1, f1_label = dt.eval_f1(labels, truth)
-    card_mse = float(np.mean((counts - dataset.cardinalities()) ** 2))
+    """Mean loss plus the metrics of what ``predict`` decodes."""
+    labels, counts, losses = predict(model, dataset, inference_config, loss_config)
+    f1, f1_label = dt.eval_f1(labels, dataset.targets())
     return {
         "loss": float(losses.mean()),
         "f1": f1,
         "f1_label": f1_label,
-        "card_mse": card_mse,
+        "card_mse": float(np.mean((counts - dataset.cardinalities()) ** 2)),
     }
 
 
@@ -364,12 +354,13 @@ def train(model: md.ScoreModel, train_set: dt.Dataset,
           log_stream=None) -> TrainResult:
     """Minibatch AdaGrad on the unrolled inference loss.
 
-    The caller's model is never mutated.  Metrics for both splits are
-    recorded before training (epoch 0) and after every epoch; each record
-    is also written to ``log_stream`` as one stable-schema line.  With a
-    dev set, training stops once dev F1 has not improved for
-    ``patience`` consecutive epochs and the best-scoring parameters are
-    returned; without one, the final parameters are.
+    The caller's model is never mutated.  Metrics for the train split and
+    the dev split, if any, are recorded before training (epoch 0) and after
+    every epoch; each record is also written to ``log_stream`` as one
+    stable-schema line.  With a dev set, training stops once dev F1 has not
+    improved for ``patience`` consecutive epochs and the best-scoring
+    parameters are returned; without one, the final parameters are, and the
+    best epoch is the last one run.
 
     A non-finite loss, averaged batch gradient or updated parameter buffer
     raises :class:`TrainingDivergedError` naming where it happened; a buffer
@@ -377,35 +368,28 @@ def train(model: md.ScoreModel, train_set: dt.Dataset,
     """
     if inference_config.variant == "topz":
         raise ValueError("topz inference has no relaxed trajectory to train through")
-    _check_dims(model, train_set)
-    if dev_set is not None:
-        _check_dims(model, dev_set)
+    splits = [("train", train_set)] + ([] if dev_set is None else [("dev", dev_set)])
+    for _, ds in splits:
+        _check_dims(model, ds)
 
     model = model.copy()
     optimizer = AdaGrad(model.params, train_config.learning_rate)
     rng = np.random.default_rng(train_config.seed)
     records = []
 
-    def emit(epoch: int):
-        dev_f1 = None
-        for split, ds in (("train", train_set), ("dev", dev_set)):
-            if ds is None:
-                continue
-            metrics = evaluate(model, ds, inference_config, loss_config)
-            record = MetricsRecord(epoch, split, metrics["loss"], metrics["f1"],
-                                   metrics["f1_label"], metrics["card_mse"])
+    # the last split's F1, dev's when there is one, picks the best epoch
+    def emit(epoch: int) -> float:
+        for split, ds in splits:
+            record = MetricsRecord(epoch, split,
+                                   **evaluate(model, ds, inference_config, loss_config))
             records.append(record)
             if log_stream is not None:
                 log_stream.write(record.line() + "\n")
-            if split == "dev":
-                dev_f1 = record.f1
-        return dev_f1
+        return record.f1
 
-    best_f1 = emit(0)
-    if dev_set is not None:
-        best_params = model.copy()
-    best_epoch = 0
-    stale = 0
+    best_f1, best_epoch, stale = emit(0), 0, 0
+    # without a dev split every epoch is the best yet: nothing to copy
+    best = model if dev_set is None else model.copy()
     count = len(train_set)
     for epoch in range(1, train_config.epochs + 1):
         order = rng.permutation(count)
@@ -418,22 +402,15 @@ def train(model: md.ScoreModel, train_set: dt.Dataset,
             _check_finite("gradient", grads, where)
             optimizer.step(model.params, grads)
             _check_finite("parameter", model.params, where)
-        dev_f1 = emit(epoch)
-        if dev_set is None:
-            best_epoch = epoch
-            continue
-        if best_f1 is None or dev_f1 > best_f1:
-            best_f1 = dev_f1
-            best_params = model.copy()
-            best_epoch = epoch
-            stale = 0
+        f1 = emit(epoch)
+        if dev_set is None or f1 > best_f1:
+            best_f1, best_epoch, stale = f1, epoch, 0
+            best = model if dev_set is None else model.copy()
         else:
             stale += 1
             if stale >= train_config.patience:
                 break
-    if dev_set is not None:
-        model = best_params
-    return TrainResult(model=model, records=records, best_epoch=best_epoch)
+    return TrainResult(model=best, records=records, best_epoch=best_epoch)
 
 
 # ---------------------------------------------------------------------------

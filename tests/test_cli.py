@@ -542,6 +542,16 @@ class TestTrainCommand:
         assert capsys.readouterr().err == f"error: {err}\n"
         assert not (tmp_path / "ck.npz").exists()
 
+    def test_fractions_are_checked_before_the_corpus_is_looked_at(self, tmp_path, capsys):
+        # the sum is a config error of the data section, found before the
+        # missing corpus file is
+        code = cli.main(["train", "--checkpoint", str(tmp_path / "ck.npz"),
+                         "--set", f"data.path={tmp_path / 'missing.txt'}",
+                         "--set", "data.fractions=[0.5,0.5,0.5]"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: data: fractions sum to 1.5, expected 1\n"
+        assert not (tmp_path / "ck.npz").exists()
+
     def test_config_root_not_an_object_exits_one(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text("[1, 2]")

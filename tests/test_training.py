@@ -632,11 +632,12 @@ class TestPredictEvaluate:
     def test_predict_shapes_and_binary_output(self):
         model = md.ScoreModel(tiny_config(seed=6))
         ds = tiny_dataset(8, seed=3)
-        labels, counts = tr.predict(model, ds, quick_inference())
+        labels, counts, losses = tr.predict(model, ds, quick_inference(), tr.LossConfig())
         assert labels.shape == (8, 5)
         assert np.all((labels == 0.0) | (labels == 1.0))
         assert counts.shape == (8,)
         assert np.all(counts == counts.astype(int))
+        assert losses.shape == (8,) and np.all(np.isfinite(losses))
 
     def test_evaluate_keys_and_consistency_with_predict(self):
         from dataclasses import replace
@@ -646,9 +647,11 @@ class TestPredictEvaluate:
         cfg = quick_inference()
         metrics = tr.evaluate(model, ds, cfg)
         assert set(metrics) == {"loss", "f1", "f1_label", "card_mse"}
-        labels, counts = tr.predict(model, ds, replace(cfg, z_mode="argmax"))
+        labels, counts, losses = tr.predict(model, ds, replace(cfg, z_mode="argmax"),
+                                            tr.LossConfig())
         truth = np.stack([ds.target(i) for i in range(len(ds))])
         f1, f1_label = dt.eval_f1(labels, truth)
+        assert metrics["loss"] == pytest.approx(losses.mean())
         assert metrics["f1"] == pytest.approx(f1)
         assert metrics["f1_label"] == pytest.approx(f1_label)
         assert metrics["card_mse"] == pytest.approx(
@@ -663,9 +666,10 @@ class TestPredictEvaluate:
         cfg = inf.InferenceConfig(steps=5, decode=decode)
         assert cfg.z_mode == "expected"
         metrics = tr.evaluate(model, ds, cfg)
-        labels, counts = tr.predict(model, ds, cfg)
+        labels, counts, losses = tr.predict(model, ds, cfg, tr.LossConfig())
         truth = np.stack([ds.target(i) for i in range(len(ds))])
         f1, f1_label = dt.eval_f1(labels, truth)
+        assert float(losses.mean()) == metrics["loss"]
         assert f1 == metrics["f1"]
         assert f1_label == metrics["f1_label"]
         assert float(np.mean((counts - ds.cardinalities()) ** 2)) == metrics["card_mse"]
@@ -706,9 +710,9 @@ class TestPredictEvaluate:
         ds = tiny_dataset(8, seed=4)
         cfg = quick_inference(variant=variant,
                               decode="threshold" if variant == "sc" else "topz")
-        whole = tr.evaluate(model, ds, cfg), tr.predict(model, ds, cfg)
+        whole = tr.evaluate(model, ds, cfg), tr.predict(model, ds, cfg, tr.LossConfig())
         monkeypatch.setattr(tr, "EVAL_CHUNK", 3)
-        chunked = tr.evaluate(model, ds, cfg), tr.predict(model, ds, cfg)
+        chunked = tr.evaluate(model, ds, cfg), tr.predict(model, ds, cfg, tr.LossConfig())
         assert chunked[0] == whole[0]
         for a, b in zip(chunked[1], whole[1]):
             np.testing.assert_array_equal(a, b)
@@ -719,7 +723,7 @@ class TestPredictEvaluate:
             4, label_count=5, input_dim=9, seed=0, modulus=4, min_words=2, max_words=8,
         )
         with pytest.raises(ValueError, match="input_dim=12.*input_dim=9"):
-            tr.predict(model, wrong, quick_inference())
+            tr.predict(model, wrong, quick_inference(), tr.LossConfig())
 
 
 class TestOneGraphAtATime:
@@ -791,6 +795,21 @@ class TestTrain:
         tr.train(md.ScoreModel(tiny_config(seed=9)), tiny_dataset(12, seed=5),
                  quick_inference(), train_config=tr.TrainConfig(epochs=2, batch_size=6))
         assert len(copies) == 1
+
+    def test_without_a_dev_set_the_last_epoch_is_returned(self):
+        model = md.ScoreModel(tiny_config(seed=9))
+        ds = tiny_dataset(12, seed=5)
+        cfg = quick_inference()
+        result = tr.train(model, ds, cfg,
+                          train_config=tr.TrainConfig(epochs=3, batch_size=6))
+        assert result.best_epoch == 3
+        assert [r.split for r in result.records] == ["train"] * 4
+        last = result.records[-1]
+        assert tr.evaluate(result.model, ds, cfg) == {
+            "loss": last.loss, "f1": last.f1, "f1_label": last.f1_label,
+            "card_mse": last.card_mse}
+        assert any(not np.array_equal(result.model.params[name], buf)
+                   for name, buf in model.params.items())
 
     def test_metrics_log_schema(self):
         _, result, text = self.run_small(epochs=2)
