@@ -155,14 +155,20 @@ def _apply_override(raw: dict, spec: str) -> None:
         raise ConfigError(f"override key {key!r} nests too deeply")
 
 
+def _check_path(path, message: str, test=os.path.exists) -> None:
+    """The one check of a path named on the command line or in the config:
+    a ``ConfigError`` with ``message`` unless ``test(path)`` holds."""
+    if not test(path):
+        raise ConfigError(message)
+
+
 def load_run_config(path=None, overrides=(), base=None) -> RunConfig:
     """Build a validated RunConfig from a JSON file, or from a copy of
     ``base`` when there is none, plus key=value overrides."""
     if path is None:
         raw = copy.deepcopy(base) if base else {}
     else:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
+        _check_path(path, f"config file not found: {path}")
         try:
             with open(path) as handle:
                 raw = json.load(handle)
@@ -195,8 +201,7 @@ def load_run_config(path=None, overrides=(), base=None) -> RunConfig:
 def _resolve_datasets(cfg: RunConfig) -> dict:
     dc = cfg.data
     if dc.path is not None:
-        if not os.path.exists(dc.path):
-            raise ConfigError(f"data.path: no such file: {dc.path}")
+        _check_path(dc.path, f"data.path: no such file: {dc.path}")
         full = dt.load_sparse_multilabel(dc.path, dc.label_count, dc.input_dim)
         if len(full) == 0:
             raise ConfigError(f"data.path: {dc.path} holds no examples")
@@ -244,6 +249,9 @@ def _parse_budget_flag(text: str):
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config, args.set)
+    # before any training, which a checkpoint with nowhere to go would waste
+    folder = os.path.dirname(args.checkpoint) or "."
+    _check_path(folder, f"--checkpoint: no such directory: {folder}", os.path.isdir)
     splits = _resolve_datasets(cfg)
     train_set = splits["train"]
     if len(train_set) == 0:
@@ -251,7 +259,7 @@ def cmd_train(args) -> int:
     dev_set = splits["dev"] if len(splits["dev"]) else None
     model = md.ScoreModel(_model_config(cfg, train_set))
     train_config = tr.TrainConfig(**dataclasses.asdict(cfg.optimizer), seed=cfg.seed)
-    stream = open(args.metrics, "w") if args.metrics else sys.stdout
+    stream = dt._open_new(args.metrics, "w") if args.metrics else sys.stdout
     try:
         result = tr.train(
             model, train_set, cfg.inference, cfg.loss, train_config,
@@ -276,8 +284,7 @@ def cmd_eval(args) -> int:
         cfg = _set_inference(cfg, variant=args.variant)
     if args.z is not None:
         cfg = _set_inference(cfg, z_source=_parse_budget_flag(args.z))
-    if not os.path.exists(args.checkpoint):
-        raise ConfigError(f"checkpoint not found: {args.checkpoint}")
+    _check_path(args.checkpoint, f"checkpoint not found: {args.checkpoint}")
     model = md.load_model(args.checkpoint)
     splits = _resolve_datasets(cfg)
     dataset = splits[args.split]
@@ -355,8 +362,7 @@ def cmd_project(args) -> int:
     if args.input is None:
         rows = _read_vectors(sys.stdin)
     else:
-        if not os.path.exists(args.input):
-            raise ConfigError(f"input file not found: {args.input}")
+        _check_path(args.input, f"input file not found: {args.input}")
         with open(args.input) as handle:
             rows = _read_vectors(handle)
     if not rows:

@@ -16,7 +16,10 @@ counter and the labels are learnable.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import re
+import stat
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -301,6 +304,18 @@ def load_sparse_multilabel(path, label_count=None, input_dim=None) -> Dataset:
     return Dataset(indptr, indices, values, label_indptr, labels, input_dim, label_count)
 
 
+def _open_new(path, mode: str):
+    """``open(path, mode)`` on a new file: a regular file at ``path`` is
+    unlinked first, since truncating it in place, or renaming over it, makes
+    ext4 wait for the writeback of its old contents.  A symlink, FIFO or
+    device is opened as it is, and a file that cannot be unlinked is
+    truncated as before."""
+    with contextlib.suppress(OSError):
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    return open(path, mode)
+
+
 def save_sparse_multilabel(dataset: Dataset, path) -> None:
     """Write the corpus format read by :func:`load_sparse_multilabel`.
 
@@ -311,7 +326,7 @@ def save_sparse_multilabel(dataset: Dataset, path) -> None:
                      dataset.feature_values.tolist()))
     labels = list(map(str, dataset.labels.tolist()))
     indptr, label_indptr = dataset.indptr.tolist(), dataset.label_indptr.tolist()
-    with open(path, "w") as handle:
+    with _open_new(path, "w") as handle:
         for i in range(len(dataset)):
             line = (",".join(labels[label_indptr[i] : label_indptr[i + 1]]) + " "
                     + " ".join(pairs[indptr[i] : indptr[i + 1]])).rstrip() or " "

@@ -41,6 +41,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import data as dt
 from . import diffgraph as dg
 from . import fields as fl
 from .diffgraph import Tape, Var
@@ -319,7 +320,7 @@ def save_model(model: ScoreModel, path) -> None:
     )
     arrays = dict(model.params)
     arrays["__meta__"] = np.array(meta)
-    with open(path, "wb") as handle:
+    with dt._open_new(path, "wb") as handle:
         np.savez(handle, **arrays)
 
 

@@ -1,13 +1,16 @@
 import dataclasses
 import io
 import json
+import os
 import re
+import stat
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cardproj import cli
+from cardproj import data as dt
 from cardproj import diffgraph as dg
 from cardproj import inference as inf
 from cardproj import model as md
@@ -444,6 +447,74 @@ class TestTrainCommand:
         assert checkpoint.exists()
         assert not (tmp_path / "x.ckpt.npz").exists()
         assert cli.main(["eval", "--config", str(config), "--checkpoint", str(checkpoint)]) == 0
+
+    def train_into(self, tmp_path, checkpoint, metrics, seed=0):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(TINY_CONFIG))
+        assert cli.main([
+            "train", "--config", str(config), "--checkpoint", str(checkpoint),
+            "--metrics", str(metrics), "--set", "optimizer.epochs=1", "--set", f"seed={seed}",
+        ]) == 0
+
+    def test_outputs_are_written_as_new_files(self, tmp_path):
+        # a handle open on the old checkpoint and log, or a hard link to the
+        # old checkpoint, keeps their old bytes whole; the paths get new ones
+        checkpoint, metrics = tmp_path / "ck.npz", tmp_path / "m.log"
+        self.train_into(tmp_path, checkpoint, metrics)
+        old = {path: path.read_bytes() for path in (checkpoint, metrics)}
+        os.link(checkpoint, tmp_path / "linked.npz")
+        readers = {path: open(path, "rb") for path in old}
+        try:
+            self.train_into(tmp_path, checkpoint, metrics, seed=1)
+            for path, reader in readers.items():
+                assert reader.read() == old[path]
+                assert path.read_bytes() != old[path]
+        finally:
+            for reader in readers.values():
+                reader.close()
+        assert (tmp_path / "linked.npz").read_bytes() == old[checkpoint]
+
+    def test_outputs_hold_the_bytes_a_plain_open_writes(self, tmp_path, monkeypatch):
+        # the first pair overwrites older files, the second is written by open()
+        new = (tmp_path / "new.npz", tmp_path / "new.log")
+        self.train_into(tmp_path, *new, seed=1)
+        self.train_into(tmp_path, *new)
+        monkeypatch.setattr(dt, "_open_new", open)
+        plain = (tmp_path / "plain.npz", tmp_path / "plain.log")
+        self.train_into(tmp_path, *plain)
+        for a, b in zip(new, plain):
+            assert a.read_bytes() == b.read_bytes()
+
+    def test_metrics_symlink_is_written_through(self, tmp_path):
+        target, link = tmp_path / "target.log", tmp_path / "link.log"
+        target.write_text("older contents, longer than the log of one epoch\n" * 40)
+        link.symlink_to(target)
+        self.train_into(tmp_path, tmp_path / "ck.npz", link)
+        assert link.is_symlink()
+        lines = target.read_text().splitlines()
+        assert len(lines) == 4 and all(METRIC_LINE.match(line) for line in lines)
+
+    def test_metrics_fifo_is_written_through(self, tmp_path):
+        fifo = tmp_path / "metrics.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so writing does not block
+        try:
+            self.train_into(tmp_path, tmp_path / "ck.npz", fifo)
+            lines = os.read(reader, 1 << 16).decode().splitlines()
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert len(lines) == 4 and all(METRIC_LINE.match(line) for line in lines)
+
+    def test_missing_checkpoint_directory_exits_before_the_data_is_read(self, tmp_path,
+                                                                        capsys):
+        # the data.path error would come next: no data is read, no epoch runs
+        folder = tmp_path / "missing"
+        code = cli.main(["train", "--checkpoint", str(folder / "ck.npz"),
+                         "--set", f"data.path={tmp_path / 'absent.txt'}"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --checkpoint: no such directory: {folder}\n"
+        assert not folder.exists()
 
     def test_zero_epochs_checkpoint_equals_initialization(self, tmp_path, capsys):
         config = tmp_path / "config.json"

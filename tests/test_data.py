@@ -124,6 +124,20 @@ class TestCorpusFormat:
             np.testing.assert_array_equal(a.feature_values, b.feature_values)
             np.testing.assert_array_equal(a.labels, b.labels)
 
+    def test_saving_over_a_corpus_writes_a_new_file(self, tmp_path):
+        # a reader of the old corpus keeps it whole; the path holds the new one
+        path = tmp_path / "c.txt"
+        dt.save_sparse_multilabel(dt.generate_synthetic(20, 6, 12, modulus=4, min_words=2,
+                                                        max_words=8), path)
+        old = path.read_bytes()
+        ds = toy_dataset()
+        with open(path, "rb") as reader:
+            dt.save_sparse_multilabel(ds, path)
+            assert reader.read() == old
+        back = dt.load_sparse_multilabel(path, label_count=4, input_dim=6)
+        for name in ("indptr", "feature_indices", "feature_values", "label_indptr", "labels"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(ds, name))
+
     def test_round_trip_preserves_exact_floats(self, tmp_path):
         ds = corpus([([0], [0.1 + 0.2], [0])], input_dim=1, label_count=1)
         path = tmp_path / "c.txt"
