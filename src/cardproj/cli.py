@@ -219,6 +219,15 @@ def _resolve_datasets(cfg: RunConfig) -> dict:
     return {"all": full, "train": train_set, "dev": dev_set, "test": test_set}
 
 
+def _train_split(cfg: RunConfig) -> tuple:
+    """The run's splits, and a fresh model sized by its train split, which
+    must hold an example."""
+    splits = _resolve_datasets(cfg)
+    if len(splits["train"]) == 0:
+        raise ConfigError("data.fractions leave the train split empty")
+    return splits, md.ScoreModel(_model_config(cfg, splits["train"]))
+
+
 def _model_config(cfg: RunConfig, dataset: dt.Dataset) -> md.ModelConfig:
     fields = dataclasses.asdict(cfg.model)
     # the SC variant scores cardinality with its own weight vector
@@ -252,17 +261,15 @@ def cmd_train(args) -> int:
     # before any training, which a checkpoint with nowhere to go would waste
     folder = os.path.dirname(args.checkpoint) or "."
     _check_path(folder, f"--checkpoint: no such directory: {folder}", os.path.isdir)
-    splits = _resolve_datasets(cfg)
-    train_set = splits["train"]
-    if len(train_set) == 0:
-        raise ConfigError("data.fractions leave the train split empty")
+    _check_path(args.checkpoint, f"--checkpoint: is a directory: {args.checkpoint}",
+                lambda path: not os.path.isdir(path))
+    splits, model = _train_split(cfg)
     dev_set = splits["dev"] if len(splits["dev"]) else None
-    model = md.ScoreModel(_model_config(cfg, train_set))
     train_config = tr.TrainConfig(**dataclasses.asdict(cfg.optimizer), seed=cfg.seed)
     stream = dt._open_new(args.metrics, "w") if args.metrics else sys.stdout
     try:
         result = tr.train(
-            model, train_set, cfg.inference, cfg.loss, train_config,
+            model, splits["train"], cfg.inference, cfg.loss, train_config,
             dev_set=dev_set, log_stream=stream,
         )
     finally:
@@ -286,6 +293,8 @@ def cmd_eval(args) -> int:
         cfg = _set_inference(cfg, z_source=_parse_budget_flag(args.z))
     _check_path(args.checkpoint, f"checkpoint not found: {args.checkpoint}")
     model = md.load_model(args.checkpoint)
+    if cfg.inference.variant == "sc" and not model.config.with_sc:
+        raise ConfigError("model was built without sc weights (with_sc=False)")
     splits = _resolve_datasets(cfg)
     dataset = splits[args.split]
     if len(dataset) == 0:
@@ -470,12 +479,8 @@ _TOY_GRADCHECK = {
 def cmd_gradcheck(args) -> int:
     fl.number("--tolerance", args.tolerance, float, ">= 0")
     cfg = load_run_config(args.config, args.set, base=_TOY_GRADCHECK)
-    splits = _resolve_datasets(cfg)
-    train_set = splits["train"]
-    if len(train_set) == 0:
-        raise ConfigError("data.fractions leave the train split empty")
-    model = md.ScoreModel(_model_config(cfg, train_set))
-    errors = tr.gradcheck(model, train_set.batch([0]), cfg.inference, cfg.loss)
+    splits, model = _train_split(cfg)
+    errors = tr.gradcheck(model, splits["train"].batch([0]), cfg.inference, cfg.loss)
     width = max(map(len, errors))
     for name, err in sorted(errors.items()):
         print(f"{name:<{width}}  rel_err={err:.3e}")

@@ -6,8 +6,8 @@ by a leading space) followed by whitespace-separated ``index:value``
 feature pairs.  One container, :class:`Dataset`, holds rows as CSR arrays:
 a corpus, a split, a minibatch and a single example alike.  A corpus is
 checked once where it enters the program, by the loader or the synthetic
-generator; splits, minibatches and examples are rows gathered or viewed
-from a checked corpus and check nothing again.  The synthetic
+generator; splits, minibatches and examples are rows gathered from a
+checked corpus and check nothing again.  The synthetic
 generator plants a recoverable cardinality signal: the label-set size is a
 deterministic function of how many distinct words an example activates,
 and the label identities come from a fixed random linear map, so both the
@@ -68,9 +68,9 @@ class Dataset:
     index lies inside its dimension and every value is finite.  The
     constructor checks nothing: a corpus comes from
     :func:`load_sparse_multilabel` or :func:`generate_synthetic`, which
-    check it once, and every other dataset holds rows of a corpus
-    (:meth:`batch`, :attr:`examples`).  The arrays are made read-only, so
-    rows handed out as views stay valid.
+    check it once, and every other dataset holds rows that :meth:`batch`
+    gathered from a corpus.  The arrays are made read-only, so nothing that
+    shares a dataset can change it.
     """
 
     indptr: np.ndarray
@@ -91,20 +91,12 @@ class Dataset:
 
     @cached_property
     def examples(self) -> tuple:
-        """Every row as a one-row dataset of read-only views, built on first use."""
-        f, l = self.indptr.tolist(), self.label_indptr.tolist()
-        return tuple(
-            Dataset(_offsets([f[i + 1] - f[i]]), self.feature_indices[f[i] : f[i + 1]],
-                    self.feature_values[f[i] : f[i + 1]], _offsets([l[i + 1] - l[i]]),
-                    self.labels[l[i] : l[i + 1]], self.input_dim, self.label_count)
-            for i in range(len(self))
-        )
+        """Every row as a one-row dataset, gathered by :meth:`batch` on first use."""
+        return tuple(self.batch([i]) for i in range(len(self)))
 
     def target(self, i: int) -> np.ndarray:
         """Dense binary label vector of example i."""
-        out = np.zeros(self.label_count)
-        out[self.labels[self.label_indptr[i] : self.label_indptr[i + 1]]] = 1.0
-        return out
+        return self.batch([i]).targets()[0]
 
     def targets(self) -> np.ndarray:
         """Dense binary label matrix, one row per example."""

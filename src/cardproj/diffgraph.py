@@ -19,15 +19,16 @@ seed the root adjoint and sweep the node list in reverse, letting each node
 push its adjoint into its parents through a closure captured at
 construction time.
 
-A program's value enters a tape as a constant (:meth:`Tape.constant`,
-shared as it is, never given an adjoint) or bound as ``Var(tape, buffer)``,
-which shares a float64 buffer the caller owns, as a model's parameters and
-the vectors ``cardproj project`` has read do.  Shared arrays must not
-change while the tape is live.  :meth:`Tape.leaf` records a checked float64
-copy of a value; the tests build their inputs with it, and no program path
-does.  An adjoint is zero-filled the first time it is touched, and the
-sweep skips nodes nothing reached.  The tape holds its nodes weakly, so
-reference counting frees a finished graph.
+A program's value enters a tape as ``Var(tape, array)``, a node with no
+backward pass that shares a float64 array the caller owns, unchecked: a
+model's parameters, the vectors ``cardproj project`` has read, and
+constants such as a target alike.  Wrapping a node's current value in a new
+``Var`` detaches it from the graph.  Shared arrays must not change while
+the tape is live.  :meth:`Tape.leaf` records a checked float64 copy of a
+value; the tests build their inputs with it, and no program path does.  An
+adjoint is zero-filled the first time it is touched, and the sweep skips
+nodes nothing reached.  The tape holds its nodes weakly, so reference
+counting frees a finished graph.
 
 The operands of an op share one tape and have rows of one width, and
 nothing here re-checks that: a program records each computation on one
@@ -108,13 +109,6 @@ class Var:
         return f"Var(shape={self.value.shape}, node={self._index})"
 
 
-class _Constant(Var):
-    """A node that keeps no adjoint: what a consumer adds into it is dropped."""
-
-    __slots__ = ()
-    _adjoint = property(lambda self: None, lambda self, value: None)
-
-
 class Tape:
     """Ordered record of one computation, ready for a reverse sweep."""
 
@@ -130,14 +124,6 @@ class Tape:
         if not np.all(np.isfinite(arr)):
             raise ValueError("leaf value must be finite")
         return Var(self, arr)
-
-    def constant(self, value) -> Var:
-        """Record a value as it is, with no copy, no check and no adjoint.
-
-        Wrapping a Var's current value in a constant detaches it from the
-        graph.
-        """
-        return _Constant(self, np.asarray(value, dtype=np.float64))
 
     def backward(self, root: Var) -> None:
         """Accumulate adjoints of every node with respect to ``root``.

@@ -131,7 +131,11 @@ def _resolve_budget(tm: md.TapedModel, logits: Var, rows: tuple, cfg: InferenceC
 
     ``rows`` is () for one example and (B,) for a batch, the shape of the
     value.  An expected budget is a differentiable function of the head's
-    ``logits``; a modal budget reads them without a gradient path.
+    ``logits``; a modal budget reads them without a gradient path.  A fixed
+    budget is checked here, once, as it is used: rounded under ``topz``, as
+    given under ``pc``.  A predicted one is not: it lies in [MIN_BUDGET,
+    max_cardinality] up to rounding, which may put it a rounding step above
+    the label count under ``pc``, and it rounds into [0, label_count].
     """
     if cfg.z_source == "predictor":
         if cfg.z_mode == "expected":
@@ -140,6 +144,7 @@ def _resolve_budget(tm: md.TapedModel, logits: Var, rows: tuple, cfg: InferenceC
         z = md.modal_cardinality(logits).astype(np.float64)
         return z, z
     z = np.full(rows, float(cfg.z_source))
+    pj.check_budget(np.round(z) if cfg.variant == "topz" else z, tm.config.label_count)
     return z, z
 
 
@@ -158,20 +163,13 @@ def run_inference(tm: md.TapedModel, feature_indices, feature_values,
     if cfg.variant == "topz":
         _, z_value = _resolve_budget(tm, logits, rows, cfg)
         z = np.asarray(np.round(z_value))
-        if cfg.z_source != "predictor":
-            # a predicted budget rounds into [0, label_count]
-            pj.check_budget(z, tm.config.label_count)
-        return Trajectory([tm.tape.constant(exact_topz(np.array(c.value), z))], z, logits)
+        return Trajectory([Var(tm.tape, exact_topz(np.array(c.value), z))], z, logits)
 
     y = init_labels(c)
     states = [y]
     mass = z_used = None
     if cfg.variant == "pc":
         mass, z_used = _resolve_budget(tm, logits, rows, cfg)
-        if cfg.z_source != "predictor":
-            # a predicted budget lies in [MIN_BUDGET, max_cardinality] up to
-            # rounding, which may put it a rounding step above the label count
-            pj.check_budget(z_used, tm.config.label_count)
     velocity = None
 
     for _ in range(cfg.steps):

@@ -232,9 +232,7 @@ def predict_cardinality(tm: TapedModel, feature_indices, feature_values, mode="e
 
 def expected_cardinality(tm: TapedModel, logits: Var) -> Var:
     """Mean label-set size under the head's logits, on the tape."""
-    support = tm.tape.constant(
-        np.arange(tm.config.max_cardinality + 1, dtype=np.float64)
-    )
+    support = Var(tm.tape, np.arange(tm.config.max_cardinality + 1, dtype=np.float64))
     return dg.dot(dg.softmax(logits), support)
 
 
@@ -275,10 +273,10 @@ def grad_sc_score(tm: TapedModel, y: Var) -> Var:
     ``diffgraph`` nodes (sum, shifted sigmoids, one product chain per
     bucket): the forward pass evaluates the same expressions, and the
     backward pass adds every term in the order of that graph's reverse
-    sweep.
+    sweep.  The model holds ``sc.weights``: ``cardproj train`` and
+    ``gradcheck`` build them for ``sc``, and ``eval`` refuses a checkpoint
+    without them.
     """
-    if "sc.weights" not in tm.vars:
-        raise ValueError("model was built without sc weights (with_sc=False)")
     w = tm.vars["sc.weights"]
     z = tm.config.max_cardinality
     # I_1 .. I_{z+1} of each row, through the same sigmoid as dg.sigmoid

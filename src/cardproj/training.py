@@ -154,8 +154,8 @@ def binary_cross_entropy(y: Var, target: np.ndarray) -> Var:
     the shape of ``y``, probabilities clamped away from {0, 1}."""
     eps = 1e-7
     p = dg.clip(y, lo=eps, hi=1.0 - eps)
-    pos = dg.mul(y.tape.constant(target), dg.log(p))
-    neg = dg.mul(y.tape.constant(1.0 - target), dg.log(dg.shift(dg.scale(p, -1.0), 1.0)))
+    pos = dg.mul(Var(y.tape, target), dg.log(p))
+    neg = dg.mul(Var(y.tape, 1.0 - target), dg.log(dg.shift(dg.scale(p, -1.0), 1.0)))
     return dg.scale(dg.vsum(dg.add(pos, neg)), -1.0 / target.shape[-1])
 
 

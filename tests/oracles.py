@@ -101,7 +101,7 @@ def grad_global_score(tm, y: Var) -> Var:
     step mask, a ``mul`` and a transposed product."""
     p = tm.vars
     pre = dg.rows_times(y.value, p["global.w1"].value.T)
-    mask = tm.tape.constant((pre > 0.0).astype(np.float64))
+    mask = dg.Var(tm.tape, (pre > 0.0).astype(np.float64))
     return matvec_t(p["global.w1"], dg.mul(p["global.w2"], mask))
 
 
@@ -124,7 +124,7 @@ def soft_f1_loss(y: Var, target: np.ndarray) -> Var:
     """The soft-F1 loss of ``training.soft_f1_loss`` as composed nodes."""
     t_sum = target.sum(axis=-1)
     empty = (t_sum == 0.0) & ~np.any(y.value, axis=-1)
-    overlap = dg.dot(y, y.tape.constant(target))
+    overlap = dg.dot(y, dg.Var(y.tape, target))
     total = dg.shift(dg.vsum(y), t_sum + empty)
     return div(dg.scale(overlap, -2.0), total)
 

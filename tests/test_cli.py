@@ -516,6 +516,18 @@ class TestTrainCommand:
         assert capsys.readouterr().err == f"error: --checkpoint: no such directory: {folder}\n"
         assert not folder.exists()
 
+    def test_checkpoint_directory_exits_before_the_data_is_read(self, tmp_path, capsys):
+        # the data.path error would come next: no data is read, no epoch runs
+        folder = tmp_path / "taken"
+        folder.mkdir()
+        metrics = tmp_path / "m.log"
+        code = cli.main(["train", "--checkpoint", str(folder), "--metrics", str(metrics),
+                         "--set", f"data.path={tmp_path / 'absent.txt'}"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --checkpoint: is a directory: {folder}\n"
+        assert not metrics.exists()
+        assert not any(folder.iterdir())
+
     def test_zero_epochs_checkpoint_equals_initialization(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(TINY_CONFIG))
@@ -818,6 +830,18 @@ class TestEvalCommand:
         assert code == 1
         assert capsys.readouterr().err == f"error: checkpoint {path}: {err}\n"
 
+    def test_sc_variant_needs_sc_weights(self, trained, tmp_path, capsys):
+        # the data.path error would come next: the check runs before the
+        # corpus is read, and for any number of ascent steps
+        code = cli.main(["eval", "--config", str(trained["config"]),
+                         "--checkpoint", str(trained["checkpoint"]), "--variant", "sc",
+                         "--set", "inference.steps=0",
+                         "--set", f"data.path={tmp_path / 'absent.txt'}"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: model was built without sc weights (with_sc=False)\n"
+
     def test_missing_checkpoint(self, trained, tmp_path, capsys):
         code = cli.main([
             "eval", "--config", str(trained["config"]),
@@ -896,7 +920,7 @@ class TestGradcheckCommand:
 
         def corrupted(tm, y):
             node = original(tm, y)
-            frozen = tm.tape.constant(0.5 * node.value)
+            frozen = dg.Var(tm.tape, 0.5 * node.value)
             return dg.add(dg.scale(node, 0.5), frozen)
 
         monkeypatch.setattr(md, "grad_global_score", corrupted)

@@ -459,11 +459,6 @@ class TestUnrolledSc:
         for state in traj.states[1:]:
             assert state.value.min() >= 0.0 and state.value.max() <= 1.0
 
-    def test_missing_bucket_weights_rejected(self):
-        m = md.ScoreModel(tiny_config(seed=1, with_sc=False))
-        with pytest.raises(ValueError, match="sc weights"):
-            run(m, inf.InferenceConfig(variant="sc", steps=1))
-
 
 class TestFusedStepNodes:
     """One ascent step's velocity and trial nodes against the composed adds
@@ -480,7 +475,7 @@ class TestFusedStepNodes:
         velocity = velocity_fn(c, [grad, sc_grad] if with_sc else [grad],
                                None if first else previous, momentum)
         trial = trial_fn(y, velocity, 0.3)
-        readout = tape.constant(rng.choice([0.0, -0.0, 1.0, -2.0], size=y.shape))
+        readout = dg.Var(tape, rng.choice([0.0, -0.0, 1.0, -2.0], size=y.shape))
         after = dg.add(dg.mul(dg.relu(trial), readout),
                        dg.mul(dg.scale(velocity, 0.7), dg.add(y, grad)))
         root = dg.add(after, before)
@@ -526,7 +521,7 @@ class TestGradientsThroughUnroll:
         tape = dg.Tape()
         tm = md.TapedModel(m, tape)
         traj = inf.run_inference(tm, idx, vals, icfg)
-        loss = dg.dot(tape.constant(w_loss), traj.final())
+        loss = dg.dot(dg.Var(tape, w_loss), traj.final())
         return tape, tm, loss
 
     @pytest.mark.parametrize(

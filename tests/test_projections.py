@@ -397,7 +397,7 @@ class TestDykstra:
         tape = dg.Tape()
         x = tape.leaf(v)
         res = pj.project_capped_dykstra(x, 2.0, 2, 10.0)
-        tape.backward(dg.dot(res.y, tape.constant(w)))
+        tape.backward(dg.dot(res.y, dg.Var(tape, w)))
         step = 1e-5
         want = np.array(
             [(f(v + step * e) - f(v - step * e)) / (2 * step) for e in np.eye(6)]
@@ -419,8 +419,8 @@ def composed_simplex_soft(v, mass, sharpness):
     """The soft simplex surrogate built from diffgraph primitives, node by node."""
     tape = v.tape
     if not isinstance(mass, dg.Var):
-        mass = tape.constant(float(mass))
-    idx = tape.constant(np.arange(1, len(v) + 1, dtype=np.float64))
+        mass = dg.Var(tape, np.asarray(float(mass)))
+    idx = dg.Var(tape, np.arange(1, len(v) + 1, dtype=np.float64))
     mu, _ = oracles.sort_desc(v)
     cssv = oracles.cumsum(mu)
     margin = dg.sub(dg.mul(mu, idx), dg.sub(cssv, mass))
@@ -434,8 +434,8 @@ def composed_dykstra_soft(v, mass, rounds, sharpness):
     """Soft Dykstra alternation with every step and correction on the tape."""
     tape = v.tape
     y = v
-    p = tape.constant(np.zeros(len(v)))
-    q = tape.constant(np.zeros(len(v)))
+    p = dg.Var(tape, np.zeros(len(v)))
+    q = dg.Var(tape, np.zeros(len(v)))
     for _ in range(rounds):
         yp = dg.add(y, p)
         t = dg.clip(yp, hi=1.0)
@@ -456,9 +456,9 @@ class TestFusedSoftNode:
         tape = dg.Tape()
         x = tape.leaf(v)
         mass = tape.leaf(z) if node_mass else z
-        root = dg.dot(dg.scale(x, 0.7), tape.constant(readout[::-1].copy()))
+        root = dg.dot(dg.scale(x, 0.7), dg.Var(tape, readout[::-1].copy()))
         y = project(x, mass)
-        root = dg.add(root, dg.dot(y, tape.constant(readout)))
+        root = dg.add(root, dg.dot(y, dg.Var(tape, readout)))
         root = dg.add(root, dg.vsum(dg.scale(x, -0.3)))
         if node_mass:
             root = dg.add(root, dg.scale(mass, 1.5))
@@ -508,7 +508,7 @@ class TestFusedSoftNode:
         x = tape.leaf(v)
         mass = tape.leaf(z) if node_mass else z
         y = project(x, mass)
-        tape.backward(dg.dot(y, tape.constant(readout)))
+        tape.backward(dg.dot(y, dg.Var(tape, readout)))
         return y.value, x.adjoint, mass.adjoint if node_mass else np.zeros(())
 
     @staticmethod
@@ -575,7 +575,7 @@ class TestFusedSoftNode:
         mass = tape.leaf(np.array([0.0, 1.0, 3.0, 7.5]))
         y = pj.project_capped_dykstra(x, mass, rounds, 20.0).y
         assert calls == []
-        tape.backward(dg.dot(y, tape.constant(rng.standard_normal((4, 30)))))
+        tape.backward(dg.dot(y, dg.Var(tape, rng.standard_normal((4, 30)))))
         assert len(calls) == rounds
 
     def test_one_node_per_projection(self):
@@ -605,7 +605,7 @@ class TestFusedSoftNode:
         x = tape.leaf(v)
         mass = tape.leaf(z)
         res = pj.project_capped_dykstra(x, mass, 2, 20.0)
-        tape.backward(dg.dot(res.y, tape.constant(readout)))
+        tape.backward(dg.dot(res.y, dg.Var(tape, readout)))
         step = 1e-6
         want = np.array(
             [(f(v + step * e, z) - f(v - step * e, z)) / (2 * step) for e in np.eye(L)]
@@ -627,7 +627,7 @@ class TestCappedExactNode:
         x = tape.leaf(v)
         mass = tape.leaf(z)
         y = pj.project_capped_exact(x, mass)
-        root = dg.add(dg.dot(y, tape.constant(readout)), dg.vsum(dg.scale(x, 0.5)))
+        root = dg.add(dg.dot(y, dg.Var(tape, readout)), dg.vsum(dg.scale(x, 0.5)))
         root = dg.add(root, dg.scale(mass, -1.5))
         tape.backward(root)
         return y.value, x.adjoint, float(mass.adjoint)

@@ -198,7 +198,7 @@ class TestFusedSoftF1Node:
         y = tape.leaf(y0)
         before = dg.vsum(dg.mul(y, y))
         loss = loss_fn(y, target)
-        after = dg.dot(dg.scale(y, -0.5), tape.constant(rng.standard_normal(y0.shape)))
+        after = dg.dot(dg.scale(y, -0.5), dg.Var(tape, rng.standard_normal(y0.shape)))
         root = dg.add(dg.add(dg.scale(loss, 0.3), after), before)
         while root.value.ndim:
             root = dg.vsum(root)
@@ -264,7 +264,7 @@ class TestBinaryCrossEntropy:
 
 class TestWeightedTrajectoryLoss:
     def fake_trajectory(self, tape, states):
-        nodes = [tape.constant(np.asarray(s, dtype=np.float64)) for s in states]
+        nodes = [dg.Var(tape, np.asarray(s, dtype=np.float64)) for s in states]
         return inf.Trajectory(nodes)
 
     def test_single_step_equals_plain_loss(self):
@@ -272,7 +272,7 @@ class TestWeightedTrajectoryLoss:
         traj = self.fake_trajectory(tape, [[0.5, 0.5], [0.7, 0.1]])
         target = np.array([1.0, 0.0])
         got = tr.weighted_trajectory_loss(traj, target, tr.LossConfig())
-        want = tr.soft_f1_loss(tape.constant(np.array([0.7, 0.1])), target)
+        want = tr.soft_f1_loss(dg.Var(tape, np.array([0.7, 0.1])), target)
         assert float(got.value) == pytest.approx(float(want.value), rel=1e-12)
 
     def test_two_perfect_states_give_three_quarters(self):
@@ -313,7 +313,7 @@ class TestWeightedTrajectoryLoss:
                 tr.weighted_trajectory_loss(traj, target, tr.LossConfig()).value
             )
             worst = max(
-                abs(float(tr.soft_f1_loss(tape.constant(s), target).value))
+                abs(float(tr.soft_f1_loss(dg.Var(tape, s), target).value))
                 for s in states[1:]
             )
             assert abs(total) <= worst + 1e-12
@@ -878,7 +878,7 @@ class TestTrain:
             losses, traj = original(tm, batch, target, icfg, lcfg)
             spoil = [np.nan if ex.feature_indices.tobytes() == marked else 1.0
                      for ex in batch.examples]
-            return dg.mul(losses, tm.tape.constant(np.array(spoil))), traj
+            return dg.mul(losses, dg.Var(tm.tape, np.array(spoil))), traj
 
         monkeypatch.setattr(tr, "example_loss", sabotaged)
         with pytest.raises(tr.TrainingDivergedError, match=r"example 2 in epoch 1"):
@@ -934,7 +934,7 @@ class TestGradCheck:
             # same forward values, but half the adjoint is routed through a
             # detached constant, so only the backward pass is wrong
             node = original(tm, y)
-            frozen = tm.tape.constant(0.5 * node.value)
+            frozen = dg.Var(tm.tape, 0.5 * node.value)
             return dg.add(dg.scale(node, 0.5), frozen)
 
         monkeypatch.setattr(md, "grad_global_score", corrupted)
