@@ -5,7 +5,9 @@ overrides take precedence over file values, and every piece of randomness
 flows from the single top-level seed.  Exit codes: 0 on success, 1 for
 usage or configuration problems (including argparse errors, which would
 otherwise exit 2), and 2 for numerical failures such as a diverged
-training run.
+training run.  The parser is built once per process, and ``main`` looks
+each command up by name (``cmd_<command>``) when it is called, so a
+command replaced on this module after the first call is the one that runs.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -259,6 +262,7 @@ def _parse_budget_flag(text: str):
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config, args.set)
     # before any training, which a checkpoint with nowhere to go would waste
+    _check_path(args.checkpoint, "--checkpoint: empty path", bool)
     folder = os.path.dirname(args.checkpoint) or "."
     _check_path(folder, f"--checkpoint: no such directory: {folder}", os.path.isdir)
     _check_path(args.checkpoint, f"--checkpoint: is a directory: {args.checkpoint}",
@@ -503,6 +507,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cardproj",
                      description="Cardinality-constrained multi-label prediction.")
@@ -518,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--checkpoint", default="checkpoint.npz",
                          help="where to write the trained model")
     p_train.add_argument("--metrics", help="metrics log file (default: stdout)")
-    p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
     add_config(p_eval)
@@ -528,7 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--variant", choices=inf.VARIANTS,
                         help="override the inference variant")
     p_eval.add_argument("--z", help="budget source: 'predictor' or 'fixed:<n>'")
-    p_eval.set_defaults(func=cmd_eval)
 
     p_proj = sub.add_parser("project", help="run a projection operator on vectors")
     p_proj.add_argument("operator",
@@ -544,23 +547,23 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated column masses (matrix operator)")
     p_proj.add_argument("--diagnostics", action="store_true",
                         help="write residuals to stderr")
-    p_proj.set_defaults(func=cmd_project)
 
     p_grad = sub.add_parser("gradcheck", help="compare gradients to finite differences")
     add_config(p_grad)
     p_grad.add_argument("--tolerance", type=float, default=1e-2)
-    p_grad.set_defaults(func=cmd_gradcheck)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        # looked up by name on each call, so a command replaced after the
+        # parser was built is the one that runs
+        command = globals()[f"cmd_{args.command}"]
         # a non-finite result fails through the program's own checks, with
         # its exit code, so numpy's warnings would only say it twice
         with np.errstate(all="ignore"):
-            return args.func(args)
+            return command(args)
     except tr.TrainingDivergedError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC

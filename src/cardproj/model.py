@@ -35,6 +35,7 @@ here checks them again.
 
 from __future__ import annotations
 
+import io
 import json
 import zipfile
 from dataclasses import asdict, dataclass
@@ -322,6 +323,12 @@ def save_model(model: ScoreModel, path) -> None:
         np.savez(handle, **arrays)
 
 
+def _read_member(archive: zipfile.ZipFile, name: str) -> np.ndarray:
+    # one read of the member, parsed as np.load parses it: no pickles
+    raw = io.BytesIO(archive.read(f"{name}.npy"))
+    return np.lib.format.read_array(raw, allow_pickle=False)
+
+
 def load_model(path) -> ScoreModel:
     """Read a checkpoint written by :func:`save_model`.
 
@@ -329,14 +336,15 @@ def load_model(path) -> ScoreModel:
     not make a valid model, raises a ``ValueError`` naming ``path``.  Only
     the buffers the config names are read: a checkpoint that still holds
     the global potential's former biases ``global.b1`` and ``global.b2``
-    loads as one without them.
+    loads as one without them.  Each member is read once, and an object
+    array is refused, as ``np.load(..., allow_pickle=False)`` refuses it.
     """
     try:
-        # numpy leaves a file it opened itself open when it is not a zip
-        with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
-            if "__meta__" not in archive:
+        with zipfile.ZipFile(path) as archive:
+            members = set(archive.namelist())
+            if "__meta__.npy" not in members:
                 raise ValueError("not a model checkpoint (missing metadata)")
-            meta = json.loads(str(archive["__meta__"]))
+            meta = json.loads(str(_read_member(archive, "__meta__")))
             if not isinstance(meta, dict):
                 raise ValueError("metadata is not a JSON object")
             if meta.get("format") != CHECKPOINT_FORMAT:
@@ -348,9 +356,9 @@ def load_model(path) -> ScoreModel:
             config = ModelConfig(**meta.get("config"))
             params = {}
             for name, (shape, _) in _param_shapes(config).items():
-                if name not in archive:
+                if f"{name}.npy" not in members:
                     raise ValueError(f"missing parameter buffer {name}")
-                buf = np.asarray(archive[name], dtype=np.float64)
+                buf = np.asarray(_read_member(archive, name), dtype=np.float64)
                 if buf.shape != shape:
                     raise ValueError(f"buffer {name} has shape {buf.shape}, expected {shape}")
                 if not np.all(np.isfinite(buf)):

@@ -152,6 +152,50 @@ class TestUsageErrors:
         assert cli.main(["eval"]) == 1
 
 
+class TestParserReuse:
+    """One parser serves every call in a process: nothing one call parses
+    reaches the next, and commands are looked up when a call runs."""
+
+    VECTORS = "0.5 0.2 0.9\n1.5 -0.3 0.4 0.8\n"
+
+    def project(self, monkeypatch, *argv):
+        monkeypatch.setattr("sys.stdin", io.StringIO(self.VECTORS))
+        return cli.main(["project", *argv])
+
+    def test_set_does_not_reach_the_next_call(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_train", lambda args: seen.append(args.set) or 0)
+        assert cli.main(["train", "--set", "seed=1", "--set", "seed=2"]) == 0
+        assert cli.main(["train"]) == 0
+        assert cli.main(["train", "--set", "seed=3"]) == 0
+        assert seen == [["seed=1", "seed=2"], [], ["seed=3"]]
+
+    def test_usage_error_leaves_the_next_call_unchanged(self, monkeypatch, capsys):
+        assert self.project(monkeypatch, "capped", "--z", "1.5") == 0
+        first = capsys.readouterr()
+        for argv in (["capped", "--z", "abc"], ["capped", "--z"], ["frob"],
+                     ["capped", "--z", "1.5", "--sharpness", "x"], ["capped", "--bogus"]):
+            assert self.project(monkeypatch, *argv) == 1
+        assert capsys.readouterr().err.count("error: ") == 5
+        assert self.project(monkeypatch, "capped", "--z", "1.5") == 0
+        assert capsys.readouterr() == first
+
+    @pytest.mark.parametrize("command, argv", [
+        ("train", ["train"]),
+        ("eval", ["eval", "--checkpoint", "ck.npz"]),
+        ("project", ["project", "capped"]),
+    ], ids=["train", "eval", "project"])
+    def test_command_replaced_after_a_call_is_the_one_that_runs(self, monkeypatch,
+                                                                 command, argv):
+        # the benchmark's tracer wraps these three once the parser exists
+        assert self.project(monkeypatch, "capped", "--z", "1.5") == 0
+        seen = []
+        monkeypatch.setattr(cli, f"cmd_{command}",
+                            lambda args: seen.append(args.command) or 7)
+        assert cli.main(argv) == 7
+        assert seen == [command]
+
+
 class TestProject:
     def run(self, argv, stdin=None, monkeypatch=None):
         if stdin is not None:
@@ -528,6 +572,16 @@ class TestTrainCommand:
         assert not metrics.exists()
         assert not any(folder.iterdir())
 
+    def test_empty_checkpoint_path_exits_before_the_data_is_read(self, tmp_path, capsys):
+        # without the check every epoch ran, logging to stdout, before the save failed
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(TINY_CONFIG))
+        code = cli.main(["train", "--config", str(config), "--checkpoint", ""])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --checkpoint: empty path\n"
+        assert captured.out == ""
+
     def test_zero_epochs_checkpoint_equals_initialization(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(TINY_CONFIG))
@@ -779,14 +833,22 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "input_dim=12" in err and "input_dim=9" in err
 
+    # files that are no zip archive at all: each gets zipfile's one message
+    NOT_A_ZIP = ("empty", "plain text", "npy file", "not a zip")
+
     @pytest.mark.parametrize("damage", [
-        "empty", "not a zip", "metadata list", "config missing a field",
-        "config with an extra field", "config list",
+        "empty", "plain text", "npy file", "not a zip", "metadata list",
+        "config missing a field", "config with an extra field", "config list",
     ])
     def test_bad_checkpoint_exits_one_naming_it(self, trained, tmp_path, capsys, damage):
         path = tmp_path / "bad.npz"
         if damage == "empty":
             path.write_bytes(b"")
+        elif damage == "plain text":
+            path.write_text("unary.w 0.5 0.25\n")
+        elif damage == "npy file":
+            with open(path, "wb") as handle:
+                np.save(handle, np.zeros(3))
         elif damage == "not a zip":
             path.write_bytes(b"PK\x03\x04garbage")
         else:
@@ -809,6 +871,8 @@ class TestEvalCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: checkpoint {path}: ") and err.count("\n") == 1
+        if damage in self.NOT_A_ZIP:
+            assert err == f"error: checkpoint {path}: File is not a zip file\n"
 
     @pytest.mark.parametrize("damage, err", [
         ("nan", "parameter buffer unary.w contains non-finite values"),

@@ -565,6 +565,18 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="format"):
             md.load_model(path)
 
+    def test_rejects_object_array(self, tmp_path):
+        # a pickled buffer is never unpickled: its member is refused as it is
+        m = md.ScoreModel(small_config())
+        path = tmp_path / "model.npz"
+        md.save_model(m, path)
+        data = dict(np.load(path, allow_pickle=False))
+        data["unary.b"] = np.array([0.0, None], dtype=object)
+        np.savez(path, **data)
+        with pytest.raises(ValueError, match="^checkpoint .*: Object arrays cannot be "
+                                             "loaded when allow_pickle=False$"):
+            md.load_model(path)
+
     def test_rejects_shape_mismatch(self, tmp_path):
         m = md.ScoreModel(small_config())
         path = tmp_path / "model.npz"
