@@ -287,7 +287,7 @@ def grad_sc_score(tm: TapedModel, y: Var) -> Var:
     dik, dik1 = ik * rest, ik1 * rest1
     diff = dik * rest1 - ik * dik1
     # left-to-right sum, as the chain of add nodes accumulates it
-    slope = np.cumsum(w.value * diff, axis=-1)[..., -1:]
+    slope = np.add.accumulate(w.value * diff, axis=-1)[..., -1:]
 
     def bwd(g):
         gs = g.sum(axis=-1)[..., None]
@@ -301,7 +301,7 @@ def grad_sc_score(tm: TapedModel, y: Var) -> Var:
         g_ind[..., 1:] = g_ind[..., 1:] - g_diff * dik + g_dik1 * rest1 - g_dik1 * ik1
         g_shift = g_ind * ind * (1.0 - ind)
         # the shifted sums reach sum(y) last indicator first
-        y.adjoint += np.cumsum(g_shift[..., ::-1], axis=-1)[..., -1:]
+        y.adjoint += np.add.accumulate(g_shift[..., ::-1], axis=-1)[..., -1:]
         w.adjoint += dg._reduce_to(gs * diff, w.value.shape)
 
     return Var(y.tape, np.repeat(slope, y.shape[-1], axis=-1), bwd)

@@ -24,10 +24,16 @@ a mass node.  The forward pass uses the same expressions as the alternation
 composed from ``diffgraph`` ops, and the VJP adds up every floating-point
 term in the order that a reverse sweep over the composed graph would, so
 values and gradients agree with it bit for bit; the tests keep that
-composed version as their reference.  The forward pass sorts each row's
-values only; the stable order of the sort, which only the VJP's scatter
-reads, is found by the VJP, so a projection that is never swept backward
-never runs an ``argsort``.
+composed version as their reference.  The forward pass keeps only the
+arrays it computes anyway: the input, the running sums, the softmax
+weights, each round's box input and the pre-relu difference.  What only
+the VJP reads is built there: the stable order of each row's sort (the
+forward pass sorts values only) and the 0/1 masks of the box and of the
+relu.  A projection that is never swept backward, as in evaluation, never
+runs an ``argsort`` or builds a mask.  Running sums call
+``np.add.accumulate``, which gives the bits of ``np.cumsum`` with less
+call overhead, and reductions call ``np.add.reduce`` and
+``np.maximum.reduce``, as the array methods do.
 
 Every operator projects one vector or each row of a matrix, with one budget
 for every row or one per row: a float64 array (0-d, or one value per row)
@@ -43,6 +49,7 @@ and tapes are checked where they enter the program (``check_budget``,
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,24 +295,25 @@ def _simplex_soft_forward(v: np.ndarray, mass, sharpness: float):
     bit except that a 0.0 and a -0.0 may come out in either order, and on
     a positive budget that moves no value; on a zero budget the caller
     zeroes the row.  The VJP state keeps ``v``, from which
-    :func:`_simplex_soft_vjp` finds the stable order.
+    :func:`_simplex_soft_vjp` finds the stable order, and the difference
+    before the relu, from which it builds the relu's mask.
     """
     m = np.asarray(mass, dtype=np.float64)[..., None]
-    L = v.shape[-1]
-    mu = -np.sort(-v, axis=-1)
-    cssv = np.cumsum(mu, axis=-1)
-    idx = np.arange(1, L + 1, dtype=np.float64)
+    idx = _positions(v.shape[-1])
+    mu = np.negative(v)
+    mu.sort(axis=-1)
+    np.negative(mu, out=mu)
+    cssv = np.add.accumulate(mu, axis=-1)
     margin = mu * idx - (cssv - m)
     scaled = sharpness * margin
     denom = 1.0 + np.abs(scaled)
     logits = sharpness * (scaled / denom * idx)
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    weights = e / e.sum(axis=-1, keepdims=True)
-    num = (cssv * weights).sum(axis=-1, keepdims=True) - m
-    count = (idx * weights).sum(axis=-1, keepdims=True)
+    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    weights = e / np.add.reduce(e, axis=-1, keepdims=True)
+    num = np.add.reduce(cssv * weights, axis=-1, keepdims=True) - m
+    count = np.add.reduce(idx * weights, axis=-1, keepdims=True)
     diff = v - num / count
-    mask = (diff > 0.0).astype(np.float64)
-    return np.maximum(diff, 0.0), (v, idx, cssv, denom, weights, num, count, mask)
+    return np.maximum(diff, 0.0), (v, idx, cssv, denom, weights, num, count, diff)
 
 
 def _simplex_soft_vjp(saved, sharpness: float, g, g_in, g_mass) -> None:
@@ -319,30 +327,39 @@ def _simplex_soft_vjp(saved, sharpness: float, g, g_in, g_mass) -> None:
     sort term, and ``g_mass`` the numerator term and then the margin term.
     The scatter follows each row's stable descending order, ties by index,
     which is found here from the saved input rather than in the forward
-    pass.  A tied 0.0 and -0.0 that the forward sort put the other way
-    round can flip only the sign of zero terms here; an accumulator that
-    starts at 0.0 never holds -0.0, and adding a zero of either sign to it
-    changes nothing.
+    pass, as is the relu's mask, from the saved difference.  A tied 0.0
+    and -0.0 that the forward sort put the other way round can flip only
+    the sign of zero terms here; an accumulator that starts at 0.0 never
+    holds -0.0, and adding a zero of either sign to it changes nothing.
     """
-    v, idx, cssv, denom, weights, num, count, mask = saved
-    g_diff = g * mask
+    v, idx, cssv, denom, weights, num, count, diff = saved
+    g_diff = g * (diff > 0.0)
     g_in += g_diff
-    g_theta = -g_diff.sum(axis=-1, keepdims=True)
+    g_theta = -np.add.reduce(g_diff, axis=-1, keepdims=True)
     g_num = g_theta / count
     g_count = -(g_theta * num / count**2)
     g_weights = g_count * idx + g_num * cssv
-    g_logits = weights * (g_weights - (g_weights * weights).sum(axis=-1, keepdims=True))
+    g_logits = weights * (g_weights - np.add.reduce(g_weights * weights, axis=-1, keepdims=True))
     g_margin = sharpness * ((sharpness * g_logits) * idx / denom**2)
     if g_mass is not None:
         g_mass -= g_num[..., 0]
-        g_mass -= (-g_margin).sum(axis=-1)
-    g_mu = g_margin * idx + np.cumsum((g_num * weights - g_margin)[..., ::-1], axis=-1)[..., ::-1]
+        g_mass -= np.add.reduce(-g_margin, axis=-1)
+    tail = np.add.accumulate((g_num * weights - g_margin)[..., ::-1], axis=-1)[..., ::-1]
+    g_mu = g_margin * idx + tail
     # each row's stable descending order, as an index into v
     perm = np.argsort(-v, axis=-1, kind="stable")
     perm = (perm,) if v.ndim == 1 else (np.arange(len(v))[:, None], perm)
     back = np.empty_like(g_mu)
     back[perm] = g_mu
     g_in += back
+
+
+@functools.cache
+def _positions(L: int) -> np.ndarray:
+    """The candidate positions 1..L as floats, read-only: one array per L."""
+    idx = np.arange(1, L + 1, dtype=np.float64)
+    idx.flags.writeable = False
+    return idx
 
 
 def _mass_operand(mass):
@@ -380,7 +397,9 @@ def project_capped_dykstra(
     alternation heads for the intersection projection rather than for an
     arbitrary feasible point.  All rounds are recorded on the tape of ``v``
     as one node, whose backward pass returns the gradients of the whole
-    alternation, correction terms included.
+    alternation, correction terms included.  The node keeps each round's
+    input to the box and the soft step's state; the box's 0/1 mask is built
+    from the former by the backward pass.
     """
     sharpness = float(sharpness)
     m, mass_node = _mass_operand(mass)
@@ -388,10 +407,10 @@ def project_capped_dykstra(
     # zeros and pass no gradient
     live = (m > 0.0)[..., None]
     dead = not live.all()
-    insides, inners = [], []  # what each round's steps leave for the backward pass
+    boxed, inners = [], []  # what each round's steps leave for the backward pass
 
     def box(yp):
-        insides.append((yp < 1.0).astype(np.float64))
+        boxed.append(yp)
         return np.minimum(yp, 1.0)
 
     def simplex(tq):
@@ -410,9 +429,9 @@ def project_capped_dykstra(
         g_p = np.zeros(v.shape)
         g_tq = np.zeros(v.shape)
         g_y = g * live if dead else g
-        for inner, inside in zip(reversed(inners), reversed(insides)):
+        for inner, yp in zip(reversed(inners), reversed(boxed)):
             _simplex_soft_vjp(inner, sharpness, g_y, g_tq, g_mass)
-            g_yp = g_p + (g_tq - g_p) * inside
+            g_yp = g_p + (g_tq - g_p) * (yp < 1.0)
             g_y = g_yp - g_tq
             g_p = g_yp
         v.adjoint += g_p

@@ -21,6 +21,7 @@ the per-epoch metrics log, scores what ``predict`` returns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,7 +34,7 @@ from . import model as md
 from .diffgraph import Tape, Var
 
 # examples per tape in predict.  A pc-5 chunk of 32 (hidden 150) peaks
-# at about 1.8 MiB of traced memory with 30 labels and 27 MiB
+# at about 1.6 MiB of traced memory with 30 labels and 23 MiB
 # with 983, the paper's largest label count; per example it is at most 11%
 # slower than the fastest of the chunk sizes 16, 32, 64 and 128 at either.
 # `cardproj project` cuts its runs of equal-length lines at this size too,
@@ -129,7 +130,10 @@ def soft_f1_loss(y: Var, target: np.ndarray) -> Var:
     """Negative soft overlap score -2 y.t / sum(y + t), in [-1, 0], per row,
     as one tape node.
 
-    ``target`` is a binary array of the shape of ``y``.  Reaches -1 exactly
+    ``target`` is a binary array of the shape of ``y``'s rows, or of ``y``
+    with any leading axes dropped, which it is broadcast over: one target
+    scores a stack of states.  Sums run along the last axis, so a row's
+    loss has the same bits in any stack or batch.  Reaches -1 exactly
     when y equals a nonempty binary target.  When both the relaxed state and
     the target are identically zero the loss is the constant 0 (agreement on
     the empty set, no gradient).  Value and adjoint are bit-identical to the
@@ -169,15 +173,37 @@ def weighted_trajectory_loss(trajectory: inf.Trajectory, target: np.ndarray,
     State t of T contributes with weight 1 / (T * (T - t + 1)), so the
     final state carries the largest share.  The initialization (state 0)
     is not scored, so a trajectory needs at least one ascent state.
+
+    The T states are stacked into one node, the step loss scores that
+    (T, ...) value once against the broadcast target, and one node adds
+    the weighted losses left to right.  Where the loss is the last node to
+    read the states, as in ``example_loss``, value and adjoints are
+    bit-identical to scoring each state on its own node and chaining
+    ``scale`` and ``add`` nodes, the form ``tests/oracles.py`` keeps.
     """
     states = trajectory.states[1:]
-    step_loss = _STEP_LOSSES[loss_config.single_step]
     horizon = len(states)
-    total = None
-    for t, y in enumerate(states, start=1):
-        term = dg.scale(step_loss(y, target), 1.0 / (horizon * (horizon - t + 1)))
-        total = term if total is None else dg.add(total, term)
-    return total
+    losses = _STEP_LOSSES[loss_config.single_step](_stacked(states), target)
+    weights = np.array([1.0 / (horizon * (horizon - t + 1)) for t in range(1, horizon + 1)])
+    weights = weights.reshape((horizon,) + (1,) * (losses.value.ndim - 1))
+
+    def bwd(g):
+        losses.adjoint += weights * g
+
+    # summed left to right from the first term, as the chain of add nodes
+    # sums, so a total of -0.0 keeps its sign
+    return Var(losses.tape, np.add.accumulate(weights * losses.value)[-1], bwd)
+
+
+def _stacked(states: list) -> Var:
+    """The states as one node of shape (T, ...); each gets its slice of the
+    adjoint."""
+
+    def bwd(g):
+        for y, g_y in zip(states, g):
+            y.adjoint += g_y
+
+    return Var(states[0].tape, np.stack([y.value for y in states]), bwd)
 
 
 def cardinality_cross_entropy(logits: Var, true_count) -> Var:
@@ -310,7 +336,7 @@ def _check_finite(kind: str, buffers: dict, where: str) -> None:
     # even if the entries themselves are still finite
     for name, buf in buffers.items():
         norm_sq = float(np.vdot(buf, buf))
-        if not np.isfinite(norm_sq):
+        if not math.isfinite(norm_sq):
             raise TrainingDivergedError(
                 f"{kind} buffer {name} has squared norm {norm_sq} {where}"
             )

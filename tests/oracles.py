@@ -10,10 +10,11 @@ No program path calls any of these.  Each is one of three things:
 * the composed form of a fused node, built from ``diffgraph`` ops node by
   node, which the fused node must match bit for bit in its value and in
   every adjoint: the global potential's gradient, the bucket score, the
-  soft-F1 loss, an ascent step's velocity and trial point, the sort and
-  running sums of the soft simplex surrogate, and the sparse input layer
-  with a scatter-add backward.  ``div`` and ``matvec_t`` are ops only these
-  composed forms use;
+  soft-F1 loss, the trajectory loss scored one state at a time, an ascent
+  step's velocity and trial point, the sort and running sums of the soft
+  simplex surrogate, and the sparse input layer with a scatter-add
+  backward.  ``div`` and ``matvec_t`` are ops only these composed forms
+  use;
 * ``project_simplex_soft``, which wraps shipped code: the soft simplex
   step of ``project_capped_dykstra`` as a node of its own, so that step
   can be tested apart from the alternation.
@@ -23,6 +24,7 @@ import numpy as np
 
 from cardproj import diffgraph as dg
 from cardproj import projections as pj
+from cardproj import training as tr
 from cardproj.diffgraph import Var
 
 
@@ -127,6 +129,20 @@ def soft_f1_loss(y: Var, target: np.ndarray) -> Var:
     overlap = dg.dot(y, dg.Var(y.tape, target))
     total = dg.shift(dg.vsum(y), t_sum + empty)
     return div(dg.scale(overlap, -2.0), total)
+
+
+def weighted_trajectory_loss(trajectory, target: np.ndarray, loss_config) -> Var:
+    """``training.weighted_trajectory_loss`` as a chain of nodes: each state
+    scored on its own step-loss node, scaled by its weight and added to the
+    running total, left to right."""
+    states = trajectory.states[1:]
+    step_loss = tr._STEP_LOSSES[loss_config.single_step]
+    horizon = len(states)
+    total = None
+    for t, y in enumerate(states, start=1):
+        term = dg.scale(step_loss(y, target), 1.0 / (horizon * (horizon - t + 1)))
+        total = term if total is None else dg.add(total, term)
+    return total
 
 
 def global_score(tm, y: Var) -> Var:

@@ -391,6 +391,50 @@ class TestExampleLoss:
         assert np.isfinite(float(loss.value))
 
 
+class TestStackedTrajectoryLoss:
+    """The one-pass trajectory loss against the per-state chain it replaces."""
+
+    @staticmethod
+    def _sweep(loss_fn, states0, target, single_step, seed):
+        # every state feeds nodes recorded before the loss, as the next
+        # ascent step reads it, so the adjoints the loss adds land ahead of
+        # other contributions, and in the order the sweep adds them
+        rng = np.random.default_rng(seed)
+        tape = Tape()
+        states = [tape.leaf(s) for s in states0]
+        root = None
+        for y in states:
+            term = dg.add(dg.vsum(dg.mul(y, y)),
+                          dg.dot(dg.scale(y, -0.5), dg.Var(tape, rng.standard_normal(y.shape))))
+            root = term if root is None else dg.add(root, term)
+        loss = loss_fn(inf.Trajectory(states), target, tr.LossConfig(single_step=single_step))
+        root = dg.add(dg.scale(loss, 0.3), root)
+        while root.value.ndim:
+            root = dg.vsum(root)
+        tape.backward(root)
+        return [loss.value] + [y.adjoint for y in states]
+
+    @pytest.mark.parametrize("rows", [(), (16,)])
+    @pytest.mark.parametrize("horizon", [1, 2, 5])
+    @pytest.mark.parametrize("single_step", ["soft_f1", "cross_entropy"])
+    def test_value_and_adjoints_bit_identical_to_the_chain(self, single_step, horizon, rows):
+        rng = np.random.default_rng(horizon + sum(rows))
+        for case in range(6):
+            pool = [0.0, -0.0, 0.2, 0.7, 1.0] if case % 2 else [0.0, -0.0]
+            states0 = [np.where(rng.random(rows + (7,)) < 0.5, rng.choice(pool, rows + (7,)),
+                                rng.random(rows + (7,)))
+                       for _ in range(horizon + 1)]
+            target = (rng.random(rows + (7,)) < 0.4).astype(np.float64)
+            # a row whose target is empty, and so is its state in the first
+            # and last ascent states
+            target.reshape(-1, 7)[0] = 0.0
+            states0[1].reshape(-1, 7)[0] = [0.0, -0.0, 0.0, 0.0, -0.0, 0.0, 0.0]
+            states0[-1].reshape(-1, 7)[0] = -0.0
+            assert_bits(
+                self._sweep(tr.weighted_trajectory_loss, states0, target, single_step, case),
+                self._sweep(oracles.weighted_trajectory_loss, states0, target, single_step, case))
+
+
 class TestExampleTape:
     """What one training example, or one minibatch, leaves on its tape."""
 
@@ -405,11 +449,12 @@ class TestExampleTape:
                                   tr.LossConfig())
         return tape, tm, loss
 
-    # one node per fused projection, score gradient, velocity, trial point
-    # and soft-F1 term, whatever the batch size: a test fails here when a
-    # fused node is split into its composed graph again or an op stops
-    # working on whole batches
-    @pytest.mark.parametrize("variant, nodes", [("pc", 70), ("sc", 72)])
+    # one node per fused projection, score gradient, velocity and trial
+    # point, and three for the trajectory loss (the stacked states, one
+    # soft-F1 node over them, the weighted sum), whatever the batch size: a
+    # test fails here when a fused node is split into its composed graph
+    # again or an op stops working on whole batches
+    @pytest.mark.parametrize("variant, nodes", [("pc", 59), ("sc", 61)])
     def test_node_count_of_a_five_step_minibatch(self, variant, nodes):
         model = md.ScoreModel(tiny_config(seed=7, with_sc=variant == "sc"))
         ds = tiny_dataset(16, seed=3)
@@ -422,7 +467,7 @@ class TestExampleTape:
     # a run computes the head even when neither the budget nor the loss
     # reads it: five forward-only nodes more than these counts had before
     @pytest.mark.parametrize("variant, z_source, nodes",
-                             [("pc", 2.0, 61), ("sc", "predictor", 67)])
+                             [("pc", 2.0, 50), ("sc", "predictor", 56)])
     def test_node_count_without_the_auxiliary_loss(self, variant, z_source, nodes):
         model = md.ScoreModel(tiny_config(seed=7, with_sc=variant == "sc"))
         ds = tiny_dataset(16, seed=3)
@@ -509,6 +554,7 @@ BATCH_CONFIGS = {
     "pc-exact-argmax": (dict(variant="pc", steps=5, projection="exact", z_mode="argmax"), {}),
     "sc": (dict(variant="sc", steps=5), {}),
     "sc-aux0": (dict(variant="sc", steps=5), dict(aux_cardinality_weight=0.0)),
+    "pc-ce": (dict(variant="pc", steps=5), dict(single_step="cross_entropy")),
     "steps0-ce": (dict(variant="pc", steps=0), dict(single_step="cross_entropy")),
     "steps0-ce-aux0": (dict(variant="pc", steps=0),
                        dict(single_step="cross_entropy", aux_cardinality_weight=0.0)),
@@ -578,6 +624,7 @@ def composed_nodes(monkeypatch):
     monkeypatch.setattr(inf, "_velocity", oracles.velocity)
     monkeypatch.setattr(inf, "_trial", oracles.trial)
     monkeypatch.setitem(tr._STEP_LOSSES, "soft_f1", oracles.soft_f1_loss)
+    monkeypatch.setattr(tr, "weighted_trajectory_loss", oracles.weighted_trajectory_loss)
 
 
 class TestFusedTrainingStep:
@@ -606,7 +653,7 @@ class TestFusedTrainingStep:
             assert_bits(got, want)
             assert nodes < composed or icfg.steps == 0
 
-    @pytest.mark.parametrize("variant, nodes, composed", [("pc", 68, 116), ("sc", 70, 123)])
+    @pytest.mark.parametrize("variant, nodes, composed", [("pc", 57, 116), ("sc", 59, 123)])
     def test_one_example_path(self, variant, nodes, composed, monkeypatch):
         # the one-vector path of bench/workloads.py's replay: a target vector
         # and no batch mean
