@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import zipfile
 from dataclasses import asdict, dataclass
 
@@ -323,10 +324,32 @@ def save_model(model: ScoreModel, path) -> None:
         np.savez(handle, **arrays)
 
 
-def _read_member(archive: zipfile.ZipFile, name: str) -> np.ndarray:
-    # one read of the member, parsed as np.load parses it: no pickles
-    raw = io.BytesIO(archive.read(f"{name}.npy"))
-    return np.lib.format.read_array(raw, allow_pickle=False)
+def _npy_header(shape: tuple) -> bytes:
+    """The ``.npy`` header that ``np.savez`` writes for a C-order float64
+    array of ``shape``: format 1.0, as numpy picks for a header this short."""
+    out = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        out, {"descr": "<f8", "fortran_order": False, "shape": shape})
+    return out.getvalue()
+
+
+def _read_member(archive: zipfile.ZipFile, name: str,
+                 shape: tuple | None = None) -> np.ndarray:
+    """Member ``name`` of the archive, read once.
+
+    With the ``shape`` the config gives, a member laid out exactly as
+    :func:`save_model` writes it, the header of :func:`_npy_header` and
+    then the C-order data, is copied straight from its bytes.  Any other
+    member, and ``__meta__``, is parsed as ``np.load`` parses it: no
+    pickles.
+    """
+    raw = archive.read(f"{name}.npy")
+    if shape is not None:
+        header = _npy_header(shape)
+        if raw.startswith(header) and len(raw) == len(header) + 8 * math.prod(shape):
+            data = np.frombuffer(raw, "<f8", offset=len(header))
+            return data.reshape(shape).astype(np.float64)  # an owned, writable copy
+    return np.lib.format.read_array(io.BytesIO(raw), allow_pickle=False)
 
 
 def load_model(path) -> ScoreModel:
@@ -336,8 +359,15 @@ def load_model(path) -> ScoreModel:
     not make a valid model, raises a ``ValueError`` naming ``path``.  Only
     the buffers the config names are read: a checkpoint that still holds
     the global potential's former biases ``global.b1`` and ``global.b2``
-    loads as one without them.  Each member is read once, and an object
-    array is refused, as ``np.load(..., allow_pickle=False)`` refuses it.
+    loads as one without them.  Each member is read once.  A buffer that
+    starts with the exact header ``save_model`` writes for the shape the
+    config gives, and holds exactly that shape's data, is copied from its
+    bytes without parsing the header; a fresh header is built on every
+    load, so nothing is cached across calls.  Any other member, a float32
+    or Fortran-order buffer say, is parsed as ``np.load(...,
+    allow_pickle=False)`` parses it and converted to float64: an object
+    array is refused, and a wrong shape or a truncated member fails with
+    its message.  Every buffer is checked for its shape and finite values.
     """
     try:
         with zipfile.ZipFile(path) as archive:
@@ -358,7 +388,7 @@ def load_model(path) -> ScoreModel:
             for name, (shape, _) in _param_shapes(config).items():
                 if f"{name}.npy" not in members:
                     raise ValueError(f"missing parameter buffer {name}")
-                buf = np.asarray(_read_member(archive, name), dtype=np.float64)
+                buf = np.asarray(_read_member(archive, name, shape), dtype=np.float64)
                 if buf.shape != shape:
                     raise ValueError(f"buffer {name} has shape {buf.shape}, expected {shape}")
                 if not np.all(np.isfinite(buf)):

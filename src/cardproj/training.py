@@ -265,16 +265,17 @@ def predict(model: md.ScoreModel, dataset: dt.Dataset,
     which is not empty: ``cardproj eval`` and ``train`` refuse empty splits.
 
     Runs chunks of up to ``EVAL_CHUNK`` consecutive examples, one tape each,
-    and decodes with the modal budget.  The budget, the auxiliary loss and
-    the modal count all read the one cardinality head output that inference
-    returns.
+    and decodes with the modal budget; a split that fits in one chunk is
+    that chunk, so its rows are not gathered again and its targets are the
+    ones the split caches.  The budget, the auxiliary loss and the modal
+    count all read the one cardinality head output that inference returns.
     """
     _check_dims(model, dataset)
     cfg = replace(inference_config, z_mode="argmax")
-    chunks = []
-    for start in range(0, len(dataset), EVAL_CHUNK):
-        rows = np.arange(start, min(start + EVAL_CHUNK, len(dataset)))
-        chunks.append(_decode_chunk(model, dataset.batch(rows), cfg, loss_config))
+    batches = [dataset] if len(dataset) <= EVAL_CHUNK else (
+        dataset.batch(np.arange(start, min(start + EVAL_CHUNK, len(dataset))))
+        for start in range(0, len(dataset), EVAL_CHUNK))
+    chunks = [_decode_chunk(model, batch, cfg, loss_config) for batch in batches]
     return tuple(np.concatenate(parts) for parts in zip(*chunks))
 
 

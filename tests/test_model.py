@@ -5,8 +5,16 @@ cases) and every differentiable path is verified against central finite
 differences that rebuild the forward pass from scratch per perturbation.
 """
 
+import tempfile
+import zipfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cardproj import diffgraph as dg
 from cardproj import model as md
@@ -586,6 +594,122 @@ class TestCheckpoint:
         np.savez(path, **data)
         with pytest.raises(ValueError, match="shape"):
             md.load_model(path)
+
+    # buffers np.savez writes in another layout than save_model's are parsed
+    # by numpy's reader and loaded as float64 values
+
+    @pytest.mark.parametrize("layout", [
+        lambda buf: buf.astype(np.float32),
+        np.asfortranarray,
+    ], ids=["float32", "fortran-order"])
+    def test_loads_a_buffer_in_another_layout(self, tmp_path, layout):
+        m = md.ScoreModel(small_config(seed=3))
+        path = tmp_path / "model.npz"
+        md.save_model(m, path)
+        data = dict(np.load(path, allow_pickle=False))
+        data["unary.w"] = layout(data["unary.w"])
+        np.savez(path, **data)
+        loaded = md.load_model(path)
+        assert loaded.params["unary.w"].dtype == np.float64
+        np.testing.assert_array_equal(loaded.params["unary.w"],
+                                      data["unary.w"].astype(np.float64))
+        for name in set(m.params) - {"unary.w"}:
+            assert_bits([loaded.params[name]], [m.params[name]])
+
+    def test_shape_mismatch_message(self, tmp_path):
+        # the same number of values in the transposed shape: a byte count
+        # alone would take it for the (4, 3) buffer
+        m = md.ScoreModel(small_config())
+        path = tmp_path / "model.npz"
+        md.save_model(m, path)
+        data = dict(np.load(path, allow_pickle=False))
+        data["unary.w"] = np.zeros((3, 4))
+        np.savez(path, **data)
+        with pytest.raises(ValueError, match=r"^checkpoint .*: buffer unary\.w has shape "
+                                             r"\(3, 4\), expected \(4, 3\)$"):
+            md.load_model(path)
+
+    def test_truncated_member_message(self, tmp_path):
+        m = md.ScoreModel(small_config())
+        whole, path = tmp_path / "whole.npz", tmp_path / "model.npz"
+        md.save_model(m, whole)
+        with zipfile.ZipFile(whole) as src, zipfile.ZipFile(path, "w") as dst:
+            for name in src.namelist():
+                raw = src.read(name)
+                dst.writestr(name, raw[:-8] if name == "unary.w.npy" else raw)
+        with pytest.raises(ValueError, match="^checkpoint .*: EOF: reading array data, "
+                                             "expected 96 bytes got 88$"):
+            md.load_model(path)
+
+    def test_only_the_metadata_is_parsed_by_numpy(self, tmp_path, monkeypatch):
+        # a buffer save_model wrote is copied from its bytes; a numpy whose
+        # headers differ from the ones load_model builds fails here
+        path = tmp_path / "model.npz"
+        md.save_model(md.ScoreModel(small_config()), path)
+        parsed = []
+        original = np.lib.format.read_array
+
+        def counted(fp, *args, **kwargs):
+            array = original(fp, *args, **kwargs)
+            parsed.append(array.dtype.kind)
+            return array
+
+        monkeypatch.setattr(np.lib.format, "read_array", counted)
+        md.load_model(path)
+        assert parsed == ["U"]
+
+
+# finite float64 values, with signed zeros, subnormals and huge magnitudes
+BUFFER_VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300])
+
+
+@st.composite
+def saved_models(draw):
+    sizes = st.integers(1, 4)
+    labels = draw(sizes)
+    config = md.ModelConfig(
+        input_dim=draw(sizes), label_count=labels, max_cardinality=draw(st.integers(1, labels)),
+        feature_hidden=draw(sizes), feature_dim=draw(sizes), global_hidden=draw(sizes),
+        cardinality_hidden=draw(sizes), with_sc=draw(st.booleans()))
+    return md.ScoreModel(config, {
+        name: draw(hnp.arrays(np.float64, shape, elements=BUFFER_VALUES))
+        for name, (shape, _) in md._param_shapes(config).items()
+    })
+
+
+class TestCheckpointBytes:
+    """Buffers copied straight from the archive's bytes are np.load's buffers."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=saved_models())
+    def test_buffers_match_np_load(self, model):
+        raws, parsed = [], []
+        read, parse = zipfile.ZipFile.read, np.lib.format.read_array
+
+        def kept(archive, name, pwd=None):
+            raws.append(read(archive, name, pwd))
+            return raws[-1]
+
+        def counted(*args, **kwargs):
+            parsed.append(args)
+            return parse(*args, **kwargs)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.npz"
+            md.save_model(model, path)
+            with mock.patch.object(zipfile.ZipFile, "read", kept), \
+                    mock.patch.object(np.lib.format, "read_array", counted):
+                loaded = md.load_model(path)
+            with np.load(path, allow_pickle=False) as saved:
+                want = {name: saved[name] for name in model.params}
+        assert len(parsed) == 1  # the metadata; every buffer took the byte path
+        assert list(loaded.params) == list(model.params)
+        for name, buf in loaded.params.items():
+            assert buf.dtype == np.float64 and buf.shape == want[name].shape
+            assert buf.tobytes() == want[name].tobytes()
+            assert buf.flags.writeable and buf.flags.c_contiguous and buf.flags.owndata
+            assert not any(np.shares_memory(buf, np.frombuffer(raw, np.uint8)) for raw in raws)
 
 
 class TestTapedModel:

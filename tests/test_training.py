@@ -764,6 +764,24 @@ class TestPredictEvaluate:
         for a, b in zip(chunked[1], whole[1]):
             np.testing.assert_array_equal(a, b)
 
+    def test_a_split_of_one_chunk_runs_as_it_is(self, monkeypatch):
+        # no copy of its rows is gathered, and its targets are built once
+        model = md.ScoreModel(tiny_config(seed=7))
+        ds = tiny_dataset(tr.EVAL_CHUNK, seed=4)
+        targets = ds.targets()
+        chunks = []
+        original = tr._decode_chunk
+
+        def spy(model, batch, *args):
+            chunks.append(batch)
+            return original(model, batch, *args)
+
+        monkeypatch.setattr(dt.Dataset, "batch", None)
+        monkeypatch.setattr(tr, "_decode_chunk", spy)
+        tr.evaluate(model, ds, quick_inference())
+        assert len(chunks) == 1 and chunks[0] is ds
+        assert ds.targets() is targets
+
     def test_dimension_mismatch_is_an_error(self):
         model = md.ScoreModel(tiny_config(seed=8))
         wrong = dt.generate_synthetic(
