@@ -99,15 +99,9 @@ class Dataset:
         return self.batch([i]).targets()[0]
 
     def targets(self) -> np.ndarray:
-        """Dense binary label matrix, one row per example: built on first use,
-        read-only and shared by every later call."""
-        return self._targets
-
-    @cached_property
-    def _targets(self) -> np.ndarray:
+        """Dense binary label matrix, one row per example."""
         out = np.zeros((len(self), self.label_count))
         out[np.repeat(np.arange(len(self)), np.diff(self.label_indptr)), self.labels] = 1.0
-        out.flags.writeable = False
         return out
 
     def cardinalities(self) -> np.ndarray:

@@ -372,17 +372,15 @@ def _mass_operand(mass):
 def _dykstra(y: np.ndarray, rounds: int, first, second) -> np.ndarray:
     """Dykstra's alternation from ``y``: each round projects with ``first``
     and then ``second``, each step correcting its input by the residual it
-    left in the previous round (p and q).  The last round's residuals are
-    never read, so they are not computed."""
+    left in the previous round (p and q)."""
     p = q = np.zeros_like(y)
-    for left in range(rounds - 1, -1, -1):
+    for _ in range(rounds):
         yp = y + p
         t = first(yp)
+        p = yp - t
         tq = t + q
         y = second(tq)
-        if left:
-            p = yp - t
-            q = tq - y
+        q = tq - y
     return y
 
 

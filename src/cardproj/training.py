@@ -260,31 +260,33 @@ def _check_dims(model: md.ScoreModel, dataset: dt.Dataset) -> None:
 
 
 def predict(model: md.ScoreModel, dataset: dt.Dataset,
-            inference_config: inf.InferenceConfig, loss_config: LossConfig):
+            inference_config: inf.InferenceConfig, loss_config: LossConfig,
+            targets: np.ndarray):
     """Decoded label matrix, modal counts and per-example losses of a split,
     which is not empty: ``cardproj eval`` and ``train`` refuse empty splits.
 
     Runs chunks of up to ``EVAL_CHUNK`` consecutive examples, one tape each,
-    and decodes with the modal budget; a split that fits in one chunk is
-    that chunk, so its rows are not gathered again and its targets are the
-    ones the split caches.  The budget, the auxiliary loss and the modal
-    count all read the one cardinality head output that inference returns.
+    and decodes with the modal budget.  Each chunk's losses read its rows of
+    ``targets``, the split's ``targets()``, which the caller builds once and
+    may read again.  The budget, the auxiliary loss and the modal count all
+    read the one cardinality head output that inference returns.
     """
     _check_dims(model, dataset)
     cfg = replace(inference_config, z_mode="argmax")
-    batches = [dataset] if len(dataset) <= EVAL_CHUNK else (
-        dataset.batch(np.arange(start, min(start + EVAL_CHUNK, len(dataset))))
-        for start in range(0, len(dataset), EVAL_CHUNK))
-    chunks = [_decode_chunk(model, batch, cfg, loss_config) for batch in batches]
+    chunks = []
+    for start in range(0, len(dataset), EVAL_CHUNK):
+        stop = min(start + EVAL_CHUNK, len(dataset))
+        chunks.append(_decode_chunk(model, dataset.batch(np.arange(start, stop)),
+                                    targets[start:stop], cfg, loss_config))
     return tuple(np.concatenate(parts) for parts in zip(*chunks))
 
 
-def _decode_chunk(model: md.ScoreModel, batch: dt.Dataset,
+def _decode_chunk(model: md.ScoreModel, batch: dt.Dataset, target: np.ndarray,
                   cfg: inf.InferenceConfig, loss_config: LossConfig) -> tuple:
     """Decoded labels, modal counts and losses of one chunk; only arrays come
     back, so its graph is gone before the next chunk's."""
     tm = md.TapedModel(model, Tape())
-    loss, traj = example_loss(tm, batch, batch.targets(), cfg, loss_config)
+    loss, traj = example_loss(tm, batch, target, cfg, loss_config)
     labels = inf.decode_labels(traj.final_values(), cfg.decode, z=traj.z_used)
     return labels, md.modal_cardinality(traj.cardinality_logits), loss.value
 
@@ -292,9 +294,11 @@ def _decode_chunk(model: md.ScoreModel, batch: dt.Dataset,
 def evaluate(model: md.ScoreModel, dataset: dt.Dataset,
              inference_config: inf.InferenceConfig,
              loss_config: LossConfig = LossConfig()) -> dict:
-    """Mean loss plus the metrics of what ``predict`` decodes."""
-    labels, counts, losses = predict(model, dataset, inference_config, loss_config)
-    f1, f1_label = dt.eval_f1(labels, dataset.targets())
+    """Mean loss plus the metrics of what ``predict`` decodes; the split's
+    targets are built once for both and dropped when the pass returns."""
+    targets = dataset.targets()
+    labels, counts, losses = predict(model, dataset, inference_config, loss_config, targets)
+    f1, f1_label = dt.eval_f1(labels, targets)
     return {
         "loss": float(losses.mean()),
         "f1": f1,

@@ -153,7 +153,8 @@ class TestCardinalityRecoveryStudy:
         result = tr.train(md.ScoreModel(config), train_set, setup, losses,
                           schedule)
         _, counts, _ = tr.predict(result.model, dev_set,
-                                  replace(setup, z_mode="argmax"), losses)
+                                  replace(setup, z_mode="argmax"), losses,
+                                  dev_set.targets())
         mse_h = float(np.mean((counts - dev_set.cardinalities()) ** 2))
         mse_const, mse_rand = dt.reference_cardinality_mse(
             dev_set.cardinalities(), train_targets=train_set.cardinalities(), seed=0)

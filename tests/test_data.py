@@ -37,13 +37,6 @@ class TestDataset:
         np.testing.assert_array_equal(ds.cardinalities(), [2, 0, 1])
         np.testing.assert_array_equal(ds.targets(), [ds.target(i) for i in range(3)])
 
-    def test_targets_are_built_once_and_read_only(self):
-        ds = toy_dataset()
-        targets = ds.targets()
-        assert ds.targets() is targets
-        with pytest.raises(ValueError, match="read-only"):
-            targets[0, 0] = 1.0
-
 
 class TestCorpusFormat:
     def test_worked_line(self, tmp_path):

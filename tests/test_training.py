@@ -679,7 +679,8 @@ class TestPredictEvaluate:
     def test_predict_shapes_and_binary_output(self):
         model = md.ScoreModel(tiny_config(seed=6))
         ds = tiny_dataset(8, seed=3)
-        labels, counts, losses = tr.predict(model, ds, quick_inference(), tr.LossConfig())
+        labels, counts, losses = tr.predict(model, ds, quick_inference(), tr.LossConfig(),
+                                            ds.targets())
         assert labels.shape == (8, 5)
         assert np.all((labels == 0.0) | (labels == 1.0))
         assert counts.shape == (8,)
@@ -695,7 +696,7 @@ class TestPredictEvaluate:
         metrics = tr.evaluate(model, ds, cfg)
         assert set(metrics) == {"loss", "f1", "f1_label", "card_mse"}
         labels, counts, losses = tr.predict(model, ds, replace(cfg, z_mode="argmax"),
-                                            tr.LossConfig())
+                                            tr.LossConfig(), ds.targets())
         truth = np.stack([ds.target(i) for i in range(len(ds))])
         f1, f1_label = dt.eval_f1(labels, truth)
         assert metrics["loss"] == pytest.approx(losses.mean())
@@ -713,7 +714,7 @@ class TestPredictEvaluate:
         cfg = inf.InferenceConfig(steps=5, decode=decode)
         assert cfg.z_mode == "expected"
         metrics = tr.evaluate(model, ds, cfg)
-        labels, counts, losses = tr.predict(model, ds, cfg, tr.LossConfig())
+        labels, counts, losses = tr.predict(model, ds, cfg, tr.LossConfig(), ds.targets())
         truth = np.stack([ds.target(i) for i in range(len(ds))])
         f1, f1_label = dt.eval_f1(labels, truth)
         assert float(losses.mean()) == metrics["loss"]
@@ -757,30 +758,36 @@ class TestPredictEvaluate:
         ds = tiny_dataset(8, seed=4)
         cfg = quick_inference(variant=variant,
                               decode="threshold" if variant == "sc" else "topz")
-        whole = tr.evaluate(model, ds, cfg), tr.predict(model, ds, cfg, tr.LossConfig())
+        whole = tr.evaluate(model, ds, cfg), tr.predict(model, ds, cfg, tr.LossConfig(),
+                                                        ds.targets())
         monkeypatch.setattr(tr, "EVAL_CHUNK", 3)
-        chunked = tr.evaluate(model, ds, cfg), tr.predict(model, ds, cfg, tr.LossConfig())
+        chunked = tr.evaluate(model, ds, cfg), tr.predict(model, ds, cfg, tr.LossConfig(),
+                                                        ds.targets())
         assert chunked[0] == whole[0]
         for a, b in zip(chunked[1], whole[1]):
             np.testing.assert_array_equal(a, b)
 
-    def test_a_split_of_one_chunk_runs_as_it_is(self, monkeypatch):
-        # no copy of its rows is gathered, and its targets are built once
+    def test_evaluate_builds_the_targets_once(self, monkeypatch):
+        # each chunk's losses read its rows of the one matrix the metrics use
         model = md.ScoreModel(tiny_config(seed=7))
-        ds = tiny_dataset(tr.EVAL_CHUNK, seed=4)
-        targets = ds.targets()
-        chunks = []
-        original = tr._decode_chunk
+        ds = tiny_dataset(8, seed=4)
+        built, chunks = [], []
+        targets, decode = dt.Dataset.targets, tr._decode_chunk
 
-        def spy(model, batch, *args):
-            chunks.append(batch)
-            return original(model, batch, *args)
+        def counted(dataset):
+            built.append(len(dataset))
+            return targets(dataset)
 
-        monkeypatch.setattr(dt.Dataset, "batch", None)
+        def spy(model, batch, target, *args):
+            np.testing.assert_array_equal(target, targets(batch))
+            chunks.append(len(batch))
+            return decode(model, batch, target, *args)
+
+        monkeypatch.setattr(tr, "EVAL_CHUNK", 3)
+        monkeypatch.setattr(dt.Dataset, "targets", counted)
         monkeypatch.setattr(tr, "_decode_chunk", spy)
         tr.evaluate(model, ds, quick_inference())
-        assert len(chunks) == 1 and chunks[0] is ds
-        assert ds.targets() is targets
+        assert built == [8] and chunks == [3, 3, 2]
 
     def test_dimension_mismatch_is_an_error(self):
         model = md.ScoreModel(tiny_config(seed=8))
@@ -788,7 +795,7 @@ class TestPredictEvaluate:
             4, label_count=5, input_dim=9, seed=0, modulus=4, min_words=2, max_words=8,
         )
         with pytest.raises(ValueError, match="input_dim=12.*input_dim=9"):
-            tr.predict(model, wrong, quick_inference(), tr.LossConfig())
+            tr.predict(model, wrong, quick_inference(), tr.LossConfig(), wrong.targets())
 
 
 class TestOneGraphAtATime:
